@@ -4,12 +4,15 @@
  * Workload: the paper's 5-qutrit Generalized Toffoli (4 controls + target,
  * decomposed to one-/two-qutrit gates) under the superconducting noise
  * model — amplitude damping + depolarizing gate errors, the Section 7
- * reliability setup. Both paths run the SAME compiled kernels and the SAME
- * per-trial RNG streams; the only difference is whether trials advance one
- * at a time or B lanes per circuit pass (exec::BatchedStateVector), so the
- * ratio isolates the plan/offset-table amortisation and lane SIMD. Both
- * run single-threaded: across-shot threading is available to either path
- * and would only add scheduling noise to the ratio.
+ * reliability setup. The per-shot side is the reference loop the batched
+ * engine is tested against: run_single_trajectory once per trial on stream
+ * root.child(t), over one compilation. Both sides run the SAME compiled
+ * kernels and the SAME per-trial RNG streams; the only difference is
+ * whether trials advance one at a time or B lanes per circuit pass
+ * (exec::BatchedStateVector), so the ratio isolates the plan/offset-table
+ * amortisation and lane SIMD. Both run single-threaded: across-shot
+ * threading is available to either path and would only add scheduling
+ * noise to the ratio.
  *
  * Emits BENCH_batch.json (gated on "speedup" by scripts/compare_bench.py
  * against bench/baselines/). Fails loudly if the two paths' per-trial
@@ -30,6 +33,9 @@
 #include "constructions/gen_toffoli.h"
 #include "noise/models.h"
 #include "noise/trajectory.h"
+#include "qdsim/exec/compiled_circuit.h"
+#include "qdsim/random_state.h"
+#include "qdsim/simulator.h"
 
 namespace {
 
@@ -41,6 +47,32 @@ now_ms()
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
+}
+
+/** The per-shot reference for run_noisy_trials(options): trial t is
+ *  run_single_trajectory on stream root.child(t), from the input state
+ *  that stream draws first and its fully fused ideal output. */
+noise::TrajectoryResult
+per_shot_trials(const noise::TrajectoryCompilation& compiled,
+                const exec::CompiledCircuit& ideal,
+                const noise::TrajectoryOptions& options)
+{
+    const Rng root(options.seed);
+    noise::TrajectoryResult result;
+    result.trials = options.trials;
+    Real sum = 0;
+    for (int t = 0; t < options.trials; ++t) {
+        Rng rng = root.child(static_cast<std::uint64_t>(t));
+        const StateVector initial =
+            options.qubit_subspace_inputs
+                ? haar_random_qubit_subspace_state(compiled.dims(), rng)
+                : haar_random_state(compiled.dims(), rng);
+        result.per_trial.push_back(noise::run_single_trajectory(
+            compiled, initial, simulate(ideal, initial), rng));
+        sum += result.per_trial.back();
+    }
+    result.mean_fidelity = sum / options.trials;
+    return result;
 }
 
 }  // namespace
@@ -71,12 +103,11 @@ main(int argc, char** argv)
     options.threads = 1;
     options.keep_per_trial = true;
 
-    auto time_path = [&](int batch, noise::TrajectoryResult& result) {
-        options.batch = batch;
+    auto best_of_reps = [&](auto&& run) {
         double best = 0;
         for (int r = 0; r < reps; ++r) {
             const double t0 = now_ms();
-            result = noise::run_noisy_trials(circuit, model, options);
+            run();
             const double elapsed = now_ms() - t0;
             if (r == 0 || elapsed < best) {
                 best = elapsed;
@@ -87,15 +118,21 @@ main(int argc, char** argv)
 
     // Warmup: touch both paths once so page faults and lazy init don't
     // land in either side's first rep.
+    const noise::TrajectoryCompilation compiled(circuit, model,
+                                                options.fusion);
+    const exec::CompiledCircuit ideal(circuit, options.fusion);
     noise::TrajectoryResult single, batched;
     options.batch = lanes;
     noise::run_noisy_trials(circuit, model, options);
+    per_shot_trials(compiled, ideal, options);
 
-    // 1. Per-shot compiled reference (PR 2/3 fast path).
-    const double single_ms = time_path(1, single);
+    // 1. Per-shot reference: one run_single_trajectory per trial.
+    const double single_ms = best_of_reps(
+        [&] { single = per_shot_trials(compiled, ideal, options); });
 
     // 2. B-way batched execution: one compiled pass advances B lanes.
-    const double batched_ms = time_path(lanes, batched);
+    const double batched_ms = best_of_reps(
+        [&] { batched = noise::run_noisy_trials(circuit, model, options); });
 
     bool lane_equivalent = single.per_trial.size() == batched.per_trial.size();
     for (std::size_t t = 0; lane_equivalent && t < single.per_trial.size();

@@ -18,19 +18,49 @@
 #include "qdsim/obs/counters.h"
 #include "qdsim/obs/trace.h"
 #include "qdsim/random_state.h"
-#include "qdsim/simulator.h"
 #include "qdsim/verify/noise_audit.h"
 
 namespace qd::noise {
 
 namespace {
 
-/** Default lanes per batched circuit pass (TrajectoryOptions::batch == 0):
- *  wide enough to amortise plan/offset-table reads across shots, small
- *  enough that B states of a trajectory-sized register stay cache-resident
- *  (12 lanes measured fastest on the 5-qutrit bench_batch workload; the
- *  curve is flat between 8 and 16). */
-constexpr int kDefaultBatchLanes = 12;
+/** Most lanes one batched pass carries: enough to amortise plan/offset-
+ *  table reads across shots (12 measured fastest on the 5-qutrit
+ *  bench_batch workload; the curve is flat between 8 and 16). */
+constexpr int kMaxBatchLanes = 12;
+
+/** Lane state a default group aims for. A group takes
+ *  ceil(kGroupBytes / lane bytes) lanes: 4–8 MiB while one lane is under
+ *  4 MiB, a single lane beyond. On the qutrit gen-Toffoli under SC noise
+ *  (4 threads) that gives 4 lanes at width 10, 2 at width 11 and 1 at
+ *  width 12, the fastest widths measured there. */
+constexpr std::size_t kGroupBytes = std::size_t{4} << 20;
+
+int
+ceil_div(int a, int b)
+{
+    return (a + b - 1) / b;
+}
+
+/**
+ * The default lane count (TrajectoryOptions::batch == 0): as many lanes as
+ * the group budget holds, at most kMaxBatchLanes, then evened out so each
+ * of `workers` workers runs the same number of equal groups — 32 trials
+ * on 4 workers become 4 groups of 8, not 12 + 12 + 8 on three of them.
+ */
+int
+default_lane_count(Index register_size, int trials, int workers)
+{
+    const std::size_t lane_bytes =
+        static_cast<std::size_t>(register_size) * sizeof(Complex);
+    const int cap = static_cast<int>(std::min<std::size_t>(
+        kMaxBatchLanes, (kGroupBytes + lane_bytes - 1) / lane_bytes));
+    if (workers <= 1) {
+        return std::min(cap, trials);  // nothing to balance
+    }
+    const int rounds = ceil_div(trials, workers * cap);
+    return ceil_div(trials, workers * rounds);
+}
 
 }  // namespace
 
@@ -869,20 +899,10 @@ run_noisy_trials(const TrajectoryCompilation& compiled,
         throw std::invalid_argument(
             "run_noisy_trials: options.trials must be positive");
     }
-    int batch = options.batch;
-    if (batch < 0) {
+    if (options.batch < 0) {
         throw std::invalid_argument(
             "run_noisy_trials: options.batch must be >= 0");
     }
-    if (batch == 0) {
-        batch = std::min(kDefaultBatchLanes, trials);
-    }
-    // Trials are dealt out in fixed groups of `batch` lanes (the last
-    // group may be narrower, covering trials < batch); lane t always runs
-    // on stream root.child(t), so results are independent of the batch
-    // width and of which worker claims which group.
-    const int num_batches = (trials + batch - 1) / batch;
-
     int threads = options.threads;
     if (threads <= 0) {
         threads = static_cast<int>(std::thread::hardware_concurrency());
@@ -890,10 +910,23 @@ run_noisy_trials(const TrajectoryCompilation& compiled,
             threads = 1;
         }
     }
-    threads = std::min(threads, num_batches);
-
     const NoiseModel& model = compiled.model();
     const EngineContext& ctx = compiled.impl();
+    // Trials are dealt out in fixed groups of `batch` lanes (the last
+    // group may be narrower, covering trials < batch); lane t always runs
+    // on stream root.child(t), so results are independent of the batch
+    // width and of which worker claims which group.
+    const int batch =
+        options.batch > 0
+            ? options.batch
+            : default_lane_count(ctx.noisy.dims().size(), trials,
+                                 std::min(threads, trials));
+    const int num_batches = ceil_div(trials, batch);
+    const int workers = std::min(threads, num_batches);
+    // `threads` is the whole budget: each worker's kernels get an equal
+    // share of it for their OpenMP teams.
+    const int team = std::max(1, threads / workers);
+
     const bool accel =
         resolve_damping_engine(ctx, options.damping_engine);
     std::vector<Real> fidelities(static_cast<std::size_t>(trials), 0.0);
@@ -903,39 +936,26 @@ run_noisy_trials(const TrajectoryCompilation& compiled,
     auto worker = [&]() {
         exec::ExecScratch scratch;  // reused across this worker's trials
         exec::BatchedScratch bscratch;
+        scratch.threads = team;
+        bscratch.threads = team;
         for (;;) {
             const int g = next.fetch_add(1);
             if (g >= num_batches) {
                 return;
             }
             const int start = g * batch;
-            const int lanes = std::min(batch, trials - start);
-            if (lanes > 1) {
-                run_trajectory_batch(model, ctx, options, root, start, lanes,
-                                     fidelities, bscratch, scratch, accel);
-                continue;
-            }
-            // Single-lane group: the per-shot reference path.
-            const int t = start;
-            Rng rng = root.child(static_cast<std::uint64_t>(t));
-            const WireDims& dims = ctx.noisy.dims();
-            StateVector initial =
-                options.qubit_subspace_inputs
-                    ? haar_random_qubit_subspace_state(dims, rng)
-                    : haar_random_state(dims, rng);
-            const StateVector ideal = simulate(ctx.ideal, initial);
-            fidelities[static_cast<std::size_t>(t)] =
-                run_trajectory_with_context(model, ctx, initial, ideal, rng,
-                                            scratch, accel);
+            run_trajectory_batch(model, ctx, options, root, start,
+                                 std::min(batch, trials - start), fidelities,
+                                 bscratch, scratch, accel);
         }
     };
 
-    if (threads == 1) {
+    if (workers == 1) {
         worker();
     } else {
         std::vector<std::thread> pool;
-        pool.reserve(static_cast<std::size_t>(threads));
-        for (int i = 0; i < threads; ++i) {
+        pool.reserve(static_cast<std::size_t>(workers));
+        for (int i = 0; i < workers; ++i) {
             pool.emplace_back(worker);
         }
         for (std::thread& th : pool) {

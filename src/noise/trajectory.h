@@ -58,7 +58,12 @@ enum class DampingEngine {
 /** Options for a batch of trajectory trials. */
 struct TrajectoryOptions {
     int trials = 100;
-    /** Worker threads; 0 = hardware concurrency. */
+    /**
+     * The whole thread budget of the run; 0 = hardware concurrency. Shot
+     * groups run on min(threads, groups) workers, and each worker's kernels
+     * open OpenMP teams of at most threads / workers threads, so workers
+     * and kernel teams together never exceed the budget.
+     */
     int threads = 0;
     std::uint64_t seed = 2019;
     /**
@@ -67,12 +72,14 @@ struct TrajectoryOptions {
      */
     bool qubit_subspace_inputs = true;
     /**
-     * Trajectories advanced per batched circuit pass: 0 = auto (a
-     * cache-tuned default, currently min(12, trials) — see
-     * kDefaultBatchLanes in trajectory.cc), 1 = the per-shot reference
-     * path, B > 1 = B-lane exec::BatchedStateVector execution. Per-trial
-     * results are bitwise identical for every setting (lane equivalence
-     * is property-tested).
+     * Lanes per shot group, i.e. trajectories advanced per pass of the
+     * batched engine (exec::BatchedStateVector); every group runs there.
+     * 0 = sized from the work: about 4–8 MiB of lane state per group, at
+     * most 12 lanes, and equal groups so every worker runs the same
+     * number of trials (default_lane_count in trajectory.cc). 1 = one lane
+     * per group. Per-trial results are bitwise identical for every
+     * setting and equal to run_single_trajectory on stream root.child(t)
+     * (property-tested).
      */
     int batch = 0;
     /** Idle-damping implementation; see DampingEngine. */
@@ -137,7 +144,9 @@ class TrajectoryCompilation {
 
 /**
  * Runs one noisy trajectory of `circuit` from `initial`, comparing against
- * `ideal_out` (the noiseless output for the same input).
+ * `ideal_out` (the noiseless output for the same input). This per-shot
+ * loop is the reference the batched engine is tested against: trial t of
+ * run_noisy_trials equals it on stream root.child(t), bitwise.
  * Exposed for tests; most callers use run_noisy_trials.
  *
  * @throws std::invalid_argument if `engine` is kFused but the register is

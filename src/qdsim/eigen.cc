@@ -53,6 +53,35 @@ complex_sqrt(Complex z)
     return std::sqrt(z);
 }
 
+/** Modified Gram-Schmidt over the columns of `m`, in column order; a
+ *  column whose remaining norm is <= tol is left unnormalised. */
+void
+orthonormalize_columns(Matrix& m, Real tol)
+{
+    const std::size_t rows = m.rows();
+    for (std::size_t k = 0; k < m.cols(); ++k) {
+        for (std::size_t j = 0; j < k; ++j) {
+            Complex dot(0, 0);
+            for (std::size_t i = 0; i < rows; ++i) {
+                dot += std::conj(m(i, j)) * m(i, k);
+            }
+            for (std::size_t i = 0; i < rows; ++i) {
+                m(i, k) -= dot * m(i, j);
+            }
+        }
+        Real nrm = 0;
+        for (std::size_t i = 0; i < rows; ++i) {
+            nrm += std::norm(m(i, k));
+        }
+        nrm = std::sqrt(nrm);
+        if (nrm > tol) {
+            for (std::size_t i = 0; i < rows; ++i) {
+                m(i, k) /= nrm;
+            }
+        }
+    }
+}
+
 }  // namespace
 
 std::vector<Complex>
@@ -176,28 +205,7 @@ null_space(const Matrix& a, Real tol)
             basis(pivot_col[i], k) = -m(i, fc);
         }
     }
-    // Gram-Schmidt orthonormalisation of the basis columns.
-    for (std::size_t k = 0; k < free_cols.size(); ++k) {
-        for (std::size_t j = 0; j < k; ++j) {
-            Complex dot(0, 0);
-            for (std::size_t i = 0; i < cols; ++i) {
-                dot += std::conj(basis(i, j)) * basis(i, k);
-            }
-            for (std::size_t i = 0; i < cols; ++i) {
-                basis(i, k) -= dot * basis(i, j);
-            }
-        }
-        Real nrm = 0;
-        for (std::size_t i = 0; i < cols; ++i) {
-            nrm += std::norm(basis(i, k));
-        }
-        nrm = std::sqrt(nrm);
-        if (nrm > tol) {
-            for (std::size_t i = 0; i < cols; ++i) {
-                basis(i, k) /= nrm;
-            }
-        }
-    }
+    orthonormalize_columns(basis, tol);
     return basis;
 }
 
@@ -359,13 +367,19 @@ vectors:
 Matrix
 unitary_power(const Matrix& u, Real t)
 {
-    const Eigensystem es = eigendecompose(u);
+    Eigensystem es = eigendecompose(u);
+    // Eigenvectors of distinct eigenvalues come from separate null spaces,
+    // so on a near-degenerate spectrum (a root of a root tends to the
+    // identity) they are orthogonal only to about (rounding / gap), and
+    // V D V^dagger is off unitary by as much — an error the next root
+    // amplifies again. Orthonormalising the basis and putting every
+    // powered eigenvalue on the unit circle keeps the result unitary to
+    // rounding.
+    orthonormalize_columns(es.vectors, 0.0);
     const std::size_t n = u.rows();
     std::vector<Complex> powered(n);
     for (std::size_t i = 0; i < n; ++i) {
-        const Real mag = std::abs(es.values[i]);
-        const Real ang = std::arg(es.values[i]);
-        powered[i] = std::polar(std::pow(mag, t), ang * t);
+        powered[i] = std::polar(1.0, std::arg(es.values[i]) * t);
     }
     return es.vectors * Matrix::diagonal(powered) * es.vectors.dagger();
 }

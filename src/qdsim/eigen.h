@@ -40,6 +40,9 @@ Eigensystem eigendecompose(const Matrix& u);
  * Fractional power U^t of a unitary via eigendecomposition, using the
  * principal branch of the logarithm for each eigenvalue. Satisfies
  * (U^{1/k})^k == U exactly up to numerical error for integer k >= 1.
+ * The result is unitary to rounding — eigenvalues are put on the unit
+ * circle and the eigenbasis is orthonormalised — so roots of roots stay
+ * unitary however close to the identity they get.
  */
 Matrix unitary_power(const Matrix& u, Real t);
 

@@ -8,11 +8,6 @@ namespace qd::exec {
 
 namespace {
 
-/** Same outer-block parallelism threshold as the single-shot kernels
- *  (kernels.cc): below it the batch's parallelism is across shots, not
- *  inside one gate. */
-constexpr Index kParallelOuter = Index{1} << 13;
-
 // Inner lane loops run on re/im doubles (std::complex array-oriented
 // access): the expression trees match the single-shot complex arithmetic
 // exactly — (a*b).re == a.re*b.re - a.im*b.im bitwise at runtime — so
@@ -63,8 +58,8 @@ run_permutation_b(const CompiledOp& op, Complex* amps, const std::size_t B,
         }
     };
 #ifdef _OPENMP
-    if (nouter >= static_cast<std::int64_t>(kParallelOuter)) {
-#pragma omp parallel
+    if (const int team = kernel_team(nouter, scratch.threads); team > 1) {
+#pragma omp parallel num_threads(team)
         {
             std::vector<Complex> tmp(B);
 #pragma omp for schedule(static)
@@ -131,8 +126,8 @@ run_monomial_b(const CompiledOp& op, Complex* amps, const std::size_t B,
         }
     };
 #ifdef _OPENMP
-    if (nouter >= static_cast<std::int64_t>(kParallelOuter)) {
-#pragma omp parallel
+    if (const int team = kernel_team(nouter, scratch.threads); team > 1) {
+#pragma omp parallel num_threads(team)
         {
             std::vector<Complex> tmp(B);
 #pragma omp for schedule(static)
@@ -152,7 +147,8 @@ run_monomial_b(const CompiledOp& op, Complex* amps, const std::size_t B,
 }
 
 void
-run_diagonal_b(const CompiledOp& op, Complex* amps, const std::size_t B)
+run_diagonal_b(const CompiledOp& op, Complex* amps, const std::size_t B,
+               [[maybe_unused]] const BatchedScratch& scratch)
 {
     const ApplyPlan& plan = *op.plan;
     const Index* off = plan.local_offset.data();
@@ -173,8 +169,8 @@ run_diagonal_b(const CompiledOp& op, Complex* amps, const std::size_t B)
         }
     };
 #ifdef _OPENMP
-    if (nouter >= static_cast<std::int64_t>(kParallelOuter)) {
-#pragma omp parallel for schedule(static)
+    if (const int team = kernel_team(nouter, scratch.threads); team > 1) {
+#pragma omp parallel for num_threads(team) schedule(static)
         for (std::int64_t o = 0; o < nouter; ++o) {
             do_block(plan.base_of(static_cast<Index>(o)));
         }
@@ -188,7 +184,8 @@ run_diagonal_b(const CompiledOp& op, Complex* amps, const std::size_t B)
 
 void
 run_single_d2_b(const CompiledOp& op, Complex* amps, Index total,
-                const std::size_t B)
+                const std::size_t B,
+                [[maybe_unused]] const BatchedScratch& scratch)
 {
     const Complex u00 = op.u[0], u01 = op.u[1];
     const Complex u10 = op.u[2], u11 = op.u[3];
@@ -220,8 +217,8 @@ run_single_d2_b(const CompiledOp& op, Complex* amps, Index total,
         }
     };
 #ifdef _OPENMP
-    if (nchunks >= static_cast<std::int64_t>(kParallelOuter)) {
-#pragma omp parallel for schedule(static)
+    if (const int team = kernel_team(nchunks, scratch.threads); team > 1) {
+#pragma omp parallel for num_threads(team) schedule(static)
         for (std::int64_t c = 0; c < nchunks; ++c) {
             do_chunk(static_cast<Index>(c) * period);
         }
@@ -235,7 +232,8 @@ run_single_d2_b(const CompiledOp& op, Complex* amps, Index total,
 
 void
 run_single_d3_b(const CompiledOp& op, Complex* amps, Index total,
-                const std::size_t B)
+                const std::size_t B,
+                [[maybe_unused]] const BatchedScratch& scratch)
 {
     const Complex u00 = op.u[0], u01 = op.u[1], u02 = op.u[2];
     const Complex u10 = op.u[3], u11 = op.u[4], u12 = op.u[5];
@@ -276,8 +274,8 @@ run_single_d3_b(const CompiledOp& op, Complex* amps, Index total,
         }
     };
 #ifdef _OPENMP
-    if (nchunks >= static_cast<std::int64_t>(kParallelOuter)) {
-#pragma omp parallel for schedule(static)
+    if (const int team = kernel_team(nchunks, scratch.threads); team > 1) {
+#pragma omp parallel for num_threads(team) schedule(static)
         for (std::int64_t c = 0; c < nchunks; ++c) {
             do_chunk(static_cast<Index>(c) * period);
         }
@@ -368,8 +366,8 @@ run_block_matvec_b(const CompiledOp& op, Complex* amps, const std::size_t B,
         static_cast<std::int64_t>(plan.outer_count());
     const std::size_t need = static_cast<std::size_t>(nb) * B;
 #ifdef _OPENMP
-    if (nouter >= static_cast<std::int64_t>(kParallelOuter)) {
-#pragma omp parallel
+    if (const int team = kernel_team(nouter, scratch.threads); team > 1) {
+#pragma omp parallel num_threads(team)
         {
             std::vector<Complex> in(need);
 #pragma omp for schedule(static)
@@ -417,16 +415,16 @@ apply_op_batched(const CompiledOp& op, BatchedStateVector& psi,
             run_permutation_b(op, amps, B, scratch);
             return;
         case KernelKind::kDiagonal:
-            run_diagonal_b(op, amps, B);
+            run_diagonal_b(op, amps, B, scratch);
             return;
         case KernelKind::kMonomial:
             run_monomial_b(op, amps, B, scratch);
             return;
         case KernelKind::kSingleWireD2:
-            run_single_d2_b(op, amps, psi.size(), B);
+            run_single_d2_b(op, amps, psi.size(), B, scratch);
             return;
         case KernelKind::kSingleWireD3:
-            run_single_d3_b(op, amps, psi.size(), B);
+            run_single_d3_b(op, amps, psi.size(), B, scratch);
             return;
         case KernelKind::kControlled:
             run_block_matvec_b(op, amps, B, scratch, op.inner_offset.data(),

@@ -7,7 +7,8 @@
  * gate payload are read once per amplitude block instead of once per shot,
  * and the per-amplitude work runs over the B contiguous lanes with
  * `QD_SIMD` inner loops. Outer blocks go parallel via OpenMP on large
- * registers exactly like the single-shot kernels.
+ * registers like the single-shot kernels, with at most
+ * BatchedScratch::threads threads.
  *
  * Per lane, every kernel performs the same floating-point operations in
  * the same order as its single-shot counterpart in kernels.cc, so lane b
@@ -28,9 +29,14 @@ namespace qd::exec {
 /** Reusable lane-major buffers, one per executing thread, grown on demand
  *  like ExecScratch: `in` gathers operand blocks for the matvec kernels
  *  (outputs store straight back to the state, so there is no scatter
- *  buffer), `tmp` holds one lane row during permutation cycle walks. */
+ *  buffer), `tmp` holds one lane row during permutation cycle walks.
+ *  `threads` is the OpenMP team size this thread's kernels may open on
+ *  large registers: 0 = the OpenMP default, 1 = always serial. A caller
+ *  running several batches side by side gives each one its share of the
+ *  thread budget here, so the teams never add up past it. */
 struct BatchedScratch {
     std::vector<Complex> in, tmp;
+    int threads = 0;
 };
 
 /** Executes a compiled operation on every lane in place. `psi` must be

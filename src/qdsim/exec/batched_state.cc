@@ -346,14 +346,32 @@ BatchedStateVector::apply_product_diag_lanes(
     }
     // One odometer drives all lanes (the digit sequence only depends on the
     // dims); each lane's running product follows the exact multiply/divide
-    // sequence of StateVector::apply_product_diag.
-    std::vector<int> odo(static_cast<std::size_t>(n), 0);
+    // sequence of StateVector::apply_product_diag. The quotients it
+    // multiplies by are computed once per call rather than once per
+    // amplitude: step[m] = f[m] / f[m-1] on a digit increment to m, and
+    // step[0] = f[0] / f[d-1] on rollover — the same divisions, so the
+    // products stay bitwise equal. Laid out step[(level0[w] + m) * B + b].
+    std::vector<std::size_t> level0(static_cast<std::size_t>(n) + 1, 0);
+    for (int w = 0; w < n; ++w) {
+        const std::size_t uw = static_cast<std::size_t>(w);
+        level0[uw + 1] =
+            level0[uw] + static_cast<std::size_t>(dims_.dim(w));
+    }
+    std::vector<Complex> step(level0.back() * B);
     std::vector<Complex> cur(B, Complex(1, 0));
     for (std::size_t b = 0; b < B; ++b) {
         for (int w = 0; w < n; ++w) {
-            cur[b] *= factors[b][static_cast<std::size_t>(w)][0];
+            const std::size_t uw = static_cast<std::size_t>(w);
+            const std::vector<Complex>& f = factors[b][uw];
+            const std::size_t d = static_cast<std::size_t>(dims_.dim(w));
+            cur[b] *= f[0];
+            step[level0[uw] * B + b] = f[0] / f[d - 1];
+            for (std::size_t m = 1; m < d; ++m) {
+                step[(level0[uw] + m) * B + b] = f[m] / f[m - 1];
+            }
         }
     }
+    std::vector<int> odo(static_cast<std::size_t>(n), 0);
     std::vector<Real> cur2(2 * B);
     const Index total = dims_.size();
     Complex* a = amps_.data();
@@ -374,20 +392,19 @@ BatchedStateVector::apply_product_diag_lanes(
         }
         for (int w = n - 1;; --w) {
             const std::size_t uw = static_cast<std::size_t>(w);
-            if (++odo[uw] < dims_.dim(w)) {
-                for (std::size_t b = 0; b < B; ++b) {
-                    cur[b] *=
-                        factors[b][uw][static_cast<std::size_t>(odo[uw])] /
-                        factors[b][uw][static_cast<std::size_t>(odo[uw] - 1)];
-                }
+            const bool carry = ++odo[uw] == dims_.dim(w);
+            if (carry) {
+                odo[uw] = 0;
+            }
+            const Complex* s =
+                step.data() +
+                (level0[uw] + static_cast<std::size_t>(odo[uw])) * B;
+            for (std::size_t b = 0; b < B; ++b) {
+                cur[b] *= s[b];
+            }
+            if (!carry) {
                 break;
             }
-            for (std::size_t b = 0; b < B; ++b) {
-                cur[b] *=
-                    factors[b][uw][0] /
-                    factors[b][uw][static_cast<std::size_t>(odo[uw] - 1)];
-            }
-            odo[uw] = 0;
         }
     }
 }

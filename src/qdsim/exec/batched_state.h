@@ -113,8 +113,8 @@ class BatchedStateVector {
      * Per-lane product-of-per-wire-diagonals pass (batched coherent
      * dephasing kick): factors[lane][wire] has dim(wire) unit-modulus
      * entries. One incremental odometer drives every lane, and each lane's
-     * running factor is updated with exactly the division sequence of
-     * StateVector::apply_product_diag.
+     * running factor is updated with exactly the quotients of
+     * StateVector::apply_product_diag, each computed once per call.
      */
     void apply_product_diag_lanes(
         const std::vector<std::vector<std::vector<Complex>>>& factors);

@@ -4,6 +4,10 @@
 #include <cstdint>
 #include <stdexcept>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 namespace qd::exec {
 
 namespace {
@@ -40,7 +44,8 @@ build_cycles(const Gate& gate, const ApplyPlan& plan,
 }
 
 void
-run_permutation(const CompiledOp& op, Complex* amps)
+run_permutation(const CompiledOp& op, Complex* amps,
+                [[maybe_unused]] const ExecScratch& scratch)
 {
     const ApplyPlan& plan = *op.plan;
     const std::int64_t nouter =
@@ -61,8 +66,8 @@ run_permutation(const CompiledOp& op, Complex* amps)
         }
     };
 #ifdef _OPENMP
-    if (nouter >= static_cast<std::int64_t>(kParallelOuter)) {
-#pragma omp parallel for schedule(static)
+    if (const int team = kernel_team(nouter, scratch.threads); team > 1) {
+#pragma omp parallel for num_threads(team) schedule(static)
         for (std::int64_t o = 0; o < nouter; ++o) {
             do_block(plan.base_of(static_cast<Index>(o)));
         }
@@ -75,7 +80,8 @@ run_permutation(const CompiledOp& op, Complex* amps)
 }
 
 void
-run_monomial(const CompiledOp& op, Complex* amps)
+run_monomial(const CompiledOp& op, Complex* amps,
+             [[maybe_unused]] const ExecScratch& scratch)
 {
     const ApplyPlan& plan = *op.plan;
     const std::int64_t nouter =
@@ -103,8 +109,8 @@ run_monomial(const CompiledOp& op, Complex* amps)
         }
     };
 #ifdef _OPENMP
-    if (nouter >= static_cast<std::int64_t>(kParallelOuter)) {
-#pragma omp parallel for schedule(static)
+    if (const int team = kernel_team(nouter, scratch.threads); team > 1) {
+#pragma omp parallel for num_threads(team) schedule(static)
         for (std::int64_t o = 0; o < nouter; ++o) {
             do_block(plan.base_of(static_cast<Index>(o)));
         }
@@ -117,7 +123,8 @@ run_monomial(const CompiledOp& op, Complex* amps)
 }
 
 void
-run_diagonal(const CompiledOp& op, Complex* amps)
+run_diagonal(const CompiledOp& op, Complex* amps,
+             [[maybe_unused]] const ExecScratch& scratch)
 {
     const ApplyPlan& plan = *op.plan;
     const Index* off = plan.local_offset.data();
@@ -131,8 +138,8 @@ run_diagonal(const CompiledOp& op, Complex* amps)
         }
     };
 #ifdef _OPENMP
-    if (nouter >= static_cast<std::int64_t>(kParallelOuter)) {
-#pragma omp parallel for schedule(static)
+    if (const int team = kernel_team(nouter, scratch.threads); team > 1) {
+#pragma omp parallel for num_threads(team) schedule(static)
         for (std::int64_t o = 0; o < nouter; ++o) {
             do_block(plan.base_of(static_cast<Index>(o)));
         }
@@ -145,7 +152,8 @@ run_diagonal(const CompiledOp& op, Complex* amps)
 }
 
 void
-run_single_d2(const CompiledOp& op, Complex* amps, Index total)
+run_single_d2(const CompiledOp& op, Complex* amps, Index total,
+              [[maybe_unused]] const ExecScratch& scratch)
 {
     const Complex u00 = op.u[0], u01 = op.u[1];
     const Complex u10 = op.u[2], u11 = op.u[3];
@@ -161,8 +169,8 @@ run_single_d2(const CompiledOp& op, Complex* amps, Index total)
         }
     };
 #ifdef _OPENMP
-    if (nchunks >= static_cast<std::int64_t>(kParallelOuter)) {
-#pragma omp parallel for schedule(static)
+    if (const int team = kernel_team(nchunks, scratch.threads); team > 1) {
+#pragma omp parallel for num_threads(team) schedule(static)
         for (std::int64_t c = 0; c < nchunks; ++c) {
             do_chunk(static_cast<Index>(c) * period);
         }
@@ -175,7 +183,8 @@ run_single_d2(const CompiledOp& op, Complex* amps, Index total)
 }
 
 void
-run_single_d3(const CompiledOp& op, Complex* amps, Index total)
+run_single_d3(const CompiledOp& op, Complex* amps, Index total,
+              [[maybe_unused]] const ExecScratch& scratch)
 {
     const Complex u00 = op.u[0], u01 = op.u[1], u02 = op.u[2];
     const Complex u10 = op.u[3], u11 = op.u[4], u12 = op.u[5];
@@ -194,8 +203,8 @@ run_single_d3(const CompiledOp& op, Complex* amps, Index total)
         }
     };
 #ifdef _OPENMP
-    if (nchunks >= static_cast<std::int64_t>(kParallelOuter)) {
-#pragma omp parallel for schedule(static)
+    if (const int team = kernel_team(nchunks, scratch.threads); team > 1) {
+#pragma omp parallel for num_threads(team) schedule(static)
         for (std::int64_t c = 0; c < nchunks; ++c) {
             do_chunk(static_cast<Index>(c) * period);
         }
@@ -235,8 +244,8 @@ run_controlled(const CompiledOp& op, Complex* amps, ExecScratch& scratch)
         }
     };
 #ifdef _OPENMP
-    if (nouter >= static_cast<std::int64_t>(kParallelOuter)) {
-#pragma omp parallel
+    if (const int team = kernel_team(nouter, scratch.threads); team > 1) {
+#pragma omp parallel num_threads(team)
         {
             std::vector<Complex> in(static_cast<std::size_t>(nb));
             std::vector<Complex> out(static_cast<std::size_t>(nb));
@@ -285,8 +294,8 @@ run_dense(const CompiledOp& op, Complex* amps, ExecScratch& scratch)
         }
     };
 #ifdef _OPENMP
-    if (nouter >= static_cast<std::int64_t>(kParallelOuter)) {
-#pragma omp parallel
+    if (const int team = kernel_team(nouter, scratch.threads); team > 1) {
+#pragma omp parallel num_threads(team)
         {
             std::vector<Complex> in(static_cast<std::size_t>(block));
             std::vector<Complex> out(static_cast<std::size_t>(block));
@@ -560,6 +569,20 @@ compile_op(const WireDims& dims, const Gate& gate,
     return op;
 }
 
+int
+kernel_team(std::int64_t outer, int threads) noexcept
+{
+#ifdef _OPENMP
+    if (outer >= static_cast<std::int64_t>(kParallelOuter)) {
+        return threads > 0 ? threads : omp_get_max_threads();
+    }
+#else
+    (void)outer;
+    (void)threads;
+#endif
+    return 1;
+}
+
 void
 apply_op(const CompiledOp& op, StateVector& psi, ExecScratch& scratch)
 {
@@ -573,19 +596,19 @@ apply_op(const CompiledOp& op, StateVector& psi, ExecScratch& scratch)
     Complex* amps = psi.amplitudes().data();
     switch (op.kind) {
         case KernelKind::kPermutation:
-            run_permutation(op, amps);
+            run_permutation(op, amps, scratch);
             return;
         case KernelKind::kDiagonal:
-            run_diagonal(op, amps);
+            run_diagonal(op, amps, scratch);
             return;
         case KernelKind::kMonomial:
-            run_monomial(op, amps);
+            run_monomial(op, amps, scratch);
             return;
         case KernelKind::kSingleWireD2:
-            run_single_d2(op, amps, psi.size());
+            run_single_d2(op, amps, psi.size(), scratch);
             return;
         case KernelKind::kSingleWireD3:
-            run_single_d3(op, amps, psi.size());
+            run_single_d3(op, amps, psi.size(), scratch);
             return;
         case KernelKind::kControlled:
             run_controlled(op, amps, scratch);

@@ -56,9 +56,13 @@ enum class KernelKind : std::uint8_t {
 const char* kernel_name(KernelKind kind);
 
 /** Reusable gather/scatter buffers; one per executing thread. Kernels never
- *  allocate once the scratch has grown to the circuit's largest block. */
+ *  allocate once the scratch has grown to the circuit's largest block.
+ *  `threads` caps the OpenMP team this thread's kernels open on large
+ *  registers: 0 = the OpenMP default, 1 = always serial (see
+ *  BatchedScratch::threads). */
 struct ExecScratch {
     std::vector<Complex> in, out;
+    int threads = 0;
 };
 
 /**
@@ -159,6 +163,13 @@ obs::Counter kernel_counter(KernelKind kind, bool batched) noexcept;
  *  `total` amplitudes, in real flops (a complex multiply-add counted as
  *  8). Pure index moves (permutations) count 0. */
 std::uint64_t op_flop_estimate(const CompiledOp& op, Index total) noexcept;
+
+/** OpenMP team size for a kernel's outer loop over `outer` disjoint
+ *  blocks, in both kernel zoos: 1 below the parallel threshold (there a
+ *  trajectory's parallelism is across shots, not inside one gate), else
+ *  `threads` (a scratch's share of the budget; 0 = the OpenMP default).
+ *  Blocks are disjoint, so results are bitwise independent of it. */
+int kernel_team(std::int64_t outer, int threads) noexcept;
 
 }  // namespace qd::exec
 

@@ -623,11 +623,15 @@ job_from_qdj(std::string_view text)
         job.shots = static_cast<int>(s);
     }
     if (const Value* seed = doc.find("seed")) {
-        const long long s = require_int(*seed, "qdj.job", "\"seed\"");
-        if (s < 0) {
-            fail("qdj.job", "\"seed\" must be non-negative", seed->line);
+        // The full uint64 range: to_qdj writes any Job::seed.
+        const bool in_range =
+            seed->is(Kind::kNumber) &&
+            ((seed->integral && seed->integer >= 0) || seed->above_i64);
+        if (!in_range) {
+            fail("qdj.job", "\"seed\" must be an integer in [0, 2^64)",
+                 seed->line);
         }
-        job.seed = static_cast<std::uint64_t>(s);
+        job.seed = static_cast<std::uint64_t>(seed->integer);
     }
     if (const Value* batch = doc.find("batch")) {
         const long long b = require_int(*batch, "qdj.job", "\"batch\"");

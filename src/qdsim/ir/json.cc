@@ -284,6 +284,14 @@ class Parser {
             if (errno == 0 && iend == token.c_str() + token.size()) {
                 v.integral = true;
                 v.integer = i;
+            } else if (token[0] != '-') {
+                errno = 0;
+                const unsigned long long u =
+                    std::strtoull(token.c_str(), &iend, 10);
+                if (errno == 0 && iend == token.c_str() + token.size()) {
+                    v.above_i64 = true;
+                    v.integer = static_cast<long long>(u);
+                }
             }
         }
     }

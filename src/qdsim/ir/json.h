@@ -29,7 +29,11 @@ struct Value {
     bool boolean = false;  ///< kBool payload
     double number = 0;     ///< kNumber payload
     bool integral = false; ///< number was written as an integer and fits i64
-    long long integer = 0; ///< integer value when `integral`
+    /** Number was written as an integer in [2^63, 2^64): past i64 but
+     *  within u64, the range of 64-bit seeds. `integer` then holds it
+     *  modulo 2^64. */
+    bool above_i64 = false;
+    long long integer = 0; ///< integer value when `integral` or `above_i64`
     std::string string;    ///< kString payload
     std::vector<Value> array;
     std::vector<std::pair<std::string, Value>> object;

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "qdsim/exec/compile_service.h"
 #include "qdsim/simulator.h"
+#include "qdsim/verify/report.h"
 
 namespace qd::ctor {
 namespace {
@@ -81,6 +83,56 @@ INSTANTIATE_TEST_SUITE_P(
         }
         return label;
     });
+
+TEST(GenToffoli, WideQubitRootsStayUnitaryAndAdmissible) {
+    // The ancilla-free qubit construction recurses through X^{1/2^k}
+    // roots, each the square root of the previous one. Rounding used to
+    // grow level by level until admission rejected width 12 as
+    // circuit.non-unitary (roots 5-6% off unitary at widths 13-14).
+    for (const int width : {12, 14}) {
+        const GenToffoli built =
+            build_gen_toffoli(Method::kQubitNoAncilla, width - 1);
+        for (const Operation& op : built.circuit.ops()) {
+            ASSERT_TRUE(op.gate.matrix().is_unitary(1e-12))
+                << "width " << width << " gate " << op.gate.name();
+        }
+        const verify::Report report =
+            exec::CompileService::admission_report(built.circuit);
+        EXPECT_FALSE(report.has_errors()) << report.to_string();
+
+        // Basis states map as the ideal multi-controlled X: the target
+        // flips exactly when every control is 1.
+        const WireDims& dims = built.circuit.dims();
+        std::vector<std::vector<int>> inputs;
+        std::vector<int> ones(static_cast<std::size_t>(width), 1);
+        for (const int target : {0, 1}) {
+            ones[static_cast<std::size_t>(built.target)] = target;
+            inputs.push_back(ones);
+            std::vector<int> one_off = ones;
+            one_off[static_cast<std::size_t>(built.controls.back())] = 0;
+            inputs.push_back(one_off);
+            std::vector<int> alternating = ones;
+            for (std::size_t i = 0; i < built.controls.size(); i += 2) {
+                alternating[static_cast<std::size_t>(built.controls[i])] = 0;
+            }
+            inputs.push_back(alternating);
+        }
+        for (const std::vector<int>& input : inputs) {
+            StateVector psi(dims, input);
+            apply_circuit(built.circuit, psi);
+            std::vector<int> expected = input;
+            bool all = true;
+            for (const int c : built.controls) {
+                all = all && input[static_cast<std::size_t>(c)] == 1;
+            }
+            if (all) {
+                expected[static_cast<std::size_t>(built.target)] ^= 1;
+            }
+            EXPECT_NEAR(std::abs(psi[dims.pack(expected)]), 1.0, 1e-9)
+                << "width " << width << " input index " << dims.pack(input);
+        }
+    }
+}
 
 TEST(GenToffoli, Labels) {
     EXPECT_EQ(method_label(Method::kQutrit), "QUTRIT");

@@ -13,7 +13,9 @@
  */
 #include "qdsim/ir/ir.h"
 
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -268,6 +270,19 @@ TEST(IrRoundTrip, JobEnvelope)
     EXPECT_TRUE(plain.noise.empty());
 }
 
+TEST(IrRoundTrip, JobSeedsSpanTheFullUnsignedRange)
+{
+    // to_qdj writes any uint64 seed; seeds at and above 2^63 used to come
+    // back as qdj.job errors from a signed parse.
+    for (const std::uint64_t seed :
+         {std::uint64_t{1} << 63, std::numeric_limits<std::uint64_t>::max()}) {
+        ir::Job job;
+        job.seed = seed;
+        job.circuit = noisy_workload();
+        EXPECT_EQ(ir::job_from_qdj(ir::to_qdj(job)).seed, seed);
+    }
+}
+
 TEST(IrGateRegistry, RecognizeRebuildsBitwise)
 {
     const std::vector<Gate> gates = {
@@ -380,6 +395,15 @@ const BadDoc kBadDocs[] = {
      "\"circuit\": {\"dims\": [2], \"ops\": []}}"},
     {"qdj.job",
      "{\"qdj\": 1, \"kind\": \"job\", \"shots\": 0, "
+     "\"circuit\": {\"dims\": [2], \"ops\": []}}"},
+    {"qdj.job",
+     "{\"qdj\": 1, \"kind\": \"job\", \"seed\": -1, "
+     "\"circuit\": {\"dims\": [2], \"ops\": []}}"},
+    {"qdj.job",  // 2^64
+     "{\"qdj\": 1, \"kind\": \"job\", \"seed\": 18446744073709551616, "
+     "\"circuit\": {\"dims\": [2], \"ops\": []}}"},
+    {"qdj.job",
+     "{\"qdj\": 1, \"kind\": \"job\", \"seed\": 1.5, "
      "\"circuit\": {\"dims\": [2], \"ops\": []}}"},
 };
 

@@ -9,6 +9,7 @@
 #include "noise/models.h"
 #include "qdsim/exec/compiled_circuit.h"
 #include "qdsim/gate_library.h"
+#include "qdsim/obs/counters.h"
 #include "qdsim/random_state.h"
 #include "qdsim/simulator.h"
 
@@ -271,6 +272,35 @@ hot_noise()
     return m;
 }
 
+/** The per-shot reference for run_noisy_trials(c, m, opts): trial t is
+ *  run_single_trajectory on stream root.child(t), from the input state
+ *  that stream draws first and its fully fused ideal output. The mean is
+ *  summed in trial order, as run_noisy_trials sums it. */
+TrajectoryResult
+per_shot_reference(const Circuit& c, const NoiseModel& m,
+                   const TrajectoryOptions& opts)
+{
+    const TrajectoryCompilation compiled(c, m, opts.fusion);
+    const exec::CompiledCircuit ideal(c, opts.fusion);
+    const Rng root(opts.seed);
+    TrajectoryResult ref;
+    ref.trials = opts.trials;
+    Real sum = 0;
+    for (int t = 0; t < opts.trials; ++t) {
+        Rng rng = root.child(static_cast<std::uint64_t>(t));
+        const StateVector initial =
+            opts.qubit_subspace_inputs
+                ? haar_random_qubit_subspace_state(c.dims(), rng)
+                : haar_random_state(c.dims(), rng);
+        ref.per_trial.push_back(run_single_trajectory(
+            compiled, initial, simulate(ideal, initial), rng,
+            opts.damping_engine));
+        sum += ref.per_trial.back();
+    }
+    ref.mean_fidelity = sum / opts.trials;
+    return ref;
+}
+
 /** Runs the same trial set at several batch widths / thread counts and
  *  expects BITWISE identical per-trial fidelities: lane t of a batched
  *  pass must reproduce the single-shot trajectory on stream
@@ -282,15 +312,14 @@ expect_batch_invariant(const Circuit& c, const NoiseModel& m, int trials)
     opts.trials = trials;
     opts.seed = 99;
     opts.keep_per_trial = true;
-    opts.threads = 1;
-    opts.batch = 1;  // per-shot reference path
-    const auto ref = run_noisy_trials(c, m, opts);
+    const TrajectoryResult ref = per_shot_reference(c, m, opts);
     ASSERT_EQ(static_cast<int>(ref.per_trial.size()), trials);
-    // B dividing trials, B not dividing trials, B > trials, and a thread
-    // count the batch count does not divide.
-    const int batches[] = {2, 8, trials + 3};
+    // The work-sized default, one lane per group, B dividing trials, B
+    // not dividing trials, B > trials, and thread counts the batch count
+    // does not divide.
+    const int batches[] = {0, 1, 2, 8, trials + 3};
     for (const int b : batches) {
-        for (const int threads : {1, 3}) {
+        for (const int threads : {1, 3, 4}) {
             TrajectoryOptions bo = opts;
             bo.batch = b;
             bo.threads = threads;
@@ -371,12 +400,75 @@ TEST(Trajectory, BatchWiderThanTrials) {
     const auto res = run_noisy_trials(c, hot_noise(), opts);
     EXPECT_EQ(res.trials, 3);
     EXPECT_EQ(res.per_trial.size(), 3u);
-    opts.batch = 1;
-    const auto ref = run_noisy_trials(c, hot_noise(), opts);
+    const auto ref = per_shot_reference(c, hot_noise(), opts);
     for (int t = 0; t < 3; ++t) {
         EXPECT_EQ(res.per_trial[static_cast<std::size_t>(t)],
                   ref.per_trial[static_cast<std::size_t>(t)]);
     }
+}
+
+/** A width-10 qutrit register: one lane is 0.9 MiB of state, so a default
+ *  shot group holds at most 5 lanes. The single-wire ops on the low wires
+ *  have enough outer blocks for the batched kernels to open OpenMP teams
+ *  when a worker's share of the thread budget allows one. */
+Circuit
+wide_qutrit_circuit()
+{
+    Circuit c(WireDims::uniform(10, 3));
+    c.append(gates::H3(), {9});
+    c.append(gates::Xplus1().controlled(3, 1), {9, 0});
+    c.append(gates::Z3(), {4});
+    c.append(gates::X12(), {0});
+    return c;
+}
+
+#if QD_OBS_BUILD
+/** Shot groups (the obs traj_batches counter) one run_noisy_trials call
+ *  runs. */
+std::uint64_t
+shot_groups(const Circuit& c, const NoiseModel& m,
+            const TrajectoryOptions& opts)
+{
+    const bool was_enabled = obs::enabled();
+    obs::set_enabled(true);
+    obs::reset_counters();
+    run_noisy_trials(c, m, opts);
+    const std::uint64_t groups =
+        obs::counters_snapshot()[obs::Counter::kTrajBatches];
+    obs::set_enabled(was_enabled);
+    obs::reset_counters();
+    return groups;
+}
+
+TEST(Trajectory, DefaultLanesSplitByteCappedRegisterIntoEqualGroups) {
+    // 8 trials on 4 threads: one 2-lane group per worker.
+    TrajectoryOptions opts;
+    opts.trials = 8;
+    opts.threads = 4;
+    EXPECT_EQ(shot_groups(wide_qutrit_circuit(), hot_noise(), opts), 4u);
+    // One worker fills groups up to the 5-lane byte cap: 5 + 3.
+    opts.threads = 1;
+    EXPECT_EQ(shot_groups(wide_qutrit_circuit(), hot_noise(), opts), 2u);
+}
+
+TEST(Trajectory, DefaultLanesKeepTwelveLaneGroupsOnSmallRegisters) {
+    // A 2-qutrit lane is 144 bytes: one thread runs 24 trials as two
+    // 12-lane groups, four threads as four equal 6-lane groups.
+    TrajectoryOptions opts;
+    opts.trials = 24;
+    opts.threads = 1;
+    EXPECT_EQ(shot_groups(small_qutrit_circuit(), hot_noise(), opts), 2u);
+    opts.threads = 4;
+    EXPECT_EQ(shot_groups(small_qutrit_circuit(), hot_noise(), opts), 4u);
+}
+#endif
+
+TEST(Trajectory, BatchedLanesMatchSingleShotOnByteCappedRegister) {
+    // The work-sized default changes with the thread budget here (5 + 3
+    // lanes at 1 thread, 3 + 3 + 2 at 3, 4 x 2 at 4), and single-group
+    // settings hand one worker the whole budget for its kernels' OpenMP
+    // teams; per-trial fidelities must not change.
+    expect_batch_invariant(wide_qutrit_circuit(), hot_noise(), 8);
 }
 
 TEST(Trajectory, RejectsNegativeBatch) {

@@ -28,6 +28,7 @@
 #include "qdsim/obs/report.h"
 #include "qdsim/obs/trace.h"
 #include "qdsim/random_state.h"
+#include "qdsim/simulator.h"
 
 namespace qd {
 namespace {
@@ -330,10 +331,31 @@ TEST_F(ObsTest, ReportBitwiseIdenticalAcrossThreadCounts)
     EXPECT_GT(one[Counter::kTrajGateErrorDraws], 0u);
 }
 
+/** Counters of the per-shot reference for run_trials_snapshot(circuit,
+ *  trials, ...): run_single_trajectory once per trial on stream
+ *  root.child(t), after the fully fused ideal pass the batched engine
+ *  also runs. */
+obs::CounterSnapshot
+per_shot_snapshot(const Circuit& circuit, int trials)
+{
+    const noise::TrajectoryCompilation compiled(circuit, noise::sc());
+    const exec::CompiledCircuit ideal(circuit, exec::FusionOptions{});
+    const Rng root(909);
+    obs::reset_counters();
+    for (int t = 0; t < trials; ++t) {
+        Rng rng = root.child(static_cast<std::uint64_t>(t));
+        const StateVector initial =
+            haar_random_qubit_subspace_state(circuit.dims(), rng);
+        noise::run_single_trajectory(compiled, initial,
+                                     simulate(ideal, initial), rng);
+    }
+    return obs::counters_snapshot();
+}
+
 TEST_F(ObsTest, InvariantCountersMatchAcrossBatchWidths)
 {
     const Circuit circuit = noisy_workload();
-    const auto per_shot = run_trials_snapshot(circuit, 24, 1, 1);
+    const auto per_shot = per_shot_snapshot(circuit, 24);
     const auto batched = run_trials_snapshot(circuit, 24, 1, 6);
 
     // The batched engine's lanes are bitwise equal to unbatched shots, so
