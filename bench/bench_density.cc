@@ -4,10 +4,12 @@
  * Workload: a 3-qutrit depolarizing circuit (H3 layers + controlled-X+1
  * chains), evolved exactly as a density matrix. Two measurements:
  *   1. ms per exact-evolution pass with the old dense path — expand every
- *      operator to D x D and multiply, O(D^3) per operator,
- *   2. ms per pass with the compiled superoperator path — gates, gate
- *      errors and channels compiled once against shared ApplyPlans,
- *      O(D^2 * b) per operator (density_matrix_fidelity).
+ *      gate and every Kraus operator of every gate-error channel to
+ *      D x D and multiply, O(D^3) per operator,
+ *   2. ms per pass with the compiled engine (density_matrix_fidelity) —
+ *      gates as superoperators at O(D^2 * b) each, every gate-error
+ *      channel as one closed-form O(D^2) pass instead of b^2 Kraus
+ *      conjugations, all compiled once against shared ApplyPlans.
  * The two fidelities are also compared (they must agree to ~1e-10).
  * Emits BENCH_density.json so the perf trajectory accumulates run over
  * run; the acceptance bar is a >= 5x compiled-over-dense speedup.
@@ -100,7 +102,7 @@ dense_reference_fidelity(const Circuit& circuit,
 int
 main(int argc, char** argv)
 {
-    bench::banner("bench_density: compiled superoperators vs dense expand()",
+    bench::banner("bench_density: compiled density engine vs dense expand()",
                   "Section 6.2 exact reference; 3-qutrit depolarizing "
                   "workload");
 
@@ -129,7 +131,7 @@ main(int argc, char** argv)
     }
     const double dense_ms = (now_ms() - t0) / reps;
 
-    // 2. Compiled superoperator path, O(D^2 * b) per operator.
+    // 2. Compiled engine: superoperator gates, closed-form channels.
     Real compiled_fid = 0;
     const double t1 = now_ms();
     for (int r = 0; r < reps; ++r) {
@@ -150,7 +152,8 @@ main(int argc, char** argv)
                                : "(below 5x target)");
 
     // Instrumented section: one compiled pass with counters on (superop
-    // conjugation classes, plan-cache traffic) and optional --trace spans.
+    // conjugation classes of the gates, plan-cache traffic) and optional
+    // --trace spans.
     bench::ObsSection obs_section(bench::trace_flag(argc, argv));
     noise::density_matrix_fidelity(circuit, model, init);
     const obs::SimReport rep = obs_section.finish();

@@ -1,9 +1,10 @@
 /**
  * @file bench_util.h
  * Shared helpers for the benchmark binaries: environment-variable knobs,
- * paper-reference annotations, the common BENCH_*.json writer, and the
- * instrumented-section scaffolding every gated bench uses for its
- * `--trace <file>` flag and obs_* report metrics.
+ * paper-reference annotations, the common BENCH_*.json writer (which
+ * stamps every result with its thread count, core count, build type and
+ * compiler), and the instrumented-section scaffolding every gated bench
+ * uses for its `--trace <file>` flag and obs_* report metrics.
  */
 #ifndef BENCH_BENCH_UTIL_H
 #define BENCH_BENCH_UTIL_H
@@ -12,13 +13,26 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "qdsim/exec/compile_service.h"
 #include "qdsim/obs/counters.h"
 #include "qdsim/obs/report.h"
 #include "qdsim/obs/trace.h"
+
+// Build stamp for BENCH_*.json; CMake defines both on the bench targets.
+#ifndef QD_BENCH_BUILD_TYPE
+#define QD_BENCH_BUILD_TYPE "unknown"
+#endif
+#ifndef QD_BENCH_COMPILER
+#define QD_BENCH_COMPILER "unknown"
+#endif
 
 namespace qd::bench {
 
@@ -90,18 +104,33 @@ class JsonWriter {
         return *this;
     }
 
-    /** Writes the object and logs "wrote <path>"; false on I/O failure. */
+    /** Writes the object, followed by the conditions it was measured
+     *  under (`threads`: OpenMP's default team size, 1 without OpenMP;
+     *  `hardware_concurrency`; `build_type`; `compiler`), and logs
+     *  "wrote <path>"; false on I/O failure. */
     bool write(const char* path) const
     {
         std::FILE* out = std::fopen(path, "w");
         if (out == nullptr) {
             return false;
         }
+#ifdef _OPENMP
+        const int threads = omp_get_max_threads();
+#else
+        const int threads = 1;
+#endif
+        JsonWriter stamped = *this;
+        stamped.integer("threads", threads)
+            .integer("hardware_concurrency",
+                     std::thread::hardware_concurrency())
+            .str("build_type", QD_BENCH_BUILD_TYPE)
+            .str("compiler", QD_BENCH_COMPILER);
+        const auto& fields = stamped.fields_;
         std::fputs("{\n", out);
-        for (std::size_t i = 0; i < fields_.size(); ++i) {
-            std::fprintf(out, "  \"%s\": %s%s\n", fields_[i].first.c_str(),
-                         fields_[i].second.c_str(),
-                         i + 1 == fields_.size() ? "" : ",");
+        for (std::size_t i = 0; i < fields.size(); ++i) {
+            std::fprintf(out, "  \"%s\": %s%s\n", fields[i].first.c_str(),
+                         fields[i].second.c_str(),
+                         i + 1 == fields.size() ? "" : ",");
         }
         std::fputs("}\n", out);
         if (std::fclose(out) != 0) {

@@ -6,7 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "noise/channels.h"
 #include "noise/error_placement.h"
 #include "qdsim/exec/compile_service.h"
 #include "qdsim/moments.h"
@@ -29,6 +28,111 @@ compile_channel(const WireDims& dims, const KrausChannel& channel,
     for (const Matrix& k : channel.operators) {
         out.kraus.push_back(exec::compile_superop(dims, k, wires, use));
     }
+    return out;
+}
+
+namespace {
+
+/** A closed-form channel's shell: register size and operand plan. */
+CompiledNoise
+noise_on(CompiledNoise::Kind kind, const WireDims& dims,
+         std::span<const int> wires, exec::PlanCache* cache)
+{
+    CompiledNoise out;
+    out.kind = kind;
+    out.dim = dims.size();
+    out.plan = cache != nullptr ? cache->get(wires)
+                                : exec::make_apply_plan(dims, wires);
+    return out;
+}
+
+/** CompiledNoise::row_scale from a single-wire d x d factor table
+ *  (entry j * d + k): entry j * D + c is the factor for (j, digit of
+ *  column c on `wire`). */
+std::vector<Real>
+row_scale(const WireDims& dims, int wire, const std::vector<Real>& table)
+{
+    const Index n = dims.size();
+    const Index d = static_cast<Index>(dims.dim(wire));
+    std::vector<Real> out(static_cast<std::size_t>(d * n));
+    for (Index c = 0; c < n; ++c) {
+        const Index k = static_cast<Index>(dims.digit(c, wire));
+        for (Index j = 0; j < d; ++j) {
+            out[j * n + c] = table[j * d + k];
+        }
+    }
+    return out;
+}
+
+}  // namespace
+
+CompiledNoise
+compile_depolarizing(const WireDims& dims, std::span<const int> wires,
+                     Real p_channel, exec::PlanCache* cache)
+{
+    CompiledNoise out =
+        noise_on(CompiledNoise::Kind::kDepolarizing, dims, wires, cache);
+    const Real b = static_cast<Real>(out.plan->block);
+    // Same bound as MixedUnitaryChannel::to_kraus on the b^2 - 1 terms.
+    if (!(p_channel >= 0 && 1.0 - (b * b - 1) * p_channel >= -1e-12)) {
+        throw std::invalid_argument(
+            "compile_depolarizing: probabilities outside [0, 1]");
+    }
+    out.keep = 1.0 - b * b * p_channel;
+    out.mix = b * p_channel;
+    return out;
+}
+
+CompiledNoise
+compile_damping(const WireDims& dims, int wire,
+                const std::vector<Real>& lambdas, exec::PlanCache* cache)
+{
+    const int wires[1] = {wire};
+    CompiledNoise out = noise_on(CompiledNoise::Kind::kDamping, dims,
+                                 std::span<const int>(wires, 1), cache);
+    const std::size_t d = static_cast<std::size_t>(out.plan->block);
+    if (lambdas.size() + 1 != d) {
+        throw std::invalid_argument(
+            "compile_damping: need d-1 lambda values");
+    }
+    out.decay.assign(d, 0);
+    std::vector<Real> keep(d, 1);
+    for (std::size_t m = 1; m < d; ++m) {
+        const Real lam = lambdas[m - 1];
+        if (!(lam >= 0 && lam <= 1)) {
+            throw std::invalid_argument(
+                "compile_damping: lambda out of [0,1]");
+        }
+        out.decay[m] = lam;
+        keep[m] = std::sqrt(1.0 - lam);
+    }
+    std::vector<Real> table(d * d);
+    for (std::size_t j = 0; j < d; ++j) {
+        for (std::size_t k = 0; k < d; ++k) {
+            table[j * d + k] = keep[j] * keep[k];
+        }
+    }
+    out.row_scale = row_scale(dims, wire, table);
+    return out;
+}
+
+CompiledNoise
+compile_dephasing(const WireDims& dims, int wire, Real sigma,
+                  exec::PlanCache* cache)
+{
+    const int wires[1] = {wire};
+    CompiledNoise out = noise_on(CompiledNoise::Kind::kDephasing, dims,
+                                 std::span<const int>(wires, 1), cache);
+    const int d = dims.dim(wire);
+    std::vector<Real> table(static_cast<std::size_t>(d * d));
+    for (int j = 0; j < d; ++j) {
+        for (int k = 0; k < d; ++k) {
+            const int dj = j - k;
+            table[static_cast<std::size_t>(j * d + k)] =
+                std::exp(-0.5 * sigma * sigma * dj * dj);
+        }
+    }
+    out.row_scale = row_scale(dims, wire, table);
     return out;
 }
 
@@ -139,6 +243,78 @@ DensityMatrix::apply(const CompiledChannel& channel)
 }
 
 void
+DensityMatrix::apply(const CompiledNoise& noise)
+{
+    if (noise.dim != dims_.size()) {
+        throw std::invalid_argument(
+            "DensityMatrix::apply: noise compiled for another register");
+    }
+    obs::ScopedSpan span("density", "noise_channel");
+    const exec::ApplyPlan& plan = *noise.plan;
+    const Index n = noise.dim;
+    const Index b = plan.block;
+    const Index outer = plan.outer_count();
+    // One row block at a time, so its b rows stay in cache. Block
+    // (ro, co) has its corner X[0,0] at rows + base_of(co), X[j,k] at
+    // off[j] * n + off[k] past the corner and X[j,j] at off[j] * (n + 1).
+    const Index* off = plan.local_offset.data();
+    // Depolarizing: what each block's diagonal gains, kept per row block.
+    std::vector<Complex>& fill = scratch_.in;
+    fill.resize(outer);
+    const Real keep = noise.keep;
+    const Real mix = noise.mix;
+    Complex* a = rho_.data().data();
+    for (Index ro = 0; ro < outer; ++ro) {
+        Complex* rows = a + plan.base_of(ro) * n;
+        switch (noise.kind) {
+        case CompiledNoise::Kind::kDepolarizing:
+            // Traces are read before the rows are scaled.
+            for (Index co = 0; co < outer; ++co) {
+                const Complex* x = rows + plan.base_of(co);
+                Complex trace(0, 0);
+                for (Index j = 0; j < b; ++j) {
+                    trace += x[off[j] * (n + 1)];
+                }
+                fill[co] = mix * trace;
+            }
+            for (Index j = 0; j < b; ++j) {
+                Complex* row = rows + off[j] * n;
+                for (Index c = 0; c < n; ++c) {
+                    row[c] *= keep;
+                }
+            }
+            for (Index co = 0; co < outer; ++co) {
+                Complex* x = rows + plan.base_of(co);
+                const Complex add = fill[co];
+                for (Index j = 0; j < b; ++j) {
+                    x[off[j] * (n + 1)] += add;
+                }
+            }
+            break;
+        case CompiledNoise::Kind::kDamping:
+            // X[0,0] scales by exactly 1, so it takes its gain from the
+            // unscaled X[m,m] before the rows are scaled.
+            for (Index co = 0; co < outer; ++co) {
+                Complex* x = rows + plan.base_of(co);
+                for (Index m = 1; m < b; ++m) {
+                    x[0] += noise.decay[m] * x[off[m] * (n + 1)];
+                }
+            }
+            [[fallthrough]];
+        case CompiledNoise::Kind::kDephasing:
+            for (Index j = 0; j < b; ++j) {
+                Complex* row = rows + off[j] * n;
+                const Real* f = noise.row_scale.data() + j * n;
+                for (Index c = 0; c < n; ++c) {
+                    row[c] *= f[c];
+                }
+            }
+            break;
+        }
+    }
+}
+
+void
 DensityMatrix::apply_unitary_dense(const Matrix& u,
                                    std::span<const int> wires)
 {
@@ -161,6 +337,10 @@ DensityMatrix::apply_channel_dense(const KrausChannel& channel,
 Real
 DensityMatrix::fidelity(const StateVector& psi) const
 {
+    if (!(psi.dims() == dims_)) {
+        throw std::invalid_argument(
+            "DensityMatrix::fidelity: state dims do not match register dims");
+    }
     Complex acc(0, 0);
     for (Index r = 0; r < psi.size(); ++r) {
         for (Index c = 0; c < psi.size(); ++c) {
@@ -176,51 +356,28 @@ DensityMatrix::trace_real() const
     return rho_.trace().real();
 }
 
-namespace {
-
-/** Gaussian dephasing on one wire: rho_{jk} *= exp(-(j-k)^2 s^2 / 2),
- *  the exact average over a random phase walk of std s per level. */
-void
-apply_gaussian_dephasing(DensityMatrix& dm, Matrix& rho, int wire, Real s)
-{
-    const WireDims& dims = dm.dims();
-    for (Index r = 0; r < dims.size(); ++r) {
-        for (Index c = 0; c < dims.size(); ++c) {
-            const int dj = dims.digit(r, wire) - dims.digit(c, wire);
-            if (dj != 0) {
-                rho(r, c) *= std::exp(-0.5 * s * s * dj * dj);
-            }
-        }
-    }
-}
-
-}  // namespace
-
 /**
  * The payload behind DensityCompilation (cached across requests by the
  * CompileService): the fully fused ideal reference, every superoperator
- * and channel the evolution touches — compiled once against one shared
- * plan cache — and the flattened step program that replays the exact
- * moment-by-moment (or fused-group) application order of the original
- * inline engine.
+ * and closed-form noise channel the evolution touches — compiled once
+ * against one shared plan cache — and the flattened step program that
+ * replays the exact moment-by-moment (or fused-group) application order
+ * of the original inline engine.
  */
 struct DensityCompilation::Impl {
-    /** One replayed application. kSuperOp/kChannel index into the pools;
-     *  kDephase carries its operand wire and the per-moment Gaussian
-     *  std-dev (dephasing_sigma * sqrt(dt)), folded at compile time. */
+    /** One replayed application: a gate (index into superops) or a noise
+     *  channel (index into noise). */
     struct Step {
-        enum class Kind { kSuperOp, kChannel, kDephase };
+        enum class Kind { kSuperOp, kNoise };
         Kind kind = Kind::kSuperOp;
         std::size_t index = 0;
-        int wire = 0;
-        Real sigma = 0;
     };
 
     NoiseModel model;              ///< the model the program was built from
     exec::PlanCache cache;         ///< plans shared by every compile below
     exec::CompiledCircuit ideal;   ///< fully fused noiseless reference
     std::vector<exec::CompiledSuperOp> superops;
-    std::vector<CompiledChannel> channels;
+    std::vector<CompiledNoise> noise;
     std::vector<Step> steps;
 
     Impl(const Circuit& circuit, const NoiseModel& noise_model,
@@ -229,43 +386,29 @@ struct DensityCompilation::Impl {
           ideal(circuit, exec::FusionOptions{}, {}, &cache)
     {
         const WireDims& dims = circuit.dims();
+        auto push_noise = [&](CompiledNoise compiled) {
+            noise.push_back(std::move(compiled));
+            return noise.size() - 1;
+        };
 
-        // Gate-error channels: same placement as the trajectory engine,
-        // compiled once per (wires, per-channel probability).
+        // Gate-error channels: same placement as the trajectory engine.
         const auto sites = enumerate_error_sites(circuit, model);
-        std::map<std::pair<std::vector<int>, Real>, std::size_t>
-            channel_memo;
         std::vector<std::vector<std::size_t>> op_channels(
             circuit.num_ops());
         {
             obs::ScopedSpan compile_span("density", "compile_channels");
             for (std::size_t i = 0; i < sites.size(); ++i) {
                 for (const ErrorSite& site : sites[i]) {
-                    const auto key =
-                        std::make_pair(site.wires, site.per_channel);
-                    auto it = channel_memo.find(key);
-                    if (it == channel_memo.end()) {
-                        const MixedUnitaryChannel ch =
-                            site.dims.size() == 1
-                                ? depolarizing1(site.dims[0],
-                                                site.per_channel)
-                                : depolarizing2(site.dims[0], site.dims[1],
-                                                site.per_channel);
-                        std::size_t block = 1;
-                        for (const int d : site.dims) {
-                            block *= static_cast<std::size_t>(d);
-                        }
-                        channels.push_back(
-                            compile_channel(dims, ch.to_kraus(block),
-                                            site.wires, &cache));
-                        it = channel_memo
-                                 .emplace(key, channels.size() - 1)
-                                 .first;
-                    }
-                    op_channels[i].push_back(it->second);
+                    op_channels[i].push_back(push_noise(compile_depolarizing(
+                        dims, site.wires, site.per_channel, &cache)));
                 }
             }
         }
+        auto push_op_channels = [&](std::size_t op) {
+            for (const std::size_t ch : op_channels[op]) {
+                steps.push_back({Step::Kind::kNoise, ch});
+            }
+        };
 
         // No idle noise: nothing separates gates but their error
         // channels, so the moment scaffolding is irrelevant — fuse gate
@@ -302,13 +445,9 @@ struct DensityCompilation::Impl {
                         dims, fused_gate, group.wires, &cache,
                         fusion.plan_salt()));
                 }
-                steps.push_back(
-                    {Step::Kind::kSuperOp, superops.size() - 1, 0, 0});
+                steps.push_back({Step::Kind::kSuperOp, superops.size() - 1});
                 for (const std::uint32_t src : group.members) {
-                    for (const std::size_t ch :
-                         op_channels[static_cast<std::size_t>(src)]) {
-                        steps.push_back({Step::Kind::kChannel, ch, 0, 0});
-                    }
+                    push_op_channels(static_cast<std::size_t>(src));
                 }
             }
             return;
@@ -323,23 +462,26 @@ struct DensityCompilation::Impl {
             gate_ops.push_back(superops.size() - 1);
         }
 
-        // Per-wire damping channels: dt depends only on the moment type,
-        // so at most two compiled variants exist per wire.
-        std::map<std::pair<int, Real>, std::size_t> damping_memo;
-        auto damping_for = [&](int wire, Real dt) -> std::size_t {
-            const auto key = std::make_pair(wire, dt);
-            auto it = damping_memo.find(key);
-            if (it == damping_memo.end()) {
-                const int d = dims.dim(wire);
-                std::vector<Real> lambdas;
-                for (int m = 1; m < d; ++m) {
-                    lambdas.push_back(model.lambda(m, dt));
+        // Idle noise per wire (damping, then dephasing): dt depends only
+        // on the moment type, so at most two variants exist per wire.
+        std::map<std::pair<int, Real>, std::vector<std::size_t>> idle_memo;
+        auto idle_for = [&](int wire,
+                            Real dt) -> const std::vector<std::size_t>& {
+            auto [it, fresh] = idle_memo.try_emplace({wire, dt});
+            if (fresh) {
+                if (model.has_damping()) {
+                    std::vector<Real> lambdas;
+                    for (int m = 1; m < dims.dim(wire); ++m) {
+                        lambdas.push_back(model.lambda(m, dt));
+                    }
+                    it->second.push_back(push_noise(
+                        compile_damping(dims, wire, lambdas, &cache)));
                 }
-                const int wires[1] = {wire};
-                channels.push_back(compile_channel(
-                    dims, amplitude_damping(d, lambdas),
-                    std::span<const int>(wires, 1), &cache));
-                it = damping_memo.emplace(key, channels.size() - 1).first;
+                if (model.has_dephasing()) {
+                    it->second.push_back(push_noise(compile_dephasing(
+                        dims, wire, model.dephasing_sigma * std::sqrt(dt),
+                        &cache)));
+                }
             }
             return it->second;
         };
@@ -347,22 +489,13 @@ struct DensityCompilation::Impl {
         const auto moments = schedule_asap(circuit);
         for (const Moment& moment : moments) {
             for (const std::size_t idx : moment.op_indices) {
-                steps.push_back(
-                    {Step::Kind::kSuperOp, gate_ops[idx], 0, 0});
-                for (const std::size_t ch : op_channels[idx]) {
-                    steps.push_back({Step::Kind::kChannel, ch, 0, 0});
-                }
+                steps.push_back({Step::Kind::kSuperOp, gate_ops[idx]});
+                push_op_channels(idx);
             }
             const Real dt = model.moment_duration(moment.has_multi_qudit);
             for (int w = 0; w < circuit.num_wires(); ++w) {
-                if (model.has_damping()) {
-                    steps.push_back(
-                        {Step::Kind::kChannel, damping_for(w, dt), 0, 0});
-                }
-                if (model.has_dephasing()) {
-                    steps.push_back({Step::Kind::kDephase, 0, w,
-                                     model.dephasing_sigma *
-                                         std::sqrt(dt)});
+                for (const std::size_t ch : idle_for(w, dt)) {
+                    steps.push_back({Step::Kind::kNoise, ch});
                 }
             }
         }
@@ -411,20 +544,13 @@ density_matrix_fidelity(const DensityCompilation& compiled,
     const DensityCompilation::Impl& impl = compiled.impl();
     const StateVector ideal = simulate(impl.ideal, initial);
     DensityMatrix dm(initial);
-    Matrix& rho = dm.mutable_rho();
     obs::ScopedSpan exec_span("density", "execute");
     exec_span.arg("steps", static_cast<std::int64_t>(impl.steps.size()));
     for (const Step& step : impl.steps) {
-        switch (step.kind) {
-        case Step::Kind::kSuperOp:
+        if (step.kind == Step::Kind::kSuperOp) {
             dm.apply(impl.superops[step.index]);
-            break;
-        case Step::Kind::kChannel:
-            dm.apply(impl.channels[step.index]);
-            break;
-        case Step::Kind::kDephase:
-            apply_gaussian_dephasing(dm, rho, step.wire, step.sigma);
-            break;
+        } else {
+            dm.apply(impl.noise[step.index]);
         }
     }
     return dm.fidelity(ideal);

@@ -1,24 +1,30 @@
 /**
  * @file density_matrix.h
- * Exact density-matrix evolution, running on the compiled superoperator
- * engine.
+ * Exact density-matrix evolution: gates on the compiled superoperator
+ * engine, noise channels in closed form.
  *
  * The paper (Section 6.2) notes that the quantum-trajectory method
  * converges to full density-matrix simulation over repeated trials. This
  * module provides that reference implementation so tests can quantify the
- * convergence. Storage is still d^N x d^N, but operators are applied
- * through exec::CompiledSuperOp — two strided block passes over rho at
- * O(D^2 * b) per operator instead of the dense-kron O(D^3) — so exact
- * noise studies on mid-size registers share the trajectory engine's
- * compiled fast path (and its ApplyPlan offset tables). The old dense
- * path survives as apply_*_dense, the reference oracle the compiled path
- * is property-tested against.
+ * convergence. Storage is still d^N x d^N. Gates are applied through
+ * exec::CompiledSuperOp — two strided block passes over rho at
+ * O(D^2 * b) per operator instead of the dense-kron O(D^3) — sharing the
+ * trajectory engine's ApplyPlan offset tables. The engine's noise
+ * channels (depolarizing gate errors, amplitude damping, Gaussian
+ * dephasing) have closed forms on each operand block of rho, so each is
+ * one O(D^2) pass (CompiledNoise) instead of one conjugation per Kraus
+ * operator. General Kraus channels keep the superoperator route
+ * (compile_channel / apply_channel). The old dense path survives as
+ * apply_*_dense, the reference oracle both routes are property-tested
+ * against.
  */
 #ifndef NOISE_DENSITY_MATRIX_H
 #define NOISE_DENSITY_MATRIX_H
 
+#include <cstdint>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "noise/kraus.h"
 #include "noise/noise_model.h"
@@ -49,6 +55,69 @@ CompiledChannel compile_channel(const WireDims& dims,
                                 std::span<const int> wires,
                                 exec::PlanCache* cache = nullptr);
 
+/**
+ * A noise channel lowered to its closed form on the operand blocks of
+ * rho. Row and column index of rho each split into the operand wires'
+ * ApplyPlan blocks; the channel maps every b x b block X (one row block
+ * against one column block, b the product of the operand dims) on its
+ * own, so application is one serial pass over rho:
+ *  - kDepolarizing: every generalized Pauli X^j Z^k but the identity with
+ *    probability p. The b^2 Paulis form a unitary error basis
+ *    (sum_P P X P^dagger = b Tr(X) I), so
+ *    X <- (1 - b^2 p) X + b p Tr(X) I.
+ *  - kDamping: X[j,k] <- sqrt(1 - l_j) sqrt(1 - l_k) X[j,k], then
+ *    X[0,0] += sum_{m>=1} l_m X[m,m] with X[m,m] read before scaling.
+ *  - kDephasing: X[j,k] <- exp(-s^2 (j-k)^2 / 2) X[j,k].
+ * Immutable after compilation; safe to share across threads.
+ */
+struct CompiledNoise {
+    enum class Kind : std::uint8_t { kDepolarizing, kDamping, kDephasing };
+    Kind kind = Kind::kDepolarizing;
+    /** Full register dimension D (rho is D x D, row-major). */
+    Index dim = 0;
+    /** Offset tables over the operand wires (block size plan->block). */
+    std::shared_ptr<const exec::ApplyPlan> plan;
+    /** kDepolarizing: X <- keep X + mix Tr(X) I. */
+    Real keep = 1;
+    Real mix = 0;
+    /** kDamping, kDephasing: X[j,k] *= f(j, k), tabulated for whole rows
+     *  of rho: entry j * D + c is f(j, operand digit of column c), so a
+     *  row with operand digit j scales by row_scale[j * D, (j + 1) * D). */
+    std::vector<Real> row_scale;
+    /** kDamping: decay[m] = l_m, the weight of X[m,m] moved to X[0,0]
+     *  (decay[0] = 0). */
+    std::vector<Real> decay;
+};
+
+/**
+ * Symmetric depolarizing on `wires`: each of the b^2 - 1 non-identity
+ * generalized Pauli products with probability `p_channel` — on one or two
+ * wires, the channel depolarizing1/depolarizing2 build as Kraus sets.
+ *
+ * @throws std::invalid_argument if p_channel < 0 or the Pauli
+ *         probabilities sum past 1 (as MixedUnitaryChannel::to_kraus).
+ */
+CompiledNoise compile_depolarizing(const WireDims& dims,
+                                   std::span<const int> wires,
+                                   Real p_channel,
+                                   exec::PlanCache* cache = nullptr);
+
+/**
+ * Amplitude damping on one wire: lambdas[m-1] is the decay probability of
+ * level m to |0>, the channel amplitude_damping builds as a Kraus set.
+ *
+ * @throws std::invalid_argument on a lambda count other than d - 1 or a
+ *         lambda outside [0, 1] (as amplitude_damping).
+ */
+CompiledNoise compile_damping(const WireDims& dims, int wire,
+                              const std::vector<Real>& lambdas,
+                              exec::PlanCache* cache = nullptr);
+
+/** Gaussian dephasing on one wire: rho_jk *= exp(-(j-k)^2 sigma^2 / 2),
+ *  the exact average over a random phase walk of std `sigma` per level. */
+CompiledNoise compile_dephasing(const WireDims& dims, int wire, Real sigma,
+                                exec::PlanCache* cache = nullptr);
+
 /** Density matrix over a mixed-radix register. */
 class DensityMatrix {
   public:
@@ -66,8 +135,9 @@ class DensityMatrix {
     Matrix& mutable_rho() { return rho_; }
 
     /** Plan cache shared by every operator compiled against this register;
-     *  callers precompiling their own superops/channels should pass it to
-     *  compile_superop/compile_channel so tables are built once. */
+     *  callers precompiling their own operators should pass it to
+     *  compile_superop, compile_channel or the compile_* noise functions
+     *  so tables are built once. */
     exec::PlanCache& plan_cache() { return cache_; }
 
     /** Applies a unitary on the given wires: rho -> U rho U^dagger
@@ -85,6 +155,9 @@ class DensityMatrix {
     /** Applies a precompiled channel: rho -> sum_i K_i rho K_i^dagger. */
     void apply(const CompiledChannel& channel);
 
+    /** Applies a closed-form noise channel: one pass over rho. */
+    void apply(const CompiledNoise& noise);
+
     /**
      * Dense reference oracle for apply_unitary: expands U to the full
      * register and multiplies, O(D^3). Kept (with apply_channel_dense)
@@ -97,7 +170,8 @@ class DensityMatrix {
     void apply_channel_dense(const KrausChannel& channel,
                              std::span<const int> wires);
 
-    /** Fidelity against a pure state: <psi| rho |psi>. */
+    /** Fidelity against a pure state: <psi| rho |psi>.
+     *  @throws std::invalid_argument if psi's dims differ from rho's. */
     Real fidelity(const StateVector& psi) const;
 
     /** Trace (should stay 1 for trace-preserving evolution). */
@@ -117,14 +191,18 @@ class DensityMatrix {
 /**
  * Everything the exact engine derives from (circuit, model, fusion)
  * before rho moves: the fully fused ideal reference compilation, every
- * gate lowered to its superoperator kernel, every gate-error and damping
- * channel compiled against one shared plan cache, and the flattened
- * moment-by-moment step program the evolution replays. Immutable after
- * construction and safe to share across threads — the CompileService
- * caches these across requests so repeated submissions of the same
- * (circuit, model, fusion) skip compilation entirely. Construction does
- * NOT verify; admission is the CompileService's job (or
- * verify::enforce_noisy for direct callers).
+ * gate lowered to its superoperator kernel, every gate-error, damping and
+ * dephasing channel lowered to its closed form (CompiledNoise), all
+ * against one shared plan cache, and the flattened moment-by-moment step
+ * program the evolution replays. Immutable after construction and safe
+ * to share across threads — the CompileService caches these across
+ * requests so repeated submissions of the same (circuit, model, fusion)
+ * skip compilation entirely. Construction does NOT verify; admission is
+ * the CompileService's job (or verify::enforce_noisy for direct callers).
+ *
+ * @throws std::invalid_argument when a gate-error site's Pauli
+ *         probabilities sum past 1 or a damping probability leaves
+ *         [0, 1] (e.g. a negative gate time with T1 > 0).
  */
 class DensityCompilation {
  public:
@@ -148,10 +226,11 @@ class DensityCompilation {
  * Evolves `initial` through the circuit under the model's noise exactly
  * (moment by moment, same channel placement as the trajectory engine —
  * see error_placement.h) and returns the fidelity against the noiseless
- * output. The circuit's gates, gate-error channels, and per-wire damping
- * channels are each compiled ONCE against a shared plan cache and reused
- * across moments; cost is O(D^2 * b) per operator. Coherent dephasing is
- * modelled as the equivalent Gaussian dephasing channel.
+ * output. Gates are compiled ONCE to superoperators against a shared plan
+ * cache, at O(D^2 * b) per application. Gate-error depolarizing, per-wire
+ * damping and dephasing run in closed form (CompiledNoise), one O(D^2)
+ * pass over rho each. Coherent dephasing is modelled as the equivalent
+ * Gaussian dephasing channel.
  *
  * `fusion` drives the compile-time fusion stage (exec/fusion.h) on the
  * superoperator side: gate runs between noise boundaries merge into one
@@ -165,7 +244,7 @@ class DensityCompilation {
  * DensityCompilation.
  *
  * @deprecated For job-stream traffic prefer serve::execute() (serve/run.h),
- *         which builds the superoperator program once per distinct job and
+ *         which builds the step program once per distinct job and
  *         returns a uniform RunResult, or the precompiled overload below —
  *         this convenience overload re-hashes and re-verifies the circuit
  *         on every call. It remains supported for one-shot callers.

@@ -1,9 +1,10 @@
 /**
  * Property tests for the compiled density-matrix engine: every compiled
  * superoperator kernel (diagonal, monomial, controlled-subspace, dense)
+ * and every closed-form noise channel (depolarizing, damping, dephasing)
  * must match the dense expand() oracle on random mixed-radix density
- * matrices and random operators, including non-unitary Kraus sets; the
- * trajectory engine must converge to the compiled exact evolution.
+ * matrices, including non-unitary Kraus sets; the trajectory engine must
+ * converge to the compiled exact evolution, on every Figure 11 cell.
  */
 #include "noise/density_matrix.h"
 
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "constructions/gen_toffoli.h"
 #include "noise/channels.h"
 #include "noise/error_placement.h"
 #include "noise/models.h"
@@ -239,6 +241,160 @@ TEST(DensityMatrix, CompiledChannelReusableAcrossApplications) {
     expect_rho_equal(compiled.rho(), dense.rho(), 1e-10, "reuse");
 }
 
+/** Expects the closed-form channel to reproduce the dense Kraus oracle
+ *  on a random mixed rho, to 1e-12, and to keep the trace at 1. */
+void
+check_noise_against_oracle(const WireDims& dims, const CompiledNoise& noise,
+                           const KrausChannel& kraus,
+                           const std::vector<int>& wires, Rng& rng,
+                           const char* what)
+{
+    ASSERT_TRUE(kraus.is_complete());
+    const Matrix rho = random_mixed_rho(dims, rng);
+    DensityMatrix closed(dims, rho);
+    DensityMatrix dense(dims, rho);
+    closed.apply(noise);
+    dense.apply_channel_dense(kraus, wires);
+    expect_rho_equal(closed.rho(), dense.rho(), 1e-12, what);
+    EXPECT_NEAR(closed.trace_real(), 1.0, 1e-12) << what;
+}
+
+TEST(DensityMatrix, ClosedFormDepolarizingMatchesKrausOracle) {
+    // Every single wire and every ordered wire pair of both registers:
+    // (2,2), (2,3), (3,2) and (3,3) operands, adjacent and not.
+    Rng rng(312);
+    const Real p = 0.01;
+    for (const auto& reg : std::vector<std::vector<int>>{{2, 3, 2},
+                                                         {3, 3, 2}}) {
+        const WireDims dims(reg);
+        for (int w = 0; w < dims.num_wires(); ++w) {
+            const std::vector<int> wires = {w};
+            const int d = dims.dim(w);
+            check_noise_against_oracle(
+                dims, compile_depolarizing(dims, wires, p),
+                depolarizing1(d, p).to_kraus(static_cast<std::size_t>(d)),
+                wires, rng, "depolarizing1");
+        }
+        for (int w0 = 0; w0 < dims.num_wires(); ++w0) {
+            for (int w1 = 0; w1 < dims.num_wires(); ++w1) {
+                if (w0 == w1) {
+                    continue;
+                }
+                const std::vector<int> wires = {w0, w1};
+                const int da = dims.dim(w0);
+                const int db = dims.dim(w1);
+                check_noise_against_oracle(
+                    dims, compile_depolarizing(dims, wires, p),
+                    depolarizing2(da, db, p)
+                        .to_kraus(static_cast<std::size_t>(da * db)),
+                    wires, rng, "depolarizing2");
+            }
+        }
+    }
+}
+
+TEST(DensityMatrix, ClosedFormDampingMatchesKrausOracle) {
+    Rng rng(313);
+    NoiseModel level2_only;
+    level2_only.t1 = 1e-6;
+    level2_only.decay_rates = {0, 2};  // |1> metastable, |2> relaxes
+    const Real lambda2 = level2_only.lambda(2, 3e-7);
+    ASSERT_EQ(level2_only.lambda(1, 3e-7), 0.0);
+    ASSERT_GT(lambda2, 0.0);
+    for (const auto& reg : std::vector<std::vector<int>>{{2, 3, 2},
+                                                         {3, 3, 2}}) {
+        const WireDims dims(reg);
+        for (int w = 0; w < dims.num_wires(); ++w) {
+            const std::vector<int> wires = {w};
+            std::vector<std::vector<Real>> cases;
+            if (dims.dim(w) == 2) {
+                cases = {{0.07}};
+            } else {
+                cases = {{0.05, 0.12}, {0.0, lambda2}};
+            }
+            for (const std::vector<Real>& lambdas : cases) {
+                check_noise_against_oracle(
+                    dims, compile_damping(dims, w, lambdas),
+                    amplitude_damping(dims.dim(w), lambdas), wires, rng,
+                    "damping");
+            }
+        }
+    }
+}
+
+TEST(DensityMatrix, ClosedFormDephasingMatchesPerEntryFormula) {
+    // The per-entry form the engine used before the closed-form pass:
+    // rho(r, c) *= exp(-s^2 dj^2 / 2) with dj the wire's digit difference.
+    Rng rng(314);
+    const Real sigma = 0.7;
+    for (const auto& reg : std::vector<std::vector<int>>{{2, 3, 2},
+                                                         {3, 3, 2}}) {
+        const WireDims dims(reg);
+        for (int w = 0; w < dims.num_wires(); ++w) {
+            const Matrix rho = random_mixed_rho(dims, rng);
+            DensityMatrix closed(dims, rho);
+            closed.apply(compile_dephasing(dims, w, sigma));
+            Matrix expected = rho;
+            for (Index r = 0; r < dims.size(); ++r) {
+                for (Index c = 0; c < dims.size(); ++c) {
+                    const int dj = dims.digit(r, w) - dims.digit(c, w);
+                    if (dj != 0) {
+                        expected(r, c) *=
+                            std::exp(-0.5 * sigma * sigma * dj * dj);
+                    }
+                }
+            }
+            expect_rho_equal(closed.rho(), expected, 1e-12, "dephasing");
+            EXPECT_NEAR(closed.trace_real(), 1.0, 1e-12);
+        }
+    }
+}
+
+TEST(DensityMatrix, ClosedFormNoiseRejectsInvalidParameters) {
+    const WireDims dims({3, 3, 2});
+    const std::vector<int> pair = {0, 1};
+    // 80 two-qutrit Paulis at p = 0.02 sum to 1.6.
+    EXPECT_THROW(compile_depolarizing(dims, pair, 0.02),
+                 std::invalid_argument);
+    EXPECT_THROW(compile_depolarizing(dims, pair, -1e-3),
+                 std::invalid_argument);
+    EXPECT_THROW(compile_damping(dims, 0, {0.1, -0.01}),
+                 std::invalid_argument);
+    EXPECT_THROW(compile_damping(dims, 0, {0.1}), std::invalid_argument);
+    DensityMatrix other(WireDims({3, 3}), std::vector<int>{0, 0});
+    EXPECT_THROW(other.apply(compile_dephasing(dims, 2, 0.5)),
+                 std::invalid_argument);
+}
+
+TEST(DensityMatrix, CompilationRejectsInvalidNoise) {
+    Circuit c(WireDims::uniform(2, 3));
+    c.append(gates::H3(), {0});
+    c.append(gates::Xplus1().controlled(3, 1), {0, 1});
+    NoiseModel m;
+    m.dt_1q = 100e-9;
+    m.dt_2q = 300e-9;
+    NoiseModel too_likely = m;
+    too_likely.p2 = 0.02;  // 80 channels on the qutrit pair: 1.6 total
+    EXPECT_THROW(DensityCompilation(c, too_likely), std::invalid_argument);
+    NoiseModel negative_time = m;
+    negative_time.t1 = 1e-3;
+    negative_time.dt_1q = -100e-9;  // the H3 moment damps with lambda < 0
+    EXPECT_THROW(DensityCompilation(c, negative_time),
+                 std::invalid_argument);
+}
+
+TEST(DensityMatrix, FidelityRejectsStateOnOtherRegister) {
+    const DensityMatrix dm(WireDims({2, 3}), std::vector<int>{1, 2});
+    // Larger state: would read past rho.
+    EXPECT_THROW(dm.fidelity(StateVector(WireDims({3, 3}))),
+                 std::invalid_argument);
+    // Same size, other dims.
+    EXPECT_THROW(dm.fidelity(StateVector(WireDims({3, 2}))),
+                 std::invalid_argument);
+    EXPECT_NEAR(dm.fidelity(StateVector(WireDims({2, 3}), {1, 2})), 1.0,
+                1e-15);
+}
+
 TEST(DensityMatrix, AdoptedRhoCtorValidatesSize) {
     EXPECT_THROW(DensityMatrix(WireDims({3, 3}), Matrix(4, 4)),
                  std::invalid_argument);
@@ -296,6 +452,57 @@ TEST(DensityMatrix, TrajectoryConvergesToCompiledExactDepolarizing) {
     }
     mean /= trials;
     EXPECT_NEAR(mean, exact, 0.01);
+}
+
+TEST(DensityMatrix, TrajectoryMeanMatchesExactOnFigure11Cells) {
+    // The 16 Figure 11 bars (gen-Toffoli construction x noise model) at
+    // width 4, controls in |1>: the trajectory mean over 4,000 shots must
+    // sit within 4 standard errors of the exact fidelity (4 rather than 3
+    // so that 16 cells do not fail by chance on one seed in 25).
+    using ctor::Method;
+    std::vector<std::pair<Method, NoiseModel>> cells;
+    for (const Method method : {Method::kQubitNoAncilla,
+                                Method::kQubitDirtyAncilla,
+                                Method::kQutrit}) {
+        for (const NoiseModel& model : superconducting_models()) {
+            cells.emplace_back(method, model);
+        }
+    }
+    cells.emplace_back(Method::kQubitNoAncilla, ti_qubit());
+    cells.emplace_back(Method::kQubitDirtyAncilla, ti_qubit());
+    cells.emplace_back(Method::kQutrit, bare_qutrit());
+    cells.emplace_back(Method::kQutrit, dressed_qutrit());
+    ASSERT_EQ(cells.size(), 16u);
+    const int shots = 4000;
+    Rng rng(1);
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const auto& [method, model] = cells[i];
+        const ctor::GenToffoli g = ctor::build_gen_toffoli(method, 3);
+        std::vector<int> digits(static_cast<std::size_t>(
+                                    g.circuit.num_wires()),
+                                0);
+        for (const int w : g.controls) {
+            digits[static_cast<std::size_t>(w)] = 1;
+        }
+        const StateVector init(g.circuit.dims(), digits);
+        const StateVector ideal = simulate(g.circuit, init);
+        const Real exact = density_matrix_fidelity(g.circuit, model, init);
+        const TrajectoryCompilation compiled(g.circuit, model);
+        Rng cell = rng.child(i);
+        Real sum = 0;
+        Real sum_sq = 0;
+        for (int t = 0; t < shots; ++t) {
+            Rng child = cell.child(static_cast<std::uint64_t>(t));
+            const Real f = run_single_trajectory(compiled, init, ideal, child);
+            sum += f;
+            sum_sq += f * f;
+        }
+        const Real mean = sum / shots;
+        const Real var = (sum_sq - shots * mean * mean) / (shots - 1);
+        const Real se = std::sqrt(std::max<Real>(var, 0) / shots);
+        EXPECT_NEAR(mean, exact, 4 * se + 1e-12)
+            << g.label << "/" << model.name << ": se " << se;
+    }
 }
 
 TEST(DensityMatrix, FusedFidelityMatchesUnfused) {

@@ -248,7 +248,7 @@ TEST(Trajectory, MixedRadixDampingSequentialPath) {
         mean += run_single_trajectory(c, m, init, ideal, child);
     }
     mean /= trials;
-    EXPECT_NEAR(mean, exact, 0.012);
+    EXPECT_NEAR(mean, exact, 0.01);
 }
 
 /** Uniform wire draw helper for the random-circuit generator. */
