@@ -7,9 +7,10 @@
  *      gate and every Kraus operator of every gate-error channel to
  *      D x D and multiply, O(D^3) per operator,
  *   2. ms per pass with the compiled engine (density_matrix_fidelity) —
- *      gates as superoperators at O(D^2 * b) each, every gate-error
- *      channel as one closed-form O(D^2) pass instead of b^2 Kraus
- *      conjugations, all compiled once against shared ApplyPlans.
+ *      gates conjugated through the batched kernels (rho's columns as
+ *      lanes) at O(D^2 * b) each, every gate-error channel as one
+ *      closed-form O(D^2) pass instead of b^2 Kraus conjugations, all
+ *      compiled once against shared ApplyPlans.
  * The two fidelities are also compared (they must agree to ~1e-10).
  * Emits BENCH_density.json so the perf trajectory accumulates run over
  * run; the acceptance bar is a >= 5x compiled-over-dense speedup.
@@ -131,7 +132,8 @@ main(int argc, char** argv)
     }
     const double dense_ms = (now_ms() - t0) / reps;
 
-    // 2. Compiled engine: superoperator gates, closed-form channels.
+    // 2. Compiled engine: batched-kernel conjugations, closed-form
+    //    channels.
     Real compiled_fid = 0;
     const double t1 = now_ms();
     for (int r = 0; r < reps; ++r) {
@@ -151,9 +153,9 @@ main(int argc, char** argv)
                 speedup >= 5.0 ? "(>= 5x target met)"
                                : "(below 5x target)");
 
-    // Instrumented section: one compiled pass with counters on (superop
-    // conjugation classes of the gates, plan-cache traffic) and optional
-    // --trace spans.
+    // Instrumented section: one compiled pass with counters on
+    // (conjugation classes of the gates, the batched kernel passes they
+    // run, plan-cache traffic) and optional --trace spans.
     bench::ObsSection obs_section(bench::trace_flag(argc, argv));
     noise::density_matrix_fidelity(circuit, model, init);
     const obs::SimReport rep = obs_section.finish();

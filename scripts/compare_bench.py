@@ -43,7 +43,7 @@ import tempfile
 # file -> list of metrics to gate on. A bare string means mode "min";
 # a {"metric": ..., "mode": ...} dict selects "min", "exact" or "max".
 # One speedup entry per benchmarked engine: compiled state-vector
-# (exec), density-matrix superoperators, batched trajectory lanes, and
+# (exec), density-matrix conjugations, batched trajectory lanes, and
 # compile-time fusion. The obs_* entries gate the instrumentation
 # layer's deterministic counters from bench_exec's instrumented section
 # (fused compile + one pass of the default workload).

@@ -1,37 +1,123 @@
 #include "noise/density_matrix.h"
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <stdexcept>
-#include <string>
+#include <thread>
 #include <utility>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "noise/error_placement.h"
 #include "qdsim/exec/compile_service.h"
 #include "qdsim/moments.h"
+#include "qdsim/obs/counters.h"
 #include "qdsim/obs/trace.h"
 #include "qdsim/simulator.h"
 #include "qdsim/verify/noise_audit.h"
 
 namespace qd::noise {
 
-CompiledChannel
-compile_channel(const WireDims& dims, const KrausChannel& channel,
-                std::span<const int> wires, exec::PlanCache* cache)
+namespace {
+
+/** Register size from which the conjugation passes over rho go parallel
+ *  (3^6). A pass touches D^2 entries, so the threshold sits on D; below
+ *  it the passes stay serial. */
+constexpr Index kSuperParallelDim = 729;
+
+/** Edge of the square tiles the conjugate transpose swaps: walking whole
+ *  columns at a power-of-two stride D thrashes the cache. */
+constexpr Index kTransposeTile = 16;
+
+/** `m` as a Gate over `wires` of `dims`, for exec::compile_op. */
+Gate
+operand_gate(const WireDims& dims, const Matrix& m,
+             std::span<const int> wires)
 {
-    // Even without a caller-provided cache, the channel's operators share
-    // one set of tables among themselves.
-    exec::PlanCache local(dims);
-    exec::PlanCache* use = cache != nullptr ? cache : &local;
-    CompiledChannel out;
-    out.kraus.reserve(channel.operators.size());
-    for (const Matrix& k : channel.operators) {
-        out.kraus.push_back(exec::compile_superop(dims, k, wires, use));
+    std::vector<int> gate_dims;
+    gate_dims.reserve(wires.size());
+    for (const int w : wires) {
+        if (w < 0 || w >= dims.num_wires()) {
+            throw std::invalid_argument(
+                "density matrix: wire index out of range");
+        }
+        gate_dims.push_back(dims.dim(w));
     }
-    return out;
+    return Gate("op", std::move(gate_dims), m);
 }
 
-namespace {
+/** The kSuper* class a conjugation by a `kind` op counts under:
+ *  permutations count as monomial, the single-wire kernels as dense. */
+obs::Counter
+conjugation_counter(exec::KernelKind kind)
+{
+    switch (kind) {
+        case exec::KernelKind::kDiagonal:
+            return obs::Counter::kSuperDiagonal;
+        case exec::KernelKind::kPermutation:
+        case exec::KernelKind::kMonomial:
+            return obs::Counter::kSuperMonomial;
+        case exec::KernelKind::kControlled:
+            return obs::Counter::kSuperControlled;
+        case exec::KernelKind::kSingleWireD2:
+        case exec::KernelKind::kSingleWireD3:
+        case exec::KernelKind::kDense:
+            break;
+    }
+    return obs::Counter::kSuperDense;
+}
+
+/** a -> a^dagger in place for a row-major n x n matrix, one tile row at a
+ *  time: tile row t conjugate-transposes its diagonal tile in place and
+ *  swaps every tile right of it with its mirror below the diagonal, so
+ *  tile rows touch disjoint entries and may run on `team` threads. */
+void
+conj_transpose(Complex* a, Index n, int team)
+{
+    auto swap_conj = [a, n](Index r, Index c) {
+        const Complex x = a[r * n + c];
+        a[r * n + c] = std::conj(a[c * n + r]);
+        a[c * n + r] = std::conj(x);
+    };
+    auto do_tile_row = [&](Index t) {
+        const Index r0 = t * kTransposeTile;
+        const Index r1 = std::min(n, r0 + kTransposeTile);
+        for (Index r = r0; r < r1; ++r) {
+            a[r * n + r] = std::conj(a[r * n + r]);
+            for (Index c = r + 1; c < r1; ++c) {
+                swap_conj(r, c);
+            }
+        }
+        for (Index c0 = r1; c0 < n; c0 += kTransposeTile) {
+            const Index c1 = std::min(n, c0 + kTransposeTile);
+            for (Index r = r0; r < r1; ++r) {
+                for (Index c = c0; c < c1; ++c) {
+                    swap_conj(r, c);
+                }
+            }
+        }
+    };
+    const std::int64_t tiles = static_cast<std::int64_t>(
+        (n + kTransposeTile - 1) / kTransposeTile);
+#ifdef _OPENMP
+    if (team > 1) {
+        // Tile row t holds tiles - t tiles: deal them round-robin.
+#pragma omp parallel for num_threads(team) schedule(static, 1)
+        for (std::int64_t t = 0; t < tiles; ++t) {
+            do_tile_row(static_cast<Index>(t));
+        }
+        return;
+    }
+#else
+    (void)team;
+#endif
+    for (std::int64_t t = 0; t < tiles; ++t) {
+        do_tile_row(static_cast<Index>(t));
+    }
+}
 
 /** A closed-form channel's shell: register size and operand plan. */
 CompiledNoise
@@ -65,6 +151,23 @@ row_scale(const WireDims& dims, int wire, const std::vector<Real>& table)
 }
 
 }  // namespace
+
+CompiledChannel
+compile_channel(const WireDims& dims, const KrausChannel& channel,
+                std::span<const int> wires, exec::PlanCache* cache)
+{
+    // Even without a caller-provided cache, the channel's operators share
+    // one set of tables among themselves.
+    exec::PlanCache local(dims);
+    exec::PlanCache* use = cache != nullptr ? cache : &local;
+    CompiledChannel out;
+    out.kraus.reserve(channel.operators.size());
+    for (const Matrix& k : channel.operators) {
+        out.kraus.push_back(exec::compile_op(
+            dims, operand_gate(dims, k, wires), wires, use));
+    }
+    return out;
+}
 
 CompiledNoise
 compile_depolarizing(const WireDims& dims, std::span<const int> wires,
@@ -143,6 +246,7 @@ DensityMatrix::DensityMatrix(const StateVector& psi)
             rho_(r, c) = psi[r] * std::conj(psi[c]);
         }
     }
+    set_threads(0);
 }
 
 DensityMatrix::DensityMatrix(WireDims dims, const std::vector<int>& digits)
@@ -150,11 +254,27 @@ DensityMatrix::DensityMatrix(WireDims dims, const std::vector<int>& digits)
 
 DensityMatrix::DensityMatrix(WireDims dims, Matrix rho)
     : dims_(std::move(dims)), rho_(std::move(rho)), cache_(dims_) {
-    if (static_cast<Index>(rho_.rows()) != dims_.size() ||
-        static_cast<Index>(rho_.cols()) != dims_.size()) {
+    const Index n = dims_.size();
+    if (static_cast<Index>(rho_.rows()) != n ||
+        static_cast<Index>(rho_.cols()) != n) {
         throw std::invalid_argument(
             "DensityMatrix: rho size does not match register dims");
     }
+    for (Index r = 0; r < n; ++r) {
+        for (Index c = r; c < n; ++c) {
+            if (std::abs(rho_(r, c) - std::conj(rho_(c, r))) > kTol) {
+                throw std::invalid_argument(
+                    "DensityMatrix: rho is not Hermitian");
+            }
+        }
+    }
+    set_threads(0);
+}
+
+void
+DensityMatrix::set_threads(int threads)
+{
+    scratch_.threads = dims_.size() >= kSuperParallelDim ? threads : 1;
 }
 
 Matrix
@@ -199,7 +319,8 @@ DensityMatrix::expand(const Matrix& op, std::span<const int> wires) const
 void
 DensityMatrix::apply_unitary(const Matrix& u, std::span<const int> wires)
 {
-    apply(exec::compile_superop(dims_, u, wires, &cache_));
+    apply(exec::compile_op(dims_, operand_gate(dims_, u, wires), wires,
+                           &cache_));
 }
 
 void
@@ -210,9 +331,38 @@ DensityMatrix::apply_channel(const KrausChannel& channel,
 }
 
 void
-DensityMatrix::apply(const exec::CompiledSuperOp& op)
+DensityMatrix::apply(const exec::CompiledOp& op)
 {
-    exec::superop_conjugate(op, rho_, scratch_);
+    conjugate(op, rho_);
+}
+
+void
+DensityMatrix::conjugate(const exec::CompiledOp& op, Matrix& m)
+{
+    const Index n = dims_.size();
+    if (op.dim != n) {
+        throw std::invalid_argument(
+            "DensityMatrix::apply: op compiled for another register");
+    }
+    // Counter hook stays outside the kernels' OpenMP regions: one count
+    // per conjugation, charged to the calling thread.
+    if (obs::enabled()) {
+        obs::count_unchecked(conjugation_counter(op.kind));
+    }
+    obs::ScopedSpan span("density", "conjugate");
+    int team = scratch_.threads;
+#ifdef _OPENMP
+    if (team <= 0) {
+        team = omp_get_max_threads();
+    }
+#endif
+    // m is Hermitian, so K m K^dagger = K (K m)^dagger; the columns of the
+    // row-major m are the lanes of the batched passes.
+    Complex* a = m.data().data();
+    const int lanes = static_cast<int>(n);
+    exec::apply_op_batched(op, a, lanes, scratch_);
+    conj_transpose(a, n, team);
+    exec::apply_op_batched(op, a, lanes, scratch_);
 }
 
 void
@@ -222,7 +372,7 @@ DensityMatrix::apply(const CompiledChannel& channel)
         throw std::invalid_argument("DensityMatrix::apply: empty channel");
     }
     if (channel.kraus.size() == 1) {
-        exec::superop_conjugate(channel.kraus[0], rho_, scratch_);
+        conjugate(channel.kraus[0], rho_);
         return;
     }
     if (acc_.rows() != rho_.rows()) {
@@ -230,9 +380,9 @@ DensityMatrix::apply(const CompiledChannel& channel)
     } else {
         acc_.data().assign(acc_.data().size(), Complex(0, 0));
     }
-    for (const exec::CompiledSuperOp& k : channel.kraus) {
+    for (const exec::CompiledOp& k : channel.kraus) {
         tmp_ = rho_;
-        exec::superop_conjugate(k, tmp_, scratch_);
+        conjugate(k, tmp_);
         const std::vector<Complex>& src = tmp_.data();
         std::vector<Complex>& dst = acc_.data();
         for (std::size_t i = 0; i < dst.size(); ++i) {
@@ -358,25 +508,27 @@ DensityMatrix::trace_real() const
 
 /**
  * The payload behind DensityCompilation (cached across requests by the
- * CompileService): the fully fused ideal reference, every superoperator
- * and closed-form noise channel the evolution touches — compiled once
- * against one shared plan cache — and the flattened step program that
- * replays the exact moment-by-moment (or fused-group) application order
- * of the original inline engine.
+ * CompileService): the fully fused ideal reference, the compiled gates
+ * and every closed-form noise channel the evolution touches — compiled
+ * once against one shared plan cache — and the flattened step program
+ * that replays the exact moment-by-moment (or fused-group) application
+ * order of the original inline engine.
  */
 struct DensityCompilation::Impl {
-    /** One replayed application: a gate (index into superops) or a noise
-     *  channel (index into noise). */
+    /** One replayed application: a gate (index into gates.ops()) or a
+     *  noise channel (index into noise). */
     struct Step {
-        enum class Kind { kSuperOp, kNoise };
-        Kind kind = Kind::kSuperOp;
+        enum class Kind { kGate, kNoise };
+        Kind kind = Kind::kGate;
         std::size_t index = 0;
     };
 
     NoiseModel model;              ///< the model the program was built from
     exec::PlanCache cache;         ///< plans shared by every compile below
     exec::CompiledCircuit ideal;   ///< fully fused noiseless reference
-    std::vector<exec::CompiledSuperOp> superops;
+    /** The gates, compiled as the trajectory engine compiles its noisy
+     *  loop: fused between error fences, or per op under idle noise. */
+    exec::CompiledCircuit gates;
     std::vector<CompiledNoise> noise;
     std::vector<Step> steps;
 
@@ -412,41 +564,17 @@ struct DensityCompilation::Impl {
 
         // No idle noise: nothing separates gates but their error
         // channels, so the moment scaffolding is irrelevant — fuse gate
-        // runs between error fences into single conjugation passes
-        // (channels fence the partition and attach to their pre-fusion op
-        // boundaries, exactly like the trajectory engine).
+        // runs between error fences into single conjugations (channels
+        // attach to their pre-fusion op boundaries, exactly like the
+        // trajectory engine).
         const bool idle_noise =
             model.has_damping() || model.has_dephasing();
         if (fusion.enabled && !idle_noise) {
-            const auto groups = exec::fuse_sites(
-                dims, circuit.ops(), error_fences(sites), fusion);
-            for (const exec::FusedGroup& group : groups) {
-                if (group.members.size() == 1) {
-                    const Operation& op = circuit.ops()[group.members[0]];
-                    superops.push_back(exec::compile_superop(
-                        dims, op.gate, op.wires, &cache));
-                } else {
-                    // Wrap the product in a Gate so controlled structure
-                    // survives fusion on this path too (plain-matrix
-                    // compilation would densify same-signature controlled
-                    // products). Fused-group plans are keyed by the full
-                    // option salt (see FusionOptions::plan_salt).
-                    std::vector<int> gate_dims;
-                    gate_dims.reserve(group.wires.size());
-                    for (const int w : group.wires) {
-                        gate_dims.push_back(dims.dim(w));
-                    }
-                    const Gate fused_gate(
-                        "fused[" + std::to_string(group.members.size()) +
-                            "]",
-                        std::move(gate_dims),
-                        exec::fused_matrix(dims, circuit.ops(), group));
-                    superops.push_back(exec::compile_superop(
-                        dims, fused_gate, group.wires, &cache,
-                        fusion.plan_salt()));
-                }
-                steps.push_back({Step::Kind::kSuperOp, superops.size() - 1});
-                for (const std::uint32_t src : group.members) {
+            gates = exec::CompiledCircuit(circuit, fusion,
+                                          error_fences(sites), &cache);
+            for (std::size_t k = 0; k < gates.num_ops(); ++k) {
+                steps.push_back({Step::Kind::kGate, k});
+                for (const std::uint32_t src : gates.ops()[k].source_ops) {
                     push_op_channels(static_cast<std::size_t>(src));
                 }
             }
@@ -454,13 +582,9 @@ struct DensityCompilation::Impl {
         }
 
         // Compile every gate once, sharing plans across same-wire ops.
-        std::vector<std::size_t> gate_ops;
-        gate_ops.reserve(circuit.num_ops());
-        for (const Operation& op : circuit.ops()) {
-            superops.push_back(
-                exec::compile_superop(dims, op.gate, op.wires, &cache));
-            gate_ops.push_back(superops.size() - 1);
-        }
+        exec::FusionOptions off = fusion;
+        off.enabled = false;
+        gates = exec::CompiledCircuit(circuit, off, {}, &cache);
 
         // Idle noise per wire (damping, then dephasing): dt depends only
         // on the moment type, so at most two variants exist per wire.
@@ -489,7 +613,7 @@ struct DensityCompilation::Impl {
         const auto moments = schedule_asap(circuit);
         for (const Moment& moment : moments) {
             for (const std::size_t idx : moment.op_indices) {
-                steps.push_back({Step::Kind::kSuperOp, gate_ops[idx]});
+                steps.push_back({Step::Kind::kGate, idx});
                 push_op_channels(idx);
             }
             const Real dt = model.moment_duration(moment.has_multi_qudit);
@@ -538,17 +662,22 @@ density_matrix_fidelity(const Circuit& circuit, const NoiseModel& model,
 
 Real
 density_matrix_fidelity(const DensityCompilation& compiled,
-                        const StateVector& initial)
+                        const StateVector& initial, int threads)
 {
     using Step = DensityCompilation::Impl::Step;
     const DensityCompilation::Impl& impl = compiled.impl();
     const StateVector ideal = simulate(impl.ideal, initial);
     DensityMatrix dm(initial);
+    if (threads <= 0) {
+        threads = std::max(
+            1, static_cast<int>(std::thread::hardware_concurrency()));
+    }
+    dm.set_threads(threads);
     obs::ScopedSpan exec_span("density", "execute");
     exec_span.arg("steps", static_cast<std::int64_t>(impl.steps.size()));
     for (const Step& step : impl.steps) {
-        if (step.kind == Step::Kind::kSuperOp) {
-            dm.apply(impl.superops[step.index]);
+        if (step.kind == Step::Kind::kGate) {
+            dm.apply(impl.gates.ops()[step.index]);
         } else {
             dm.apply(impl.noise[step.index]);
         }

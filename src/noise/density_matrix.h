@@ -1,22 +1,26 @@
 /**
  * @file density_matrix.h
- * Exact density-matrix evolution: gates on the compiled superoperator
- * engine, noise channels in closed form.
+ * Exact density-matrix evolution: gates on the batched state-vector
+ * kernels, noise channels in closed form.
  *
  * The paper (Section 6.2) notes that the quantum-trajectory method
  * converges to full density-matrix simulation over repeated trials. This
  * module provides that reference implementation so tests can quantify the
- * convergence. Storage is still d^N x d^N. Gates are applied through
- * exec::CompiledSuperOp — two strided block passes over rho at
- * O(D^2 * b) per operator instead of the dense-kron O(D^3) — sharing the
- * trajectory engine's ApplyPlan offset tables. The engine's noise
- * channels (depolarizing gate errors, amplitude damping, Gaussian
- * dephasing) have closed forms on each operand block of rho, so each is
- * one O(D^2) pass (CompiledNoise) instead of one conjugation per Kraus
- * operator. General Kraus channels keep the superoperator route
- * (compile_channel / apply_channel). The old dense path survives as
- * apply_*_dense, the reference oracle both routes are property-tested
- * against.
+ * convergence. Storage is d^N x d^N, row-major. A row-major D x D matrix
+ * has the layout of a batched state with D lanes, lane c being column c,
+ * so one exec::apply_op_batched pass maps rho to K rho. Because rho is
+ * Hermitian, K rho K^dagger = K (K rho)^dagger: a conjugation is that
+ * pass, an in-place conjugate transpose, and the pass again, O(D^2 * b)
+ * per operator instead of the dense-kron O(D^3). Gates, Kraus operators
+ * and apply_unitary all run through exec::compile_op, the same
+ * CompiledOps, PlanCache and fusion as the state-vector and trajectory
+ * engines. The engine's noise channels (depolarizing gate errors,
+ * amplitude damping, Gaussian dephasing) have closed forms on each
+ * operand block of rho, so each is one O(D^2) pass (CompiledNoise)
+ * instead of one conjugation per Kraus operator. General Kraus channels
+ * conjugate by every operator (compile_channel / apply_channel). The old
+ * dense path survives as apply_*_dense, the reference oracle both routes
+ * are property-tested against.
  */
 #ifndef NOISE_DENSITY_MATRIX_H
 #define NOISE_DENSITY_MATRIX_H
@@ -29,20 +33,20 @@
 #include "noise/kraus.h"
 #include "noise/noise_model.h"
 #include "qdsim/circuit.h"
+#include "qdsim/exec/batched_kernels.h"
 #include "qdsim/exec/fusion.h"
-#include "qdsim/exec/superop.h"
 #include "qdsim/state_vector.h"
 
 namespace qd::noise {
 
 /**
  * A Kraus channel compiled once per (channel, wires, dims): every operator
- * lowered to its cheapest superoperator kernel, all sharing one ApplyPlan.
+ * compiled as a Gate to its cheapest kernel, all sharing one ApplyPlan.
  * Immutable after compile_channel; reusable across moments and across
  * DensityMatrix instances over the same register.
  */
 struct CompiledChannel {
-    std::vector<exec::CompiledSuperOp> kraus;
+    std::vector<exec::CompiledOp> kraus;
 };
 
 /**
@@ -127,30 +131,40 @@ class DensityMatrix {
     /** rho = |digits><digits|. */
     DensityMatrix(WireDims dims, const std::vector<int>& digits);
 
-    /** Adopts an existing density matrix (must be dims.size() square). */
+    /** Adopts an existing density matrix.
+     *  @throws std::invalid_argument unless rho is dims.size() square and
+     *          Hermitian to kTol (conjugation relies on rho = rho^dagger). */
     DensityMatrix(WireDims dims, Matrix rho);
 
     const WireDims& dims() const { return dims_; }
     const Matrix& rho() const { return rho_; }
-    Matrix& mutable_rho() { return rho_; }
 
     /** Plan cache shared by every operator compiled against this register;
      *  callers precompiling their own operators should pass it to
-     *  compile_superop, compile_channel or the compile_* noise functions
+     *  exec::compile_op, compile_channel or the compile_* noise functions
      *  so tables are built once. */
     exec::PlanCache& plan_cache() { return cache_; }
 
+    /** Caps the OpenMP team of the conjugation passes (0 = the OpenMP
+     *  default). Below a 3^6 register they stay serial whatever the cap;
+     *  results are bitwise independent of it. */
+    void set_threads(int threads);
+
     /** Applies a unitary on the given wires: rho -> U rho U^dagger
-     *  (compiled superoperator path; plans cached per wire tuple). */
+     *  (compiled kernel path; plans cached per wire tuple). */
     void apply_unitary(const Matrix& u, std::span<const int> wires);
 
     /** Applies a Kraus channel on the given wires:
-     *  rho -> sum_i K_i rho K_i^dagger (compiled superoperator path). */
+     *  rho -> sum_i K_i rho K_i^dagger (compiled kernel path). */
     void apply_channel(const KrausChannel& channel,
                        std::span<const int> wires);
 
-    /** Applies a precompiled operator: rho -> K rho K^dagger. */
-    void apply(const exec::CompiledSuperOp& op);
+    /** Applies a precompiled operator: rho -> K rho K^dagger, as
+     *  K (K rho)^dagger — two batched passes with rho's columns as lanes
+     *  around an in-place conjugate transpose.
+     *  @throws std::invalid_argument if `op` was compiled for another
+     *          register size. */
+    void apply(const exec::CompiledOp& op);
 
     /** Applies a precompiled channel: rho -> sum_i K_i rho K_i^dagger. */
     void apply(const CompiledChannel& channel);
@@ -161,8 +175,8 @@ class DensityMatrix {
     /**
      * Dense reference oracle for apply_unitary: expands U to the full
      * register and multiplies, O(D^3). Kept (with apply_channel_dense)
-     * as the independent implementation the compiled superoperator path
-     * is property-tested and benchmarked against.
+     * as the independent implementation the compiled path is
+     * property-tested and benchmarked against.
      */
     void apply_unitary_dense(const Matrix& u, std::span<const int> wires);
 
@@ -178,23 +192,28 @@ class DensityMatrix {
     Real trace_real() const;
 
   private:
+    /** m -> K m K^dagger for a Hermitian m over this register (rho_ or a
+     *  channel-term copy of it). */
+    void conjugate(const exec::CompiledOp& op, Matrix& m);
+
     /** Expands a k-local operator to the full register (dense; small N). */
     Matrix expand(const Matrix& op, std::span<const int> wires) const;
 
     WireDims dims_;
     Matrix rho_;
     exec::PlanCache cache_;
-    exec::ExecScratch scratch_;
+    exec::BatchedScratch scratch_;
     Matrix tmp_, acc_;  ///< channel-application scratch (kept allocated)
 };
 
 /**
  * Everything the exact engine derives from (circuit, model, fusion)
- * before rho moves: the fully fused ideal reference compilation, every
- * gate lowered to its superoperator kernel, every gate-error, damping and
- * dephasing channel lowered to its closed form (CompiledNoise), all
- * against one shared plan cache, and the flattened moment-by-moment step
- * program the evolution replays. Immutable after construction and safe
+ * before rho moves: the fully fused ideal reference compilation, the
+ * gates as an exec::CompiledCircuit (built exactly as the trajectory
+ * engine builds its noisy loop), every gate-error, damping and dephasing
+ * channel lowered to its closed form (CompiledNoise), all against one
+ * shared plan cache, and the flattened moment-by-moment step program the
+ * evolution replays. Immutable after construction and safe
  * to share across threads — the CompileService caches these across
  * requests so repeated submissions of the same (circuit, model, fusion)
  * skip compilation entirely. Construction does NOT verify; admission is
@@ -226,18 +245,18 @@ class DensityCompilation {
  * Evolves `initial` through the circuit under the model's noise exactly
  * (moment by moment, same channel placement as the trajectory engine —
  * see error_placement.h) and returns the fidelity against the noiseless
- * output. Gates are compiled ONCE to superoperators against a shared plan
- * cache, at O(D^2 * b) per application. Gate-error depolarizing, per-wire
- * damping and dephasing run in closed form (CompiledNoise), one O(D^2)
- * pass over rho each. Coherent dephasing is modelled as the equivalent
- * Gaussian dephasing channel.
+ * output. Gates are compiled ONCE against a shared plan cache and
+ * conjugate rho at O(D^2 * b) per application. Gate-error depolarizing,
+ * per-wire damping and dephasing run in closed form (CompiledNoise), one
+ * O(D^2) pass over rho each. Coherent dephasing is modelled as the
+ * equivalent Gaussian dephasing channel.
  *
- * `fusion` drives the compile-time fusion stage (exec/fusion.h) on the
- * superoperator side: gate runs between noise boundaries merge into one
- * conjugation pass. Error channels fence the partition, so they attach to
- * pre-fusion op boundaries exactly like the trajectory engine; under idle
- * noise (damping/dephasing every moment, where in-moment ops are
- * wire-disjoint) the per-op moment loop is kept unchanged.
+ * `fusion` drives the compile-time fusion stage (exec/fusion.h): gate
+ * runs between noise boundaries merge into one conjugation. Error
+ * channels fence the partition, so they attach to pre-fusion op
+ * boundaries exactly like the trajectory engine; under idle noise
+ * (damping/dephasing every moment, where in-moment ops are wire-disjoint)
+ * the per-op moment loop is kept unchanged.
  *
  * Compilation routes through exec::CompileService::global(), so repeated
  * calls with the same (circuit, model, fusion) reuse one
@@ -255,9 +274,13 @@ Real density_matrix_fidelity(const Circuit& circuit, const NoiseModel& model,
 
 /** Precompiled variant: replays an existing compilation's step program
  *  against a fresh rho = |initial><initial| (no verification, no
- *  recompilation) — the per-request hot path behind the CompileService. */
+ *  recompilation) — the per-request hot path behind the CompileService.
+ *  `threads` is the thread budget of the passes over rho (0 = hardware
+ *  concurrency, as RunRequest::threads); they go parallel only on
+ *  registers of 3^6 and up, and the result is bitwise independent of it.
+ *  Concurrent calls may share one compilation. */
 Real density_matrix_fidelity(const DensityCompilation& compiled,
-                             const StateVector& initial);
+                             const StateVector& initial, int threads = 0);
 
 }  // namespace qd::noise
 

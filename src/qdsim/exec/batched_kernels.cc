@@ -25,6 +25,16 @@ as_reals(const Complex* p)
     return reinterpret_cast<const Real*>(p);
 }
 
+/** kernel_team for a pass over `outer` blocks of B lanes each: the
+ *  threshold counts lane-blocks, so a wide batch (a density matrix has
+ *  D lanes) goes parallel on few outer blocks. */
+inline int
+lane_team(std::int64_t outer, std::size_t B, const BatchedScratch& scratch)
+{
+    return kernel_team(outer * static_cast<std::int64_t>(B),
+                       scratch.threads);
+}
+
 void
 run_permutation_b(const CompiledOp& op, Complex* amps, const std::size_t B,
                   BatchedScratch& scratch)
@@ -58,7 +68,7 @@ run_permutation_b(const CompiledOp& op, Complex* amps, const std::size_t B,
         }
     };
 #ifdef _OPENMP
-    if (const int team = kernel_team(nouter, scratch.threads); team > 1) {
+    if (const int team = lane_team(nouter, B, scratch); team > 1) {
 #pragma omp parallel num_threads(team)
         {
             std::vector<Complex> tmp(B);
@@ -126,7 +136,7 @@ run_monomial_b(const CompiledOp& op, Complex* amps, const std::size_t B,
         }
     };
 #ifdef _OPENMP
-    if (const int team = kernel_team(nouter, scratch.threads); team > 1) {
+    if (const int team = lane_team(nouter, B, scratch); team > 1) {
 #pragma omp parallel num_threads(team)
         {
             std::vector<Complex> tmp(B);
@@ -169,7 +179,7 @@ run_diagonal_b(const CompiledOp& op, Complex* amps, const std::size_t B,
         }
     };
 #ifdef _OPENMP
-    if (const int team = kernel_team(nouter, scratch.threads); team > 1) {
+    if (const int team = lane_team(nouter, B, scratch); team > 1) {
 #pragma omp parallel for num_threads(team) schedule(static)
         for (std::int64_t o = 0; o < nouter; ++o) {
             do_block(plan.base_of(static_cast<Index>(o)));
@@ -217,7 +227,7 @@ run_single_d2_b(const CompiledOp& op, Complex* amps, Index total,
         }
     };
 #ifdef _OPENMP
-    if (const int team = kernel_team(nchunks, scratch.threads); team > 1) {
+    if (const int team = lane_team(nchunks, B, scratch); team > 1) {
 #pragma omp parallel for num_threads(team) schedule(static)
         for (std::int64_t c = 0; c < nchunks; ++c) {
             do_chunk(static_cast<Index>(c) * period);
@@ -274,7 +284,7 @@ run_single_d3_b(const CompiledOp& op, Complex* amps, Index total,
         }
     };
 #ifdef _OPENMP
-    if (const int team = kernel_team(nchunks, scratch.threads); team > 1) {
+    if (const int team = lane_team(nchunks, B, scratch); team > 1) {
 #pragma omp parallel for num_threads(team) schedule(static)
         for (std::int64_t c = 0; c < nchunks; ++c) {
             do_chunk(static_cast<Index>(c) * period);
@@ -366,7 +376,7 @@ run_block_matvec_b(const CompiledOp& op, Complex* amps, const std::size_t B,
         static_cast<std::int64_t>(plan.outer_count());
     const std::size_t need = static_cast<std::size_t>(nb) * B;
 #ifdef _OPENMP
-    if (const int team = kernel_team(nouter, scratch.threads); team > 1) {
+    if (const int team = lane_team(nouter, B, scratch); team > 1) {
 #pragma omp parallel num_threads(team)
         {
             std::vector<Complex> in(need);
@@ -397,8 +407,14 @@ void
 apply_op_batched(const CompiledOp& op, BatchedStateVector& psi,
                  BatchedScratch& scratch)
 {
-    Complex* amps = psi.data();
-    const std::size_t B = static_cast<std::size_t>(psi.lanes());
+    apply_op_batched(op, psi.data(), psi.lanes(), scratch);
+}
+
+void
+apply_op_batched(const CompiledOp& op, Complex* amps, int lanes,
+                 BatchedScratch& scratch)
+{
+    const std::size_t B = static_cast<std::size_t>(lanes);
     // Counter hook sits OUTSIDE the kernels' OpenMP regions. The class
     // counter advances by the lane count so per-class totals across the
     // two zoos are invariant under the batch width (each lane is bitwise
@@ -408,7 +424,7 @@ apply_op_batched(const CompiledOp& op, BatchedStateVector& psi,
         obs::count_unchecked(obs::Counter::kBatDispatches);
         obs::count_unchecked(
             obs::Counter::kEstimatedFlops,
-            op_flop_estimate(op, psi.size()) * static_cast<std::uint64_t>(B));
+            op_flop_estimate(op, op.dim) * static_cast<std::uint64_t>(B));
     }
     switch (op.kind) {
         case KernelKind::kPermutation:
@@ -421,10 +437,10 @@ apply_op_batched(const CompiledOp& op, BatchedStateVector& psi,
             run_monomial_b(op, amps, B, scratch);
             return;
         case KernelKind::kSingleWireD2:
-            run_single_d2_b(op, amps, psi.size(), B, scratch);
+            run_single_d2_b(op, amps, op.dim, B, scratch);
             return;
         case KernelKind::kSingleWireD3:
-            run_single_d3_b(op, amps, psi.size(), B, scratch);
+            run_single_d3_b(op, amps, op.dim, B, scratch);
             return;
         case KernelKind::kControlled:
             run_block_matvec_b(op, amps, B, scratch, op.inner_offset.data(),

@@ -6,9 +6,9 @@
  * BatchedStateVector in a single pass: the plan's offset tables and the
  * gate payload are read once per amplitude block instead of once per shot,
  * and the per-amplitude work runs over the B contiguous lanes with
- * `QD_SIMD` inner loops. Outer blocks go parallel via OpenMP on large
- * registers like the single-shot kernels, with at most
- * BatchedScratch::threads threads.
+ * `QD_SIMD` inner loops. Outer blocks go parallel via OpenMP once
+ * outer blocks x lanes reach the single-shot kernels' threshold, with at
+ * most BatchedScratch::threads threads.
  *
  * Per lane, every kernel performs the same floating-point operations in
  * the same order as its single-shot counterpart in kernels.cc, so lane b
@@ -42,6 +42,13 @@ struct BatchedScratch {
 /** Executes a compiled operation on every lane in place. `psi` must be
  *  over the dims the op was compiled for. */
 void apply_op_batched(const CompiledOp& op, BatchedStateVector& psi,
+                      BatchedScratch& scratch);
+
+/** Raw-storage form: `amps` holds `lanes` states over the op's register
+ *  in the BatchedStateVector layout (amplitude idx of lane b at
+ *  amps[idx * lanes + b]). A row-major D x D matrix is D lanes, one per
+ *  column, so this maps it to K times it. */
+void apply_op_batched(const CompiledOp& op, Complex* amps, int lanes,
                       BatchedScratch& scratch);
 
 /** Applies all operations of a compiled circuit to every lane in order. */

@@ -64,8 +64,8 @@
  *    group, so this holds even when groups span wire-set unions).
  *
  * The partition (fuse_sites) is engine-agnostic: CompiledCircuit lowers
- * groups to state-vector kernels (shared by the batched lane engine), and
- * the density-matrix path compiles the same groups to superoperators.
+ * groups to state-vector kernels, which the batched lane engine and the
+ * density-matrix engine (rho's columns as lanes) run as well.
  */
 #ifndef QDSIM_EXEC_FUSION_H
 #define QDSIM_EXEC_FUSION_H

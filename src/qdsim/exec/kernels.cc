@@ -43,6 +43,48 @@ build_cycles(const Gate& gate, const ApplyPlan& plan,
     }
 }
 
+/** Builds the non-trivial cycles of a monomial action (perm[c] = r,
+ *  phase[c] = op(r, c)), composed with the plan's local offsets: a value
+ *  at cycle slot i moves to slot i+1 scaled by phases[i]; length-1 cycles
+ *  are fixed points with a non-unit phase (identity fixed points are
+ *  skipped). */
+void
+build_monomial_cycles(const std::vector<Index>& perm,
+                      const std::vector<Complex>& phase,
+                      const ApplyPlan& plan, std::vector<Index>& offsets,
+                      std::vector<Complex>& phases,
+                      std::vector<std::uint32_t>& lengths)
+{
+    const Index block = plan.block;
+    std::vector<bool> seen(static_cast<std::size_t>(block), false);
+    for (Index start = 0; start < block; ++start) {
+        const std::size_t us = static_cast<std::size_t>(start);
+        if (seen[us]) {
+            continue;
+        }
+        if (perm[us] == start) {
+            if (std::abs(phase[us] - Complex(1, 0)) <= kTol) {
+                continue;  // identity fixed point
+            }
+            offsets.push_back(plan.local_offset[us]);
+            phases.push_back(phase[us]);
+            lengths.push_back(1);
+            continue;
+        }
+        std::uint32_t len = 0;
+        Index b = start;
+        do {
+            const std::size_t ub = static_cast<std::size_t>(b);
+            seen[ub] = true;
+            offsets.push_back(plan.local_offset[ub]);
+            phases.push_back(phase[ub]);
+            ++len;
+            b = perm[ub];
+        } while (b != start);
+        lengths.push_back(len);
+    }
+}
+
 void
 run_permutation(const CompiledOp& op, Complex* amps,
                 [[maybe_unused]] const ExecScratch& scratch)
@@ -320,43 +362,6 @@ run_dense(const CompiledOp& op, Complex* amps, ExecScratch& scratch)
 
 }  // namespace
 
-void
-build_monomial_cycles(const std::vector<Index>& perm,
-                      const std::vector<Complex>& phase,
-                      const ApplyPlan& plan, std::vector<Index>& offsets,
-                      std::vector<Complex>& phases,
-                      std::vector<std::uint32_t>& lengths)
-{
-    const Index block = plan.block;
-    std::vector<bool> seen(static_cast<std::size_t>(block), false);
-    for (Index start = 0; start < block; ++start) {
-        const std::size_t us = static_cast<std::size_t>(start);
-        if (seen[us]) {
-            continue;
-        }
-        if (perm[us] == start) {
-            if (std::abs(phase[us] - Complex(1, 0)) <= kTol) {
-                continue;  // identity fixed point
-            }
-            offsets.push_back(plan.local_offset[us]);
-            phases.push_back(phase[us]);
-            lengths.push_back(1);
-            continue;
-        }
-        std::uint32_t len = 0;
-        Index b = start;
-        do {
-            const std::size_t ub = static_cast<std::size_t>(b);
-            seen[ub] = true;
-            offsets.push_back(plan.local_offset[ub]);
-            phases.push_back(phase[ub]);
-            ++len;
-            b = perm[ub];
-        } while (b != start);
-        lengths.push_back(len);
-    }
-}
-
 bool
 monomial_action(const Matrix& op, std::vector<Index>& perm,
                 std::vector<Complex>& phase)
@@ -499,6 +504,7 @@ compile_op(const WireDims& dims, const Gate& gate,
     CompiledOp op;
     op.gate = gate;
     op.wires.assign(wires.begin(), wires.end());
+    op.dim = dims.size();
 
     // Single-wire unrolled kernels need no offset tables at all.
     if (gate.arity() == 1 && !gate.is_permutation() &&

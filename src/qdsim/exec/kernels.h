@@ -75,6 +75,8 @@ struct CompiledOp {
     /** Original gate; keeps the matrix payload alive for kDense. */
     Gate gate;
     std::vector<int> wires;
+    /** Size of the register the op was compiled for (dims.size()). */
+    Index dim = 0;
     /** Offset tables; null for the single-wire unrolled kernels. */
     std::shared_ptr<const ApplyPlan> plan;
 
@@ -120,22 +122,6 @@ bool monomial_action(const Matrix& op, std::vector<Index>& perm,
                      std::vector<Complex>& phase);
 
 /**
- * Appends the non-trivial cycles of a monomial action to the three
- * parallel output vectors, composed with the plan's local offsets so
- * kernels walk state offsets directly. A value at cycle slot i moves to
- * slot i+1 scaled by phases[i]; length-1 cycles are fixed points with a
- * non-unit phase (identity fixed points are skipped). Shared by the
- * state-vector (CompiledOp) and superoperator (CompiledSuperOp) monomial
- * compilers so the two kernels can never diverge.
- */
-void build_monomial_cycles(const std::vector<Index>& perm,
-                           const std::vector<Complex>& phase,
-                           const ApplyPlan& plan,
-                           std::vector<Index>& offsets,
-                           std::vector<Complex>& phases,
-                           std::vector<std::uint32_t>& lengths);
-
-/**
  * Compiles one (gate, wires) application site against `dims`, choosing the
  * kernel from the gate's cached structure. `cache` (optional) shares
  * ApplyPlans between operations on the same wires; `plan_salt`
@@ -165,7 +151,8 @@ obs::Counter kernel_counter(KernelKind kind, bool batched) noexcept;
 std::uint64_t op_flop_estimate(const CompiledOp& op, Index total) noexcept;
 
 /** OpenMP team size for a kernel's outer loop over `outer` disjoint
- *  blocks, in both kernel zoos: 1 below the parallel threshold (there a
+ *  blocks, in both kernel zoos (the batched zoo passes lane-blocks,
+ *  outer blocks x lanes): 1 below the parallel threshold (there a
  *  trajectory's parallelism is across shots, not inside one gate), else
  *  `threads` (a scratch's share of the budget; 0 = the OpenMP default).
  *  Blocks are disjoint, so results are bitwise independent of it. */

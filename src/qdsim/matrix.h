@@ -62,8 +62,8 @@ class Matrix {
     /** Raw row-major storage (size rows()*cols()). */
     const std::vector<Complex>& data() const { return data_; }
 
-    /** Mutable raw storage (the compiled superoperator kernels update
-     *  density matrices in place through this). */
+    /** Mutable raw storage (the density engine runs the batched kernels
+     *  over rho in place through this). */
     std::vector<Complex>& data() { return data_; }
 
     Matrix operator*(const Matrix& rhs) const;

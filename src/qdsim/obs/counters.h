@@ -62,7 +62,9 @@ enum class Counter : unsigned {
     kBatControlled,
     kBatDense,
     kBatDispatches,  ///< apply_op_batched calls (NOT batch-invariant)
-    // Superoperator conjugations by class (exec/superop.cc).
+    // Density-matrix conjugations (noise/density_matrix.cc), one per
+    // K rho K^dagger, by the CompiledOp's kernel class: permutation and
+    // monomial count as monomial, single-wire and dense as dense.
     kSuperDiagonal,
     kSuperMonomial,
     kSuperControlled,

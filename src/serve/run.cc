@@ -180,7 +180,7 @@ execute(const RunRequest& request, exec::CompileService& service)
                 const auto e0 = Clock::now();
                 const StateVector initial(artifact->density->dims());
                 result.value = noise::density_matrix_fidelity(
-                    *artifact->density, initial);
+                    *artifact->density, initial, request.threads);
                 result.exec_seconds += since(e0);
             }
             result.warm = result.warm || hit;

@@ -1,14 +1,17 @@
 /**
- * Property tests for the compiled density-matrix engine: every compiled
- * superoperator kernel (diagonal, monomial, controlled-subspace, dense)
- * and every closed-form noise channel (depolarizing, damping, dephasing)
- * must match the dense expand() oracle on random mixed-radix density
- * matrices, including non-unitary Kraus sets; the trajectory engine must
- * converge to the compiled exact evolution, on every Figure 11 cell.
+ * Property tests for the compiled density-matrix engine: a conjugation
+ * through every kernel class (permutation, diagonal, monomial, single-wire
+ * d=2/d=3, controlled-subspace, dense) and every closed-form noise channel
+ * (depolarizing, damping, dephasing) must match the dense expand() oracle
+ * on random mixed-radix density matrices, including non-unitary Kraus
+ * sets; results must not depend on the thread budget or on other threads
+ * sharing the compilation; the trajectory engine must converge to the
+ * compiled exact evolution, on every Figure 11 cell.
  */
 #include "noise/density_matrix.h"
 
 #include <cmath>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -17,7 +20,6 @@
 #include "noise/error_placement.h"
 #include "noise/models.h"
 #include "noise/trajectory.h"
-#include "qdsim/exec/superop.h"
 #include "qdsim/gate_library.h"
 #include "qdsim/random_state.h"
 #include "qdsim/simulator.h"
@@ -25,7 +27,7 @@
 namespace qd::noise {
 namespace {
 
-using exec::SuperOpKind;
+using exec::KernelKind;
 
 /** Random dense (generally non-unitary) operator. */
 Matrix
@@ -77,28 +79,43 @@ expect_rho_equal(const Matrix& a, const Matrix& b, Real tol,
     }
 }
 
-/** Applies `op` to copies of a random mixed rho via the compiled and the
+/** A random (generally non-unitary) operator as a Gate over `wires`. */
+Gate
+random_gate(const WireDims& dims, const std::vector<int>& wires, Rng& rng)
+{
+    std::vector<int> gdims;
+    std::size_t block = 1;
+    for (const int w : wires) {
+        gdims.push_back(dims.dim(w));
+        block *= static_cast<std::size_t>(dims.dim(w));
+    }
+    return Gate("rand", gdims, random_matrix(block, rng));
+}
+
+/** Applies `gate` to copies of a random mixed rho via the compiled and the
  *  dense-oracle path, expecting agreement; returns the routed kernel. */
-SuperOpKind
+KernelKind
 check_unitary_against_oracle(const WireDims& dims, const Gate& gate,
                              const std::vector<int>& wires, Rng& rng)
 {
     const Matrix rho = random_mixed_rho(dims, rng);
     DensityMatrix compiled(dims, rho);
     DensityMatrix dense(dims, rho);
-    const auto sop = exec::compile_superop(dims, gate, wires,
-                                           &compiled.plan_cache());
-    compiled.apply(sop);
+    const exec::CompiledOp op =
+        exec::compile_op(dims, gate, wires, &compiled.plan_cache());
+    compiled.apply(op);
     dense.apply_unitary_dense(gate.matrix(), wires);
     expect_rho_equal(compiled.rho(), dense.rho(), 1e-10,
-                     exec::superop_kernel_name(sop.kind));
-    return sop.kind;
+                     exec::kernel_name(op.kind));
+    return op.kind;
 }
 
 TEST(DensityMatrix, CompiledUnitaryMatchesOracleOnRandomOperators) {
+    // D = 8 and 32 are powers of two, 18 and 27 cross a transpose tile
+    // edge without filling the tile.
     Rng rng(301);
     const std::vector<std::vector<int>> registers = {
-        {2, 2, 2}, {3, 3}, {2, 3, 2}, {3, 2, 3}};
+        {2, 2, 2}, {3, 3}, {2, 3, 2}, {3, 2, 3}, {3, 3, 3}, {2, 2, 2, 2, 2}};
     for (const auto& reg : registers) {
         const WireDims dims(reg);
         for (int k = 1; k <= 2; ++k) {
@@ -116,8 +133,12 @@ TEST(DensityMatrix, CompiledUnitaryMatchesOracleOnRandomOperators) {
                 }
                 const Gate g("rand", gdims,
                              haar_random_unitary(block, rng));
+                const KernelKind expected =
+                    k == 2 ? KernelKind::kDense
+                    : gdims[0] == 2 ? KernelKind::kSingleWireD2
+                                    : KernelKind::kSingleWireD3;
                 EXPECT_EQ(check_unitary_against_oracle(dims, g, wires, rng),
-                          SuperOpKind::kDense);
+                          expected);
             }
         }
     }
@@ -126,40 +147,59 @@ TEST(DensityMatrix, CompiledUnitaryMatchesOracleOnRandomOperators) {
 TEST(DensityMatrix, KernelRoutingMatchesOperatorStructure) {
     Rng rng(302);
     const WireDims q3 = WireDims::uniform(3, 3);
-    // Phase-only gates route to the fused diagonal kernel.
+    const WireDims mixed({2, 3, 2});
+    // Phase-only gates route to the diagonal kernel.
     EXPECT_EQ(check_unitary_against_oracle(q3, gates::Z3(), {1}, rng),
-              SuperOpKind::kDiagonal);
-    // Pure permutations and generalized Paulis route to monomial cycles.
+              KernelKind::kDiagonal);
+    // Pure permutations move values along cycles.
     EXPECT_EQ(check_unitary_against_oracle(q3, gates::Xplus1(), {2}, rng),
-              SuperOpKind::kMonomial);
+              KernelKind::kPermutation);
+    EXPECT_EQ(check_unitary_against_oracle(
+                  mixed, gates::Xplus1().controlled(2, 1), {2, 1}, rng),
+              KernelKind::kPermutation);
+    // Generalized permutations add a phase per move (on one qutrit they
+    // take the single-wire kernel instead).
+    EXPECT_EQ(check_unitary_against_oracle(
+                  q3,
+                  Gate("ZxX", {3, 3},
+                       gates::Z3().matrix().kron(gates::Xplus1().matrix())),
+                  {2, 0}, rng),
+              KernelKind::kMonomial);
     // Controlled gates touch only the active control subspace.
     EXPECT_EQ(check_unitary_against_oracle(
                   q3, gates::H3().controlled(3, 2), {0, 2}, rng),
-              SuperOpKind::kControlled);
-    // Generic dense fallback.
+              KernelKind::kControlled);
+    // Single-wire unrolled kernels, qubit and qutrit.
     EXPECT_EQ(check_unitary_against_oracle(
                   q3, Gate("rand", {3}, haar_random_unitary(3, rng)), {1},
                   rng),
-              SuperOpKind::kDense);
+              KernelKind::kSingleWireD3);
+    EXPECT_EQ(check_unitary_against_oracle(
+                  mixed, Gate("rand", {2}, haar_random_unitary(2, rng)), {2},
+                  rng),
+              KernelKind::kSingleWireD2);
+    // Generic dense fallback.
+    EXPECT_EQ(check_unitary_against_oracle(
+                  mixed, Gate("rand", {2, 3}, haar_random_unitary(6, rng)),
+                  {0, 1}, rng),
+              KernelKind::kDense);
 }
 
 TEST(DensityMatrix, MonomialKernelCoversGeneralizedPaulis) {
-    // Every X^j Z^k depolarizing term is a generalized permutation; the
-    // monomial kernel must reproduce the oracle for all of them.
+    // Every two-wire X^j Z^k depolarizing term is a generalized
+    // permutation; it must route to a structured kernel and reproduce the
+    // oracle.
     Rng rng(303);
     const WireDims dims({3, 2, 3});
-    const MixedUnitaryChannel ch = depolarizing1(3, 0.01);
-    const std::vector<int> wires = {2};
+    const MixedUnitaryChannel ch = depolarizing2(3, 2, 0.01);
+    const std::vector<int> wires = {2, 1};
     for (const Matrix& u : ch.unitaries) {
-        const Matrix rho = random_mixed_rho(dims, rng);
-        DensityMatrix compiled(dims, rho);
-        DensityMatrix dense(dims, rho);
-        const auto sop = exec::compile_superop(dims, u, wires);
-        EXPECT_NE(sop.kind, SuperOpKind::kDense)
-            << "generalized Pauli should hit a structured kernel";
-        compiled.apply(sop);
-        dense.apply_unitary_dense(u, wires);
-        expect_rho_equal(compiled.rho(), dense.rho(), 1e-10, "pauli");
+        const KernelKind kind = check_unitary_against_oracle(
+            dims, Gate("pauli", {3, 2}, u), wires, rng);
+        EXPECT_TRUE(kind == KernelKind::kPermutation ||
+                    kind == KernelKind::kDiagonal ||
+                    kind == KernelKind::kMonomial)
+            << "generalized Pauli routed to " << exec::kernel_name(kind);
     }
 }
 
@@ -400,6 +440,38 @@ TEST(DensityMatrix, AdoptedRhoCtorValidatesSize) {
                  std::invalid_argument);
 }
 
+TEST(DensityMatrix, AdoptedRhoCtorRejectsNonHermitian) {
+    // Conjugation computes K (K rho)^dagger, which is K rho K^dagger only
+    // for a Hermitian rho.
+    const WireDims dims({2, 3});
+    Rng rng(315);
+    const Matrix rho = random_mixed_rho(dims, rng);
+    EXPECT_NO_THROW(DensityMatrix(dims, rho));
+    Matrix skew = rho;
+    skew(1, 4) += Complex(0, 1e-6);
+    EXPECT_THROW(DensityMatrix(dims, skew), std::invalid_argument);
+    Matrix complex_diag = rho;
+    complex_diag(2, 2) += Complex(0, 1e-6);
+    EXPECT_THROW(DensityMatrix(dims, complex_diag), std::invalid_argument);
+}
+
+TEST(DensityMatrix, ApplyRejectsOpOnOtherRegister) {
+    DensityMatrix dm(WireDims({3, 3, 2}), std::vector<int>{0, 1, 0});
+    const int w0[] = {0};
+    // Same operand dims, other register size: the plan and the single-wire
+    // run geometry would index past or short of rho.
+    EXPECT_THROW(dm.apply(exec::compile_op(WireDims({3, 3}), gates::H3(), w0)),
+                 std::invalid_argument);
+    EXPECT_THROW(dm.apply(exec::compile_op(WireDims({3, 3}), gates::Z3(), w0)),
+                 std::invalid_argument);
+    KrausChannel ch;
+    ch.operators.push_back(gates::H3().matrix());
+    EXPECT_THROW(dm.apply(compile_channel(WireDims({3, 3, 3}), ch,
+                                          std::vector<int>{0})),
+                 std::invalid_argument);
+    EXPECT_NEAR(dm.trace_real(), 1.0, 1e-15);
+}
+
 TEST(DensityMatrix, NoiselessCircuitFidelityIsOne) {
     Circuit c(WireDims::uniform(2, 3));
     c.append(gates::H3(), {0});
@@ -428,9 +500,8 @@ TEST(DensityMatrix, ErrorPlacementSplitsWideGatesIntoPairs) {
 }
 
 TEST(DensityMatrix, TrajectoryConvergesToCompiledExactDepolarizing) {
-    // Satellite: trajectory-vs-exact convergence on a 2-qutrit
-    // depolarizing circuit, with the exact side on the compiled
-    // superoperator path.
+    // Trajectory-vs-exact convergence on a 2-qutrit depolarizing
+    // circuit, with the exact side on the compiled path.
     Circuit c(WireDims::uniform(2, 3));
     c.append(gates::H3(), {0});
     c.append(gates::Xplus1().controlled(3, 1), {0, 1});
@@ -506,8 +577,8 @@ TEST(DensityMatrix, TrajectoryMeanMatchesExactOnFigure11Cells) {
 }
 
 TEST(DensityMatrix, FusedFidelityMatchesUnfused) {
-    // Gate errors on two-qutrit ops only: the superoperator path fuses
-    // the single-qutrit runs between channels into one conjugation pass;
+    // Gate errors on two-qutrit ops only: the density engine fuses the
+    // single-qutrit runs between channels into one conjugation;
     // the exact fidelity must be unchanged (error channels fence the
     // partition, so placement is identical).
     Circuit c(WireDims::uniform(2, 3));
@@ -532,51 +603,122 @@ TEST(DensityMatrix, FusedFidelityMatchesUnfused) {
     EXPECT_NEAR(fused, unfused, 1e-10);
 }
 
-TEST(DensityMatrix, SuperopKernelsMatchStateConjugationAtParallelScale) {
-    // 3^6 register: the size where the superoperator outer passes go
-    // parallel under OpenMP. On a pure state, K rho K^dagger must equal
-    // the outer product of K|psi> — checked for every kernel routing
-    // (dense, diagonal, monomial, controlled), serial or parallel.
-    const WireDims dims = WireDims::uniform(6, 3);
-    Rng rng(311);
-    const StateVector psi0 = haar_random_state(dims, rng);
+TEST(DensityMatrix, KernelsMatchStateConjugationAtParallelScale) {
+    // 3^6 and 2^10 registers: sizes where the conjugation passes go
+    // parallel under OpenMP (D = 729 is not a multiple of the transpose
+    // tile, 1024 is a power of two). On a pure state, K rho K^dagger must
+    // equal the outer product of K|psi> — checked for every kernel class.
     struct Case {
         Gate gate;
         std::vector<int> wires;
-        SuperOpKind kind;
+        KernelKind kind;
     };
-    const std::vector<Case> cases = {
-        {Gate("rand", {3, 3}, random_matrix(9, rng)),
-         {1, 4},
-         SuperOpKind::kDense},
-        {gates::Z3(), {2}, SuperOpKind::kDiagonal},
-        {Gate("ZxX", {3, 3},
-              gates::Z3().matrix().kron(gates::Xplus1().matrix())),
-         {0, 5},
-         SuperOpKind::kMonomial},
-        {gates::fourier(3).controlled(3, 2), {3, 1},
-         SuperOpKind::kControlled},
+    Rng rng(311);
+    const WireDims q6 = WireDims::uniform(6, 3);
+    const WireDims b10 = WireDims::uniform(10, 2);
+    const std::vector<std::pair<WireDims, std::vector<Case>>> registers = {
+        {q6,
+         {
+             {random_gate(q6, {1, 4}, rng), {1, 4}, KernelKind::kDense},
+             {gates::Z3(), {2}, KernelKind::kDiagonal},
+             {Gate("ZxX", {3, 3},
+                   gates::Z3().matrix().kron(gates::Xplus1().matrix())),
+              {0, 5},
+              KernelKind::kMonomial},
+             {gates::fourier(3).controlled(3, 2), {3, 1},
+              KernelKind::kControlled},
+             {gates::Xplus1().controlled(3, 1), {5, 0},
+              KernelKind::kPermutation},
+             {random_gate(q6, {3}, rng), {3}, KernelKind::kSingleWireD3},
+         }},
+        {b10,
+         {
+             {random_gate(b10, {7}, rng), {7}, KernelKind::kSingleWireD2},
+             {gates::CNOT(), {2, 9}, KernelKind::kPermutation},
+             {random_gate(b10, {0, 5}, rng), {0, 5}, KernelKind::kDense},
+         }},
     };
-    for (const Case& tc : cases) {
-        DensityMatrix dm(psi0);
-        const auto sop = exec::compile_superop(dims, tc.gate, tc.wires,
-                                               &dm.plan_cache());
-        ASSERT_EQ(sop.kind, tc.kind) << tc.gate.name();
-        dm.apply(sop);
-        StateVector psi = psi0;
-        psi.apply(tc.gate.matrix(), tc.wires);
-        // Spot-check rows of the outer product (full D^2 compare is slow).
-        const Index D = dims.size();
-        for (Index r = 0; r < D; r += 97) {
-            for (Index col = 0; col < D; col += 89) {
-                EXPECT_NEAR(
-                    std::abs(dm.rho()(static_cast<std::size_t>(r),
-                                      static_cast<std::size_t>(col)) -
-                             psi[r] * std::conj(psi[col])),
-                    0.0, 1e-10)
-                    << tc.gate.name() << " at (" << r << ", " << col << ")";
+    for (const auto& [dims, cases] : registers) {
+        const StateVector psi0 = haar_random_state(dims, rng);
+        for (const Case& tc : cases) {
+            DensityMatrix dm(psi0);
+            const exec::CompiledOp op = exec::compile_op(
+                dims, tc.gate, tc.wires, &dm.plan_cache());
+            ASSERT_EQ(op.kind, tc.kind) << tc.gate.name();
+            dm.apply(op);
+            StateVector psi = psi0;
+            psi.apply(tc.gate.matrix(), tc.wires);
+            // Spot-check the outer product (a full D^2 compare is slow).
+            const Index D = dims.size();
+            for (Index r = 0; r < D; r += 97) {
+                for (Index col = 0; col < D; col += 89) {
+                    EXPECT_NEAR(
+                        std::abs(dm.rho()(static_cast<std::size_t>(r),
+                                          static_cast<std::size_t>(col)) -
+                                 psi[r] * std::conj(psi[col])),
+                        0.0, 1e-10)
+                        << tc.gate.name() << " at (" << r << ", " << col
+                        << ")";
+                }
             }
         }
+    }
+}
+
+/** A small noisy circuit on `width` qutrits: every kernel class the
+ *  engine meets on the Figure 11 circuits, in a few moments. */
+Circuit
+mixed_kernel_circuit(int width)
+{
+    Circuit c(WireDims::uniform(width, 3));
+    c.append(gates::H3(), {0});
+    c.append(gates::Xplus1().controlled(3, 1), {0, 1});
+    c.append(gates::Z3(), {1});
+    c.append(gates::H3().controlled(3, 2), {1, width - 1});
+    c.append(gates::X12(), {width - 1});
+    c.append(gates::Xminus1().controlled(3, 1), {width - 1, 2});
+    c.append(gates::H3(), {2});
+    return c;
+}
+
+TEST(DensityMatrix, FidelityBitwiseEqualAcrossThreadBudgets) {
+    // 3^6: the conjugation passes go parallel, so the team size changes
+    // with the budget; the blocks and tile rows are disjoint, so the
+    // result must not change by a bit. Both step programs: fused between
+    // gate errors (SC+GATES) and per op under idle noise (SC+T1+GATES).
+    const Circuit c = mixed_kernel_circuit(6);
+    Rng rng(316);
+    const StateVector init = haar_random_state(c.dims(), rng);
+    for (const NoiseModel& model : {sc_gates(), sc_t1_gates()}) {
+        const DensityCompilation compiled(c, model);
+        const Real one = density_matrix_fidelity(compiled, init, 1);
+        EXPECT_GT(one, 0.5) << model.name;
+        EXPECT_LT(one, 1.0) << model.name;
+        for (const int threads : {2, 4}) {
+            EXPECT_EQ(density_matrix_fidelity(compiled, init, threads), one)
+                << model.name << " at " << threads << " threads";
+        }
+    }
+}
+
+TEST(DensityMatrix, SharedCompilationMatchesSerialAcrossThreads) {
+    // The daemon's pattern: worker threads evaluate one cached compilation
+    // at the same time, each with its own rho.
+    const Circuit c = mixed_kernel_circuit(4);
+    Rng rng(317);
+    const StateVector init = haar_random_state(c.dims(), rng);
+    for (const NoiseModel& model : {sc_gates(), sc_t1_gates()}) {
+        const DensityCompilation compiled(c, model);
+        const Real serial = density_matrix_fidelity(compiled, init, 1);
+        Real got[2] = {0, 0};
+        std::thread a(
+            [&] { got[0] = density_matrix_fidelity(compiled, init, 1); });
+        std::thread b(
+            [&] { got[1] = density_matrix_fidelity(compiled, init, 1); });
+        a.join();
+        b.join();
+        EXPECT_EQ(got[0], serial) << model.name;
+        EXPECT_EQ(got[1], serial) << model.name;
     }
 }
 

@@ -596,7 +596,7 @@ TEST(Fusion, OverlappingPermutationUnionStaysBitwise) {
 
 TEST(Fusion, OverlapFusionMatchesOnDensityEngine) {
     // Random mixed-radix circuits (naturally overlapping operand pairs)
-    // through the density-matrix engine: union fusion on the superop
+    // through the density-matrix engine: union fusion on the conjugation
     // path must agree with stage-1-only and fully-unfused compilations.
     Rng rng(503);
     const WireDims dims({3, 2, 3});

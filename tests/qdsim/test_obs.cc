@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "noise/density_matrix.h"
 #include "noise/models.h"
 #include "noise/trajectory.h"
 #include "qdsim/circuit.h"
@@ -23,7 +24,6 @@
 #include "qdsim/exec/batched_state.h"
 #include "qdsim/exec/compile_service.h"
 #include "qdsim/exec/compiled_circuit.h"
-#include "qdsim/exec/superop.h"
 #include "qdsim/gate_library.h"
 #include "qdsim/obs/report.h"
 #include "qdsim/obs/trace.h"
@@ -194,40 +194,61 @@ TEST_F(ObsTest, BatchedKernelCountsAdvanceByLaneCount)
 
 TEST_F(ObsTest, SuperopClassCountsHandCounted)
 {
+    // The kSuper* counters count density conjugations by the CompiledOp's
+    // class: permutation and monomial count as monomial, the single-wire
+    // kernels and dense as dense.
     const WireDims dims = WireDims::uniform(2, 3);
     const int w0[] = {0};
     const int w01[] = {0, 1};
 
-    const auto diag = exec::compile_superop(dims, gates::Z3(), w0);
-    const auto mono = exec::compile_superop(dims, gates::Xplus1(), w0);
-    // Controlled-Xplus1 is itself a generalized permutation and would
-    // classify monomial; the controlled kernel needs a dense inner block.
+    const auto diag = exec::compile_op(dims, gates::Z3(), w0);
+    const auto perm = exec::compile_op(dims, gates::Xplus1(), w0);
+    const auto mono = exec::compile_op(
+        dims,
+        Gate("ZxX", {3, 3},
+             gates::Z3().matrix().kron(gates::Xplus1().matrix())),
+        w01);
+    // Controlled-Xplus1 is itself a permutation; the controlled kernel
+    // needs a dense inner block.
     const auto ctrl =
-        exec::compile_superop(dims, gates::H3().controlled(3, 1), w01);
-    const auto dense = exec::compile_superop(dims, gates::H3(), w0);
-    ASSERT_EQ(diag.kind, exec::SuperOpKind::kDiagonal);
-    ASSERT_EQ(mono.kind, exec::SuperOpKind::kMonomial);
-    ASSERT_EQ(ctrl.kind, exec::SuperOpKind::kControlled);
-    ASSERT_EQ(dense.kind, exec::SuperOpKind::kDense);
+        exec::compile_op(dims, gates::H3().controlled(3, 1), w01);
+    const auto single = exec::compile_op(dims, gates::H3(), w0);
+    const auto dense = exec::compile_op(
+        dims, Gate("HxH", {3, 3}, gates::H3().matrix().kron(
+                                      gates::H3().matrix())),
+        w01);
+    ASSERT_EQ(diag.kind, exec::KernelKind::kDiagonal);
+    ASSERT_EQ(perm.kind, exec::KernelKind::kPermutation);
+    ASSERT_EQ(mono.kind, exec::KernelKind::kMonomial);
+    ASSERT_EQ(ctrl.kind, exec::KernelKind::kControlled);
+    ASSERT_EQ(single.kind, exec::KernelKind::kSingleWireD3);
+    ASSERT_EQ(dense.kind, exec::KernelKind::kDense);
 
     Matrix rho(9, 9);
     for (std::size_t r = 0; r < 9; ++r) {
         rho(r, r) = Complex(1.0 / 9.0, 0);
     }
-    exec::ExecScratch scratch;
+    noise::DensityMatrix dm(dims, rho);
 
     obs::reset_counters();
-    exec::superop_conjugate(diag, rho, scratch);
-    exec::superop_conjugate(mono, rho, scratch);
-    exec::superop_conjugate(mono, rho, scratch);
-    exec::superop_conjugate(ctrl, rho, scratch);
-    exec::superop_conjugate(dense, rho, scratch);
+    for (const exec::CompiledOp* op :
+         {&diag, &perm, &mono, &mono, &ctrl, &single, &dense}) {
+        dm.apply(*op);
+    }
     const obs::CounterSnapshot s = obs::counters_snapshot();
 
     EXPECT_EQ(s[Counter::kSuperDiagonal], 1u);
-    EXPECT_EQ(s[Counter::kSuperMonomial], 2u);
+    EXPECT_EQ(s[Counter::kSuperMonomial], 3u);
     EXPECT_EQ(s[Counter::kSuperControlled], 1u);
-    EXPECT_EQ(s[Counter::kSuperDense], 1u);
+    EXPECT_EQ(s[Counter::kSuperDense], 2u);
+    // Each conjugation is two batched passes over rho's 9 columns.
+    EXPECT_EQ(s[Counter::kBatDispatches], 14u);
+    EXPECT_EQ(s[Counter::kBatDiagonal], 18u);
+    EXPECT_EQ(s[Counter::kBatPermutation], 18u);
+    EXPECT_EQ(s[Counter::kBatMonomial], 36u);
+    EXPECT_EQ(s[Counter::kBatControlled], 18u);
+    EXPECT_EQ(s[Counter::kBatSingleWire], 18u);
+    EXPECT_EQ(s[Counter::kBatDense], 18u);
 }
 
 TEST_F(ObsTest, PlanCacheCountersUnderConcurrentLookups)
