@@ -2,8 +2,9 @@
  * @file bench_util.h
  * Shared helpers for the benchmark binaries: environment-variable knobs,
  * paper-reference annotations, the common BENCH_*.json writer (which
- * stamps every result with its thread count, core count, build type and
- * compiler), and the instrumented-section scaffolding every gated bench
+ * stamps every result with its thread count, core count, build type,
+ * compiler, git revision and CPU), and the instrumented-section
+ * scaffolding every gated bench
  * uses for its `--trace <file>` flag and obs_* report metrics.
  */
 #ifndef BENCH_BENCH_UTIL_H
@@ -12,6 +13,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -26,12 +29,16 @@
 #include "qdsim/obs/report.h"
 #include "qdsim/obs/trace.h"
 
-// Build stamp for BENCH_*.json; CMake defines both on the bench targets.
+// Build stamp for BENCH_*.json; CMake defines all three on the bench
+// targets.
 #ifndef QD_BENCH_BUILD_TYPE
 #define QD_BENCH_BUILD_TYPE "unknown"
 #endif
 #ifndef QD_BENCH_COMPILER
 #define QD_BENCH_COMPILER "unknown"
+#endif
+#ifndef QD_BENCH_SOURCE_DIR
+#define QD_BENCH_SOURCE_DIR ""
 #endif
 
 namespace qd::bench {
@@ -56,6 +63,55 @@ banner(const std::string& artifact, const std::string& note)
                 note.c_str(), line.c_str());
 }
 
+/** HEAD of the source checkout the bench was built from, read when called
+ *  (`git -C <source dir> rev-parse HEAD`, as qdbench/run.py reads it);
+ *  "none" when git or the checkout is missing. */
+inline std::string
+git_rev()
+{
+    const std::string dir = QD_BENCH_SOURCE_DIR;
+    std::error_code ec;
+    if (dir.empty() || !std::filesystem::exists(dir + "/.git", ec)) {
+        return "none";
+    }
+    const std::string cmd =
+        "git -C '" + dir + "' rev-parse HEAD 2>/dev/null";
+    std::FILE* pipe = popen(cmd.c_str(), "r");
+    if (pipe == nullptr) {
+        return "none";
+    }
+    char buf[128] = {};
+    std::string rev =
+        std::fgets(buf, sizeof(buf), pipe) != nullptr ? buf : "";
+    const bool ok = pclose(pipe) == 0;
+    while (!rev.empty() && (rev.back() == '\n' || rev.back() == '\r')) {
+        rev.pop_back();
+    }
+    return ok && !rev.empty() ? rev : "none";
+}
+
+/** The `model name` of /proc/cpuinfo; "unknown" where there is none. */
+inline std::string
+cpu_model()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("model name", 0) != 0) {
+            continue;
+        }
+        const std::size_t colon = line.find(':');
+        const std::size_t begin =
+            colon == std::string::npos
+                ? std::string::npos
+                : line.find_first_not_of(" \t", colon + 1);
+        if (begin != std::string::npos) {
+            return line.substr(begin);
+        }
+    }
+    return "unknown";
+}
+
 /**
  * Flat JSON object writer for the BENCH_*.json artifacts: fields emit in
  * insertion order, one per line, matching the shape compare_bench.py
@@ -65,7 +121,14 @@ class JsonWriter {
   public:
     JsonWriter& str(const char* key, const std::string& value)
     {
-        return raw(key, "\"" + value + "\"");
+        std::string quoted = "\"";
+        for (const char c : value) {
+            if (c == '"' || c == '\\') {
+                quoted += '\\';
+            }
+            quoted += c;
+        }
+        return raw(key, quoted + "\"");
     }
 
     JsonWriter& num(const char* key, double value, const char* fmt = "%.6f")
@@ -106,8 +169,8 @@ class JsonWriter {
 
     /** Writes the object, followed by the conditions it was measured
      *  under (`threads`: OpenMP's default team size, 1 without OpenMP;
-     *  `hardware_concurrency`; `build_type`; `compiler`), and logs
-     *  "wrote <path>"; false on I/O failure. */
+     *  `hardware_concurrency`; `build_type`; `compiler`; `git_rev`;
+     *  `cpu`), and logs "wrote <path>"; false on I/O failure. */
     bool write(const char* path) const
     {
         std::FILE* out = std::fopen(path, "w");
@@ -124,7 +187,9 @@ class JsonWriter {
             .integer("hardware_concurrency",
                      std::thread::hardware_concurrency())
             .str("build_type", QD_BENCH_BUILD_TYPE)
-            .str("compiler", QD_BENCH_COMPILER);
+            .str("compiler", QD_BENCH_COMPILER)
+            .str("git_rev", git_rev())
+            .str("cpu", cpu_model());
         const auto& fields = stamped.fields_;
         std::fputs("{\n", out);
         for (std::size_t i = 0; i < fields.size(); ++i) {

@@ -508,11 +508,11 @@ DensityMatrix::trace_real() const
 
 /**
  * The payload behind DensityCompilation (cached across requests by the
- * CompileService): the fully fused ideal reference, the compiled gates
- * and every closed-form noise channel the evolution touches — compiled
- * once against one shared plan cache — and the flattened step program
- * that replays the exact moment-by-moment (or fused-group) application
- * order of the original inline engine.
+ * CompileService): the compiled gates and every closed-form noise channel
+ * the evolution touches — compiled once against one shared plan cache —
+ * and the flattened step program that replays the exact moment-by-moment
+ * (or fused-group) application order of the original inline engine. The
+ * noiseless reference is one state-vector pass through the same gates.
  */
 struct DensityCompilation::Impl {
     /** One replayed application: a gate (index into gates.ops()) or a
@@ -525,17 +525,16 @@ struct DensityCompilation::Impl {
 
     NoiseModel model;              ///< the model the program was built from
     exec::PlanCache cache;         ///< plans shared by every compile below
-    exec::CompiledCircuit ideal;   ///< fully fused noiseless reference
     /** The gates, compiled as the trajectory engine compiles its noisy
-     *  loop: fused between error fences, or per op under idle noise. */
+     *  loop: fused between error fences, or per op under idle noise. Also
+     *  the program of the noiseless reference pass. */
     exec::CompiledCircuit gates;
     std::vector<CompiledNoise> noise;
     std::vector<Step> steps;
 
     Impl(const Circuit& circuit, const NoiseModel& noise_model,
          const exec::FusionOptions& fusion)
-        : model(noise_model), cache(circuit.dims()),
-          ideal(circuit, exec::FusionOptions{}, {}, &cache)
+        : model(noise_model), cache(circuit.dims())
     {
         const WireDims& dims = circuit.dims();
         auto push_noise = [&](CompiledNoise compiled) {
@@ -642,7 +641,7 @@ DensityCompilation::model() const
 const WireDims&
 DensityCompilation::dims() const
 {
-    return impl_->ideal.dims();
+    return impl_->gates.dims();
 }
 
 Real
@@ -666,7 +665,7 @@ density_matrix_fidelity(const DensityCompilation& compiled,
 {
     using Step = DensityCompilation::Impl::Step;
     const DensityCompilation::Impl& impl = compiled.impl();
-    const StateVector ideal = simulate(impl.ideal, initial);
+    const StateVector ideal = simulate(impl.gates, initial);
     DensityMatrix dm(initial);
     if (threads <= 0) {
         threads = std::max(

@@ -208,12 +208,12 @@ class DensityMatrix {
 
 /**
  * Everything the exact engine derives from (circuit, model, fusion)
- * before rho moves: the fully fused ideal reference compilation, the
- * gates as an exec::CompiledCircuit (built exactly as the trajectory
- * engine builds its noisy loop), every gate-error, damping and dephasing
- * channel lowered to its closed form (CompiledNoise), all against one
- * shared plan cache, and the flattened moment-by-moment step program the
- * evolution replays. Immutable after construction and safe
+ * before rho moves: the gates as one exec::CompiledCircuit (built exactly
+ * as the trajectory engine builds its noisy loop; the noiseless reference
+ * is one state-vector pass through it), every gate-error, damping and
+ * dephasing channel lowered to its closed form (CompiledNoise), all
+ * against one shared plan cache, and the flattened moment-by-moment step
+ * program the evolution replays. Immutable after construction and safe
  * to share across threads — the CompileService caches these across
  * requests so repeated submissions of the same (circuit, model, fusion)
  * skip compilation entirely. Construction does NOT verify; admission is

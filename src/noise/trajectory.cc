@@ -268,28 +268,20 @@ TrajectoryCompilation::fused_damping_supported() const
 
 namespace {
 
-// The single-shot and batched helpers below predate the pimpl split and
-// read the compilation through its original working name.
+// The engine helpers below read the compilation through its original
+// working name.
 using EngineContext = TrajectoryCompilation::Impl;
 using ErrorDraw = EngineContext::ErrorDraw;
 
-/** Draws and applies the operation's precompiled depolarizing errors. */
-void
-apply_gate_error(StateVector& psi,
-                 const std::vector<const ErrorDraw*>& draws, Rng& rng,
-                 exec::ExecScratch& scratch)
-{
-    obs::count(obs::Counter::kTrajGateErrorDraws, draws.size());
-    for (const ErrorDraw* e : draws) {
-        if (rng.uniform() >= e->total) {
-            continue;  // no error
-        }
-        obs::count(obs::Counter::kTrajGateErrorsFired);
-        const std::size_t pick = static_cast<std::size_t>(
-            rng.uniform_int(e->unitaries.size()));
-        exec::apply_op(e->unitaries[pick], psi, scratch);
-    }
-}
+// --------------------------------------------------------------------------
+// One engine: B trajectory lanes advance through one compiled-circuit pass
+// (run_single_trajectory is B = 1). Shared, deterministic work (gates,
+// no-jump scaling, dephasing) runs on all lanes at once; divergent per-lane
+// events (gate-error draws, damping jumps, the fused rare branch) extract
+// the lane to a StateVector, run the single-lane helpers below on it, and
+// write it back. Every lane primitive matches its StateVector counterpart
+// bitwise, so a lane's result does not depend on the batch width.
+// --------------------------------------------------------------------------
 
 /** Applies a damping jump |level> -> |0> on `wire` and renormalises.
  *  A jump is only ever drawn with probability proportional to the level's
@@ -310,18 +302,24 @@ apply_jump(StateVector& psi, int wire, int level)
     }
 }
 
-/** Applies the no-jump K0 diagonal of a single wire (no renormalise). */
-void
-apply_k0(StateVector& psi, const NoiseModel& model, Real dt, int wire)
+/** The no-jump K0 diagonal of a d-dimensional wire over dt. */
+std::vector<Complex>
+k0_diag(const NoiseModel& model, Real dt, int d)
 {
-    const int d = psi.dims().dim(wire);
     std::vector<Complex> diag(static_cast<std::size_t>(d));
     diag[0] = Complex(1, 0);
     for (int m = 1; m < d; ++m) {
         diag[static_cast<std::size_t>(m)] =
             Complex(std::sqrt(1.0 - model.lambda(m, dt)), 0);
     }
-    psi.apply_diag1(diag, wire);
+    return diag;
+}
+
+/** Applies the no-jump K0 diagonal of a single wire (no renormalise). */
+void
+apply_k0(StateVector& psi, const NoiseModel& model, Real dt, int wire)
+{
+    psi.apply_diag1(k0_diag(model, dt, psi.dims().dim(wire)), wire);
 }
 
 /** True iff any excited level of a d-dimensional wire decays at all over
@@ -335,53 +333,6 @@ k0_nontrivial(const NoiseModel& model, Real dt, int d)
         }
     }
     return false;
-}
-
-/** Exact per-wire sequential idle errors (paper Algorithm 1 inner loop);
- *  used for mixed-radix registers and the rare jump branch. */
-void
-apply_idle_damping_sequential(StateVector& psi, const NoiseModel& model,
-                              Real dt, Rng& rng)
-{
-    const WireDims& dims = psi.dims();
-    for (int w = 0; w < dims.num_wires(); ++w) {
-        const int d = dims.dim(w);
-        std::vector<Real> weights(static_cast<std::size_t>(d), 0.0);
-        Real total = 0;
-        const auto pops = psi.populations(w);
-        for (int m = 1; m < d; ++m) {
-            const Real pj =
-                model.lambda(m, dt) * pops[static_cast<std::size_t>(m)];
-            weights[static_cast<std::size_t>(m)] = pj;
-            total += pj;
-        }
-        const Real u = rng.uniform();
-        if (u < total) {
-            Real acc = 0;
-            int level = d - 1;
-            for (int m = 1; m < d; ++m) {
-                acc += weights[static_cast<std::size_t>(m)];
-                if (u < acc) {
-                    level = m;
-                    break;
-                }
-            }
-            apply_jump(psi, w, level);
-        } else if (k0_nontrivial(model, dt, d)) {
-            // Gating on ANY level's decay, not just level 1: a model with
-            // lambda(1) == 0 but lambda(2) > 0 (level-2-only decay) still
-            // has a non-identity K0, and skipping it made this engine
-            // disagree with the fused path (regression-tested).
-            apply_k0(psi, model, dt, w);
-            if (!psi.normalize()) {
-                // K0's diagonal entries are all positive for finite T1,
-                // so only an already-invalid state can land here.
-                throw std::runtime_error(
-                    "trajectory: no-jump evolution produced a zero-norm "
-                    "state");
-            }
-        }
-    }
 }
 
 /** Builds the fused no-jump scale table (indexed by packed excited-level
@@ -409,8 +360,7 @@ build_damping_tables(const NoiseModel& model, Real dt,
 /**
  * The fused path's rejected branch, entered with the joint no-jump
  * operator still applied to `psi`: undo it, then draw the jump from the
- * per-(wire, level) populations. Shared by the single-shot and batched
- * engines (the batched engine calls it on an extracted lane).
+ * per-(wire, level) populations. Runs on an extracted lane.
  */
 void
 fused_rare_branch(StateVector& psi, const NoiseModel& model, Real dt,
@@ -455,97 +405,6 @@ fused_rare_branch(StateVector& psi, const NoiseModel& model, Real dt,
     }
 }
 
-/**
- * Fused damping for uniform registers: apply the joint no-jump operator
- * of all wires in one table-scaled pass; accept with its squared norm
- * (the exact Monte-Carlo-wavefunction acceptance), otherwise undo and
- * take the rare jump branch.
- */
-void
-apply_idle_damping_fused(StateVector& psi, const NoiseModel& model,
-                         Real dt, const EngineContext& ctx, Rng& rng)
-{
-    std::vector<Real> scale, inv;
-    build_damping_tables(model, dt, ctx, scale, inv);
-    const Real q = psi.scale_by_table(ctx.count_key, scale);
-    if (rng.uniform() < q) {
-        // Accepted with probability q = norm^2 > u >= 0, so the norm is
-        // positive here by construction.
-        if (!psi.normalize()) {
-            throw std::runtime_error(
-                "trajectory: no-jump evolution produced a zero-norm state");
-        }
-        return;
-    }
-    fused_rare_branch(psi, model, dt, ctx, rng, scale, inv);
-}
-
-/** Coherent dephasing kick: random per-wire phase walk, fused into one
- *  product-diagonal pass. */
-void
-apply_idle_dephasing(StateVector& psi, const NoiseModel& model, Real dt,
-                     Rng& rng)
-{
-    const WireDims& dims = psi.dims();
-    const Real s = model.dephasing_sigma * std::sqrt(dt);
-    std::vector<std::vector<Complex>> factors(
-        static_cast<std::size_t>(dims.num_wires()));
-    for (int w = 0; w < dims.num_wires(); ++w) {
-        const Real theta = rng.gaussian() * s;
-        auto& f = factors[static_cast<std::size_t>(w)];
-        f.resize(static_cast<std::size_t>(dims.dim(w)));
-        for (int m = 0; m < dims.dim(w); ++m) {
-            f[static_cast<std::size_t>(m)] =
-                std::polar(1.0, static_cast<Real>(m) * theta);
-        }
-    }
-    psi.apply_product_diag(factors);
-}
-
-/** One trajectory against a prebuilt (compiled) context. `accel` is the
- *  resolved damping engine (resolve_damping_engine) — a per-run choice,
- *  so the shared immutable context never mutates. */
-Real
-run_trajectory_with_context(const NoiseModel& model,
-                            const EngineContext& ctx,
-                            const StateVector& initial,
-                            const StateVector& ideal_out, Rng& rng,
-                            exec::ExecScratch& scratch, bool accel)
-{
-    obs::count(obs::Counter::kTrajShots);
-    StateVector psi = initial;
-    for (const Moment& moment : ctx.moments) {
-        obs::ScopedSpan span("traj", "moment");
-        span.arg("ops", static_cast<std::int64_t>(moment.op_indices.size()));
-        for (const std::size_t idx : moment.op_indices) {
-            exec::apply_op(ctx.noisy.ops()[idx], psi, scratch);
-            apply_gate_error(psi, ctx.errors[idx], rng, scratch);
-        }
-        const Real dt = model.moment_duration(moment.has_multi_qudit);
-        if (model.has_damping()) {
-            if (accel) {
-                apply_idle_damping_fused(psi, model, dt, ctx, rng);
-            } else {
-                apply_idle_damping_sequential(psi, model, dt, rng);
-            }
-        }
-        if (model.has_dephasing()) {
-            apply_idle_dephasing(psi, model, dt, rng);
-        }
-    }
-    return psi.fidelity(ideal_out);
-}
-
-// --------------------------------------------------------------------------
-// Batched engine: B trajectory lanes advance through one compiled-circuit
-// pass. Shared, deterministic work (gates, no-jump scaling, dephasing) runs
-// on all lanes at once; divergent per-lane events (gate-error draws,
-// damping jumps, the fused rare branch) extract the lane, run the
-// single-shot code above, and write the lane back — which is what keeps
-// every lane bitwise identical to an unbatched shot on the same RNG
-// stream.
-// --------------------------------------------------------------------------
-
 /** Draws and applies per-lane depolarizing errors after one gate. */
 void
 apply_gate_error_batched(exec::BatchedStateVector& psi,
@@ -575,8 +434,8 @@ apply_gate_error_batched(exec::BatchedStateVector& psi,
     }
 }
 
-/** Reusable per-batch buffers for the idle-noise loop (one set per worker
- *  batch; avoids a handful of heap allocations per moment). */
+/** Reusable buffers for the idle-noise steps (one set per moment loop;
+ *  avoids a handful of heap allocations per moment). */
 struct BatchNoiseScratch {
     std::vector<std::uint8_t> accepted;
     /** factors[lane][wire] for the batched dephasing kick; the nested
@@ -585,7 +444,7 @@ struct BatchNoiseScratch {
 };
 
 /** Batched fused damping: one joint table-scaled pass over all lanes;
- *  rejected lanes take the single-shot rare branch individually. The
+ *  rejected lanes take the rare branch on the extracted lane. The
  *  scale/inv tables are a pure function of (model, dt), so the caller
  *  builds them once per moment duration instead of once per moment. */
 void
@@ -634,7 +493,7 @@ apply_idle_damping_fused_batched(exec::BatchedStateVector& psi,
 
 /** Batched exact per-wire sequential idle damping (mixed radix / dim > 3):
  *  populations and the no-jump K0 run lane-parallel per wire; jump lanes
- *  fall back to the single-shot jump on the extracted lane. */
+ *  take the jump on the extracted lane. */
 void
 apply_idle_damping_sequential_batched(exec::BatchedStateVector& psi,
                                       const NoiseModel& model, Real dt,
@@ -690,13 +549,7 @@ apply_idle_damping_sequential_batched(exec::BatchedStateVector& psi,
         if (!any) {
             continue;
         }
-        std::vector<Complex> diag(static_cast<std::size_t>(d));
-        diag[0] = Complex(1, 0);
-        for (int m = 1; m < d; ++m) {
-            diag[static_cast<std::size_t>(m)] =
-                Complex(std::sqrt(1.0 - model.lambda(m, dt)), 0);
-        }
-        psi.apply_diag1_masked(diag, w, k0_mask);
+        psi.apply_diag1_masked(k0_diag(model, dt, d), w, k0_mask);
         const auto ok = psi.normalize_lanes(k0_mask);
         for (int j = 0; j < lanes; ++j) {
             if (k0_mask[static_cast<std::size_t>(j)] != 0 &&
@@ -740,52 +593,29 @@ apply_idle_dephasing_batched(exec::BatchedStateVector& psi,
 }
 
 /**
- * Runs trials [start, start + lanes) as one batch: per-lane random initial
- * states, one batched noiseless pass for the ideal outputs, then the noisy
- * moment loop advancing all lanes together. Writes each lane's fidelity to
- * fidelities[start + j].
+ * The noisy moment loop: advances the prepared lanes `psi` (the inputs)
+ * through the noisy compilation, lane j drawing from rngs[j], and returns
+ * each lane's fidelity against the same lane of `ideal` (the noiseless
+ * outputs). Counts one shot per lane.
  */
-void
-run_trajectory_batch(const NoiseModel& model, const EngineContext& ctx,
-                     const TrajectoryOptions& options, const Rng& root,
-                     int start, int lanes, std::vector<Real>& fidelities,
-                     exec::BatchedScratch& bscratch,
-                     exec::ExecScratch& scratch, bool accel)
+std::vector<Real>
+run_lanes(const NoiseModel& model, const EngineContext& ctx,
+          exec::BatchedStateVector& psi,
+          const exec::BatchedStateVector& ideal, std::vector<Rng>& rngs,
+          exec::BatchedScratch& bscratch, exec::ExecScratch& scratch,
+          bool accel)
 {
-    const WireDims& dims = ctx.noisy.dims();
-    if (obs::enabled()) {
-        obs::count_unchecked(obs::Counter::kTrajShots,
-                             static_cast<std::uint64_t>(lanes));
-        obs::count_unchecked(obs::Counter::kTrajBatches);
-    }
-    obs::ScopedSpan span("traj", "shot_batch");
-    span.arg("start", start);
-    span.arg("lanes", lanes);
-    std::vector<Rng> rngs;
-    rngs.reserve(static_cast<std::size_t>(lanes));
-    exec::BatchedStateVector psi(dims, lanes);
-    for (int j = 0; j < lanes; ++j) {
-        rngs.push_back(root.child(static_cast<std::uint64_t>(start + j)));
-        const StateVector initial =
-            options.qubit_subspace_inputs
-                ? haar_random_qubit_subspace_state(
-                      dims, rngs[static_cast<std::size_t>(j)])
-                : haar_random_state(dims,
-                                    rngs[static_cast<std::size_t>(j)]);
-        psi.set_lane(j, initial);
-    }
-    exec::BatchedStateVector ideal = psi;
-    exec::run_batched(ctx.ideal, ideal, bscratch);
-
+    obs::count(obs::Counter::kTrajShots,
+               static_cast<std::uint64_t>(psi.lanes()));
     // The fused no-jump tables depend only on the moment duration, which
-    // takes exactly two values — build each once per batch, not per moment.
+    // takes exactly two values — build each once per run, not per moment.
     std::vector<Real> scale_1q, inv_1q, scale_2q, inv_2q;
     if (model.has_damping() && accel) {
         build_damping_tables(model, model.dt_1q, ctx, scale_1q, inv_1q);
         build_damping_tables(model, model.dt_2q, ctx, scale_2q, inv_2q);
     }
 
-    StateVector lane(dims);  // reused for per-lane divergent fallbacks
+    StateVector lane(psi.dims());  // reused for per-lane divergent events
     BatchNoiseScratch ds;
     for (const Moment& moment : ctx.moments) {
         obs::ScopedSpan mspan("traj", "moment");
@@ -814,11 +644,47 @@ run_trajectory_batch(const NoiseModel& model, const EngineContext& ctx,
             apply_idle_dephasing_batched(psi, model, dt, rngs, ds);
         }
     }
-    const std::vector<Real> fid = psi.fidelity_lanes(ideal);
+    return psi.fidelity_lanes(ideal);
+}
+
+/**
+ * Runs trials [start, start + lanes) as one shot group: per-lane streams
+ * root.child(t) and random initial states, one batched noiseless pass for
+ * the ideal outputs, then the moment loop. Writes each lane's fidelity to
+ * fidelities[start + j].
+ */
+void
+run_trajectory_batch(const NoiseModel& model, const EngineContext& ctx,
+                     const TrajectoryOptions& options, const Rng& root,
+                     int start, int lanes, std::vector<Real>& fidelities,
+                     exec::BatchedScratch& bscratch,
+                     exec::ExecScratch& scratch, bool accel)
+{
+    const WireDims& dims = ctx.noisy.dims();
+    obs::count(obs::Counter::kTrajBatches);
+    obs::ScopedSpan span("traj", "shot_batch");
+    span.arg("start", start);
+    span.arg("lanes", lanes);
+    std::vector<Rng> rngs;
+    rngs.reserve(static_cast<std::size_t>(lanes));
+    exec::BatchedStateVector psi(dims, lanes);
     for (int j = 0; j < lanes; ++j) {
-        fidelities[static_cast<std::size_t>(start + j)] =
-            fid[static_cast<std::size_t>(j)];
+        rngs.push_back(root.child(static_cast<std::uint64_t>(start + j)));
+        const StateVector initial =
+            options.qubit_subspace_inputs
+                ? haar_random_qubit_subspace_state(
+                      dims, rngs[static_cast<std::size_t>(j)])
+                : haar_random_state(dims,
+                                    rngs[static_cast<std::size_t>(j)]);
+        psi.set_lane(j, initial);
     }
+    exec::BatchedStateVector ideal = psi;
+    exec::run_batched(ctx.ideal, ideal, bscratch);
+
+    const std::vector<Real> fid =
+        run_lanes(model, ctx, psi, ideal, rngs, bscratch, scratch, accel);
+    std::copy(fid.begin(), fid.end(),
+              fidelities.begin() + static_cast<std::ptrdiff_t>(start));
 }
 
 /** Resolves the damping-engine choice against a compiled context's
@@ -860,9 +726,19 @@ run_single_trajectory(const TrajectoryCompilation& compiled,
 {
     const EngineContext& ctx = compiled.impl();
     const bool accel = resolve_damping_engine(ctx, engine);
+    // One lane of the batched engine. set_lane rejects a state on another
+    // register before any kernel runs.
+    exec::BatchedStateVector psi(ctx.noisy.dims(), 1);
+    exec::BatchedStateVector ideal(ctx.noisy.dims(), 1);
+    psi.set_lane(0, initial);
+    ideal.set_lane(0, ideal_out);
+    std::vector<Rng> rngs{rng};
+    exec::BatchedScratch bscratch;
     exec::ExecScratch scratch;
-    return run_trajectory_with_context(compiled.model(), ctx, initial,
-                                       ideal_out, rng, scratch, accel);
+    const Real fidelity = run_lanes(compiled.model(), ctx, psi, ideal, rngs,
+                                    bscratch, scratch, accel)[0];
+    rng = rngs[0];  // the caller's stream advances as the shot drew
+    return fidelity;
 }
 
 TrajectoryResult

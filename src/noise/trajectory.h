@@ -20,13 +20,14 @@
  * depolarizing error unitary the loop can draw is precompiled against the
  * same plans, so each of the thousands of shots replays allocation-free
  * kernel dispatches instead of re-deriving index arithmetic per gate.
- * On top of that, shots run B at a time through an
- * exec::BatchedStateVector (amplitude-major lanes): one pass over the
+ * Every shot runs as a lane of an exec::BatchedStateVector
+ * (amplitude-major lanes) through one moment loop: one pass over the
  * compiled circuit advances B trajectories, amortising every plan/offset-
- * table read across the batch. Each trial keeps its own RNG stream
- * (root.child(t)) and divergent per-lane events (damping jumps, gate-error
- * draws) fall back to the single-shot code on the extracted lane, so
- * results are BITWISE independent of the batch width and thread count.
+ * table read across the batch. run_noisy_trials runs shot groups of B
+ * lanes; run_single_trajectory runs one lane. Each trial keeps its own RNG
+ * stream (root.child(t)) and divergent per-lane events (damping jumps,
+ * gate-error draws) run on the extracted lane, so results are BITWISE
+ * independent of the batch width and thread count.
  */
 #ifndef NOISE_TRAJECTORY_H
 #define NOISE_TRAJECTORY_H
@@ -77,9 +78,9 @@ struct TrajectoryOptions {
      * 0 = sized from the work: about 4–8 MiB of lane state per group, at
      * most 12 lanes, and equal groups so every worker runs the same
      * number of trials (default_lane_count in trajectory.cc). 1 = one lane
-     * per group. Per-trial results are bitwise identical for every
-     * setting and equal to run_single_trajectory on stream root.child(t)
-     * (property-tested).
+     * per group, the shape run_single_trajectory runs. Per-trial results
+     * are bitwise identical for every setting and equal to
+     * run_single_trajectory on stream root.child(t) (property-tested).
      */
     int batch = 0;
     /** Idle-damping implementation; see DampingEngine. */
@@ -144,14 +145,16 @@ class TrajectoryCompilation {
 
 /**
  * Runs one noisy trajectory of `circuit` from `initial`, comparing against
- * `ideal_out` (the noiseless output for the same input). This per-shot
- * loop is the reference the batched engine is tested against: trial t of
- * run_noisy_trials equals it on stream root.child(t), bitwise.
+ * `ideal_out` (the noiseless output for the same input), as a one-lane run
+ * of the moment loop run_noisy_trials uses; `rng` advances by the shot's
+ * draws. Trial t of run_noisy_trials equals it on stream root.child(t),
+ * bitwise, at every batch width.
  * Exposed for tests; most callers use run_noisy_trials.
  *
- * @throws std::invalid_argument if `engine` is kFused but the register is
- *         mixed-radix or has dim > 3 (the fused operator is undefined
- *         there).
+ * @throws std::invalid_argument if `initial` or `ideal_out` is on another
+ *         register than the circuit (checked before any kernel runs), or
+ *         if `engine` is kFused but the register is mixed-radix or has
+ *         dim > 3 (the fused operator is undefined there).
  */
 Real run_single_trajectory(const Circuit& circuit, const NoiseModel& model,
                            const StateVector& initial,
@@ -159,7 +162,7 @@ Real run_single_trajectory(const Circuit& circuit, const NoiseModel& model,
                            DampingEngine engine = DampingEngine::kAuto);
 
 /** Precompiled variant: runs one trajectory on an existing compilation
- *  (no verification, no recompilation). Same throw contract for kFused. */
+ *  (no verification, no recompilation). Same throw contract. */
 Real run_single_trajectory(const TrajectoryCompilation& compiled,
                            const StateVector& initial,
                            const StateVector& ideal_out, Rng& rng,

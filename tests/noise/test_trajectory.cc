@@ -272,10 +272,11 @@ hot_noise()
     return m;
 }
 
-/** The per-shot reference for run_noisy_trials(c, m, opts): trial t is
- *  run_single_trajectory on stream root.child(t), from the input state
- *  that stream draws first and its fully fused ideal output. The mean is
- *  summed in trial order, as run_noisy_trials sums it. */
+/** The one-lane reference for run_noisy_trials(c, m, opts): trial t is
+ *  run_single_trajectory (one lane, no shot group) on stream
+ *  root.child(t), from the input state that stream draws first and its
+ *  fully fused ideal output. The mean is summed in trial order, as
+ *  run_noisy_trials sums it. */
 TrajectoryResult
 per_shot_reference(const Circuit& c, const NoiseModel& m,
                    const TrajectoryOptions& opts)
@@ -303,8 +304,8 @@ per_shot_reference(const Circuit& c, const NoiseModel& m,
 
 /** Runs the same trial set at several batch widths / thread counts and
  *  expects BITWISE identical per-trial fidelities: lane t of a batched
- *  pass must reproduce the single-shot trajectory on stream
- *  root.child(t) exactly. */
+ *  pass must reproduce the one-lane trajectory on stream root.child(t)
+ *  exactly. */
 void
 expect_batch_invariant(const Circuit& c, const NoiseModel& m, int trials)
 {
@@ -338,7 +339,7 @@ expect_batch_invariant(const Circuit& c, const NoiseModel& m, int trials)
 
 TEST(Trajectory, BatchedLanesMatchSingleShotUniformQutrit) {
     // Uniform qutrit register: batched gates + fused damping + dephasing
-    // against the per-shot path, bitwise.
+    // against one-lane runs, bitwise.
     expect_batch_invariant(small_qutrit_circuit(), hot_noise(), 21);
 }
 
@@ -387,6 +388,30 @@ TEST(Trajectory, BatchedLanesMatchSingleShotOnRandomCircuits) {
         }
         expect_batch_invariant(c, hot_noise(), 11);
     }
+}
+
+TEST(Trajectory, SingleTrajectoryRejectsStateOnOtherRegister) {
+    // The noisy kernels index the compiled register, so a state on another
+    // register must be rejected before any kernel runs or any draw is
+    // taken: a smaller input was once accessed out of bounds, and a wrong
+    // ideal output only threw after the shot had run.
+    const Circuit c = small_qutrit_circuit();
+    NoiseModel m = noiseless();
+    m.p1 = 5e-3;
+    m.p2 = 5e-3;
+    const TrajectoryCompilation compiled(c, m);
+    const StateVector fits(c.dims());
+    const StateVector smaller(WireDims::uniform(1, 3));
+    const StateVector larger(WireDims::uniform(3, 3));
+    Rng rng(5);
+    EXPECT_THROW(run_single_trajectory(compiled, smaller, fits, rng),
+                 std::invalid_argument);
+    EXPECT_THROW(run_single_trajectory(compiled, larger, fits, rng),
+                 std::invalid_argument);
+    EXPECT_THROW(run_single_trajectory(compiled, fits, smaller, rng),
+                 std::invalid_argument);
+    Rng untouched(5);
+    EXPECT_EQ(rng.uniform(), untouched.uniform());
 }
 
 TEST(Trajectory, BatchWiderThanTrials) {

@@ -295,6 +295,19 @@ TEST_F(ObsTest, PlanCacheCountersUnderConcurrentLookups)
     EXPECT_LT(rate, 1.0);
 }
 
+/** Small noisy workload shared by the fusion and invariance tests. */
+Circuit
+noisy_workload()
+{
+    Circuit c(WireDims::uniform(2, 3));
+    for (int l = 0; l < 2; ++l) {
+        c.append(gates::H3(), {0});
+        c.append(gates::H3(), {1});
+        c.append(gates::Xplus1().controlled(3, 1), {0, 1});
+    }
+    return c;
+}
+
 TEST_F(ObsTest, FusionCountersMatchCompiledCircuit)
 {
     const Circuit circuit = one_of_each_class();
@@ -308,19 +321,21 @@ TEST_F(ObsTest, FusionCountersMatchCompiledCircuit)
               static_cast<std::uint64_t>(fused.num_ops()));
     EXPECT_EQ(s[Counter::kFusionFusedGroups],
               static_cast<std::uint64_t>(fused.num_fused_groups()));
-}
 
-/** Small noisy workload shared by the invariance tests. */
-Circuit
-noisy_workload()
-{
-    Circuit c(WireDims::uniform(2, 3));
-    for (int l = 0; l < 2; ++l) {
-        c.append(gates::H3(), {0});
-        c.append(gates::H3(), {1});
-        c.append(gates::Xplus1().controlled(3, 1), {0, 1});
-    }
-    return c;
+    // A density compile runs at most one fusion pass: its gates, fused
+    // between error fences when gate errors are the only noise, and per
+    // op (no pass) under idle noise. The reference state reuses them.
+    const Circuit noisy = noisy_workload();
+    noise::NoiseModel gate_errors;
+    gate_errors.p1 = 1e-3;
+    gate_errors.p2 = 1e-3;
+    obs::reset_counters();
+    const noise::DensityCompilation fenced(noisy, gate_errors);
+    EXPECT_EQ(obs::counters_snapshot()[Counter::kFusionOpsIn],
+              static_cast<std::uint64_t>(noisy.num_ops()));
+    obs::reset_counters();
+    const noise::DensityCompilation per_op(noisy, noise::sc());
+    EXPECT_EQ(obs::counters_snapshot()[Counter::kFusionOpsIn], 0u);
 }
 
 obs::CounterSnapshot
@@ -352,10 +367,10 @@ TEST_F(ObsTest, ReportBitwiseIdenticalAcrossThreadCounts)
     EXPECT_GT(one[Counter::kTrajGateErrorDraws], 0u);
 }
 
-/** Counters of the per-shot reference for run_trials_snapshot(circuit,
- *  trials, ...): run_single_trajectory once per trial on stream
- *  root.child(t), after the fully fused ideal pass the batched engine
- *  also runs. */
+/** Counters of the one-lane reference for run_trials_snapshot(circuit,
+ *  trials, ...): run_single_trajectory (one lane, no shot group) once per
+ *  trial on stream root.child(t), after a single-shot pass through the
+ *  fully fused ideal program, which the shot groups run batched. */
 obs::CounterSnapshot
 per_shot_snapshot(const Circuit& circuit, int trials)
 {
@@ -379,9 +394,9 @@ TEST_F(ObsTest, InvariantCountersMatchAcrossBatchWidths)
     const auto per_shot = per_shot_snapshot(circuit, 24);
     const auto batched = run_trials_snapshot(circuit, 24, 1, 6);
 
-    // The batched engine's lanes are bitwise equal to unbatched shots, so
-    // every divergence event and the per-class kernel totals (single-shot
-    // zoo + batched zoo, lanes-weighted) must agree exactly.
+    // A lane is bitwise the same shot at every batch width, so every
+    // divergence event and the per-class kernel totals (single-shot zoo +
+    // batched zoo, lanes-weighted) must agree exactly.
     obs::SimReport a, b;
     a.counters = per_shot;
     b.counters = batched;
