@@ -4,8 +4,8 @@
 Usage: lint_invariants.py [--root DIR]
        lint_invariants.py --self-test
 
-Three invariants that code review keeps re-checking by hand, now gated
-in CI before anything is built (first-stage gate, like
+Invariants that would otherwise be re-checked by hand, gated in CI
+before anything is built (first-stage gate, like
 compare_bench.py --self-test):
 
   obs-in-omp     obs:: instrumentation hooks must not be called inside
@@ -30,6 +30,10 @@ compare_bench.py --self-test):
                  covering it. Both sides are scanned as RAW text —
                  strip_comments blanks string contents, which would
                  erase the ids themselves.
+  exec-error-ids every stable "exec.*" engine-failure id raised anywhere
+                 in src/serve/ must appear verbatim in a test under
+                 tests/serve/ (raw text, as above), so no engine's
+                 failure id can be added or renamed untested.
 
 --self-test runs every check against generated good/bad fixtures so a
 broken linter fails CI in seconds.
@@ -198,27 +202,40 @@ def check_bench_metrics(root):
 
 
 IR_ERROR_ID = re.compile(r'"(qdj\.[a-z][a-z-]*)"')
+EXEC_ERROR_ID = re.compile(r'"(exec\.[a-z][a-z-]*)"')
+
+
+def raw_texts(root, rel):
+    """Yields (relative path, raw text) of every .cc/.h file under rel."""
+    for dirpath, _, files in os.walk(os.path.join(root, rel)):
+        for name in sorted(files):
+            if name.endswith((".cc", ".h")):
+                path = os.path.join(dirpath, name)
+                with open(path, encoding="utf-8") as f:
+                    yield os.path.relpath(path, root), f.read()
+
+
+def raised_ids(root, rel, pattern):
+    """Maps every id `pattern` finds under rel to the first file raising
+    it. RAW text: the ids live inside string literals, which
+    strip_comments blanks out."""
+    raised = {}
+    for path, text in raw_texts(root, rel):
+        for m in pattern.finditer(text):
+            raised.setdefault(m.group(1), path)
+    return raised
 
 
 def check_ir_error_ids(root):
     """Requires every qdj.* id raised in src/qdsim/ir/ to appear in the
-    adversarial decode tests. RAW text on both sides: the ids live inside
-    string literals, which strip_comments blanks out."""
+    adversarial decode tests (raw text on both sides)."""
     findings = []
     ir_dir = os.path.join(root, "src", "qdsim", "ir")
     test_path = os.path.join(root, "tests", "ir", "test_ir.cc")
     if not os.path.isdir(ir_dir):
         return findings
-    raised = {}
-    for dirpath, _, files in os.walk(ir_dir):
-        for name in sorted(files):
-            if not name.endswith((".cc", ".h")):
-                continue
-            path = os.path.join(dirpath, name)
-            with open(path, encoding="utf-8") as f:
-                text = f.read()
-            for m in IR_ERROR_ID.finditer(text):
-                raised.setdefault(m.group(1), os.path.relpath(path, root))
+    raised = raised_ids(root, os.path.join("src", "qdsim", "ir"),
+                        IR_ERROR_ID)
     if not raised:
         findings.append(
             "src/qdsim/ir/: no qdj.* error ids found — either the decoder "
@@ -239,11 +256,27 @@ def check_ir_error_ids(root):
     return findings
 
 
+def check_exec_error_ids(root):
+    """Requires every exec.* id raised in src/serve/ to appear in a test
+    under tests/serve/ (raw text on both sides)."""
+    raised = raised_ids(root, os.path.join("src", "serve"), EXEC_ERROR_ID)
+    tested = set()
+    for _, text in raw_texts(root, os.path.join("tests", "serve")):
+        tested.update(EXEC_ERROR_ID.findall(text))
+    return [
+        f"{raised[error_id]}: error id \"{error_id}\" is raised but "
+        f"never appears in tests/serve/ (every engine-failure id needs "
+        f"a test)"
+        for error_id in sorted(set(raised) - tested)
+    ]
+
+
 CHECKS = {
     "obs-in-omp": check_obs_in_omp,
     "raw-assert": check_raw_assert,
     "bench-metrics": check_bench_metrics,
     "ir-error-ids": check_ir_error_ids,
+    "exec-error-ids": check_exec_error_ids,
 }
 
 
@@ -326,6 +359,21 @@ IR_TEST_BAD = """
 const char* kIds[] = {"qdj.syntax"};  // qdj.wires untested
 """
 
+SERVE_CC = """
+const char* id(bool state) {
+    return state ? "exec.state" : "exec.density";
+}
+"""
+
+SERVE_TEST_GOOD = """
+EXPECT_EQ(execute(huge_state_job()).error_id, "exec.state");
+EXPECT_EQ(execute(bad_density_job()).error_id, "exec.density");
+"""
+
+SERVE_TEST_BAD = """
+EXPECT_EQ(execute(huge_state_job()).error_id, "exec.state");
+"""
+
 
 def write(root, rel, content):
     path = os.path.join(root, rel)
@@ -372,6 +420,9 @@ def normalize_spec(spec):
     write(root, "src/qdsim/ir/ir.cc", IR_CC)
     write(root, "tests/ir/test_ir.cc",
           IR_TEST_BAD if bad else IR_TEST_GOOD)
+    write(root, "src/serve/run.cc", SERVE_CC)
+    write(root, "tests/serve/test_serve.cc",
+          SERVE_TEST_BAD if bad else SERVE_TEST_GOOD)
 
 
 def self_test():
@@ -387,6 +438,8 @@ def self_test():
                "consistent bench tables pass", problems)
         expect(check_ir_error_ids(good) == [],
                "fully tested ir error ids pass", problems)
+        expect(check_exec_error_ids(good) == [],
+               "fully tested exec error ids pass", problems)
 
         bad = os.path.join(tmp, "bad")
         make_fixture_repo(bad, bad=True)
@@ -406,6 +459,9 @@ def self_test():
         ir = check_ir_error_ids(bad)
         expect(len(ir) == 1 and "qdj.wires" in ir[0],
                "untested ir error id flagged", problems)
+        ex = check_exec_error_ids(bad)
+        expect(len(ex) == 1 and "exec.density" in ex[0],
+               "untested exec error id flagged", problems)
     if problems:
         print(f"lint_invariants --self-test: FAILED ({len(problems)})")
         return 1

@@ -43,9 +43,9 @@ std::vector<std::vector<ErrorSite>> enumerate_error_sites(
  * Fusion fences derived from the error placement: entry i is non-zero
  * iff operation i draws at least one channel, so the compile-time fusion
  * stage (exec/fusion.h) pins that op's trailing boundary and the channel
- * keeps its pre-fusion attachment point. Single source of truth for the
- * trajectory AND density engines — both must fence identically for their
- * convergence comparisons to stay valid.
+ * keeps its pre-fusion attachment point. The density engine fences its
+ * gates with these, and admission audits the fenced partition; the
+ * trajectory engine attaches each error to its source op instead.
  */
 std::vector<std::uint8_t> error_fences(
     const std::vector<std::vector<ErrorSite>>& sites);

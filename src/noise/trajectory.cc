@@ -36,6 +36,26 @@ constexpr int kMaxBatchLanes = 12;
  *  width 12, the fastest widths measured there. */
 constexpr std::size_t kGroupBytes = std::size_t{4} << 20;
 
+/**
+ * Smallest register on which the noisy program runs the fusion stage-2
+ * look-ahead; smaller ones fuse by stage 1 alone. The look-ahead's
+ * compile time grows with the program's ops, the passes it saves with
+ * the register, so it pays back only on large registers. Measured on the
+ * gen-Toffoli under SC with Figure 11's traffic (a cold compile, then 32
+ * shots on 4 threads; compile + run, look-ahead on vs off): it loses at
+ * 2^12 amplitudes (QUBIT, width 12: 392-757 vs 339-379 ms) and at 3^8
+ * (QUTRIT, width 8: 20-22 vs 16-19 ms), and wins from 2^13 up
+ * (QUBIT, width 13: 689-705 vs 779-793 ms; QUTRIT, width 9: 43-47 vs
+ * 48-53 ms; QUTRIT, width 11: 305-388 vs 391-495 ms).
+ */
+constexpr Index kLookaheadMinAmplitudes = Index{1} << 13;
+
+/** Relative slack taken off every per-op norm bound, so rounding in a
+ *  pass (a relative 1e-14 or so, even for dense 27-blocks over 3^11
+ *  amplitudes) can never make a lane's true norm fall below its bound
+ *  and hide a threshold crossing. */
+constexpr Real kKeepSlack = 1e-9;
+
 int
 ceil_div(int a, int b)
 {
@@ -67,14 +87,19 @@ default_lane_count(Index register_size, int trials, int workers)
 /**
  * Precomputed per-circuit state shared by all trajectories (the payload
  * behind TrajectoryCompilation, cached across requests by the
- * CompileService): two compiled circuits over one shared plan cache —
- * `ideal` (fully fused) for the noiseless reference passes, `noisy`
- * (fused only between noise boundaries; unfused under idle noise) for
- * the moment loop — the per-compiled-op precompiled depolarizing error
- * draws, the moment schedule and, for uniform-dimension registers, a
- * per-basis-index key packing the excited-level counts (n1, n2), which
- * lets the no-jump damping operator of ALL wires apply as one
- * table-scaled pass.
+ * CompileService), over one shared plan cache:
+ *  - `ideal`, the fully fused circuit, for the noiseless reference pass;
+ *  - the noisy program `noisy()`: the ideal program when there is no idle
+ *    noise; otherwise the circuit's ops in ASAP-moment order with each
+ *    wire's no-jump damping step K0(wire, tau) inserted before the wire's
+ *    next gate and once at the end (`steps`), fused with the job's
+ *    options under damping alone (the stage-2 look-ahead from
+ *    kLookaheadMinAmplitudes up) and per op under dephasing;
+ *  - `per_op`, every step compiled alone, which replays run;
+ *  - the gate-error lotteries in draw order (`sites`), each attached to
+ *    the step it follows, and for each step the noisy op holding it;
+ *  - for each noisy op, a lower bound on the share of ||psi||^2 it keeps
+ *    (`keep`) and the dephasing kick that follows it (`kick`).
  */
 struct TrajectoryCompilation::Impl {
     /**
@@ -87,30 +112,48 @@ struct TrajectoryCompilation::Impl {
         std::vector<exec::CompiledOp> unitaries;
     };
 
-    NoiseModel model;             ///< the model every trial draws from
-    exec::PlanCache cache;        ///< plans shared across both compilations
-    exec::CompiledCircuit ideal;  ///< fully fused: ideal reference passes
-    /** The noisy-loop compilation. Gate-error ops are fusion fences, so
-     *  every error channel still attaches to its pre-fusion op boundary —
-     *  this holds for stage-2 union merges too, because cost-model
-     *  windows never span a fence; under idle noise the moment schedule
-     *  (wire-disjoint ops) is kept per op and nothing merges. */
-    exec::CompiledCircuit noisy;
-    /** Per noisy-op index: the error lotteries drawn after that op (the
-     *  draws of its source ops; fences guarantee only the last source op
-     *  of a fused group — nested or union-merged — carries any).
-     *  Pointers into `error_memo_`, deduplicated by (wires,
-     *  probability). */
-    std::vector<std::vector<const ErrorDraw*>> errors;
-    /** Schedule over noisy-op indices. */
-    std::vector<Moment> moments;
-    bool accel = false;
-    int width = 0;
-    int dim = 0;
-    std::vector<std::uint16_t> count_key;  ///< n1 * (width+1) + n2
+    /** The no-jump damping operator K0 of one wire dimension over one
+     *  idle time tau. */
+    struct Damping {
+        Gate k0;  ///< diag(sqrt(1 - lambda_m)); empty when nothing decays
+        std::vector<Real> lambda;  ///< lambda_m(tau), m = 0..d-1
+        Real keep = 1;             ///< min_m (1 - lambda_m)
+    };
 
-    // Non-copyable: `errors` holds raw pointers into this object's
-    // error_memo_; a copy would leave them dangling into the source.
+    /** One source op of the noisy program. */
+    struct Step {
+        /** Non-null: the step is K0 on `wire`; null: a circuit op. */
+        const Damping* damping = nullptr;
+        int wire = -1;
+    };
+
+    /** One gate-error lottery, drawn after step `step`. */
+    struct Site {
+        std::uint32_t step = 0;
+        const ErrorDraw* draw = nullptr;
+    };
+
+    NoiseModel model;             ///< the model every trial draws from
+    exec::PlanCache cache;        ///< plans shared by every compile below
+    exec::CompiledCircuit ideal;  ///< fully fused: ideal reference passes
+    /** The fused noisy program under damping without dephasing. */
+    exec::CompiledCircuit fused;
+    /** Every step compiled alone (empty when `ideal` already is). */
+    exec::CompiledCircuit per_op;
+    std::vector<Step> steps;
+    std::vector<Site> sites;
+    /** Per step: the index of the noisy op that realises it. */
+    std::vector<std::uint32_t> block_of;
+    /** Per noisy op: a lower bound on ||psi after||^2 / ||psi before||^2
+     *  (the product of its K0 steps' `keep`, less kKeepSlack). */
+    std::vector<Real> keep;
+    /** Per noisy op: duration of the dephasing kick after it (0: none). */
+    std::vector<Real> kick;
+    /** True iff some step damps: lanes draw and track thresholds. */
+    bool damping = false;
+
+    // Non-copyable: `steps` and `sites` point into this object's memos,
+    // and noisy() / replay() into its compilations.
     Impl(const Impl&) = delete;
     Impl& operator=(const Impl&) = delete;
 
@@ -119,93 +162,167 @@ struct TrajectoryCompilation::Impl {
         : model(noise_model),
           cache(circuit.dims()),
           ideal(circuit, fusion, {}, &cache) {
-        const auto sites = enumerate_error_sites(circuit, model);
-        const bool idle_noise =
-            model.has_damping() || model.has_dephasing();
-        if (!fusion.enabled || idle_noise) {
-            // Idle noise fences every moment boundary, and ops within a
-            // moment are wire-disjoint: fusion has nothing to merge, so
-            // compile per op (bitwise the pre-fusion engine) and keep the
-            // ASAP moments as the noisy schedule.
-            exec::FusionOptions off = fusion;
-            off.enabled = false;
-            noisy = exec::CompiledCircuit(circuit, off, {}, &cache);
-            moments = schedule_asap(circuit);
+        exec::FusionOptions off = fusion;
+        off.enabled = false;
+        // source[s]: the circuit op step s realises (kNoSource for K0).
+        std::vector<std::uint32_t> source;
+        if (!model.has_damping() && !model.has_dephasing()) {
+            // No idle noise: the noisy program is the ideal one.
+            steps.resize(circuit.num_ops());
+            source.resize(circuit.num_ops());
+            for (std::size_t i = 0; i < source.size(); ++i) {
+                source[i] = static_cast<std::uint32_t>(i);
+            }
+            if (fusion.enabled) {
+                per_op = exec::CompiledCircuit(circuit, off, {}, &cache);
+            }
+            noisy_ = &ideal;
+            replay_ = fusion.enabled ? &per_op : &ideal;
         } else {
-            // Gate errors are the only noise: fuse between error sites.
-            // Every op that draws a channel fences the partition, pinning
-            // the channel to its pre-fusion boundary (error_fences is the
-            // single source of truth shared with the density engine).
-            noisy = exec::CompiledCircuit(circuit, fusion,
-                                          error_fences(sites), &cache);
-            Moment all;
-            all.op_indices.resize(noisy.num_ops());
-            for (std::size_t k = 0; k < noisy.num_ops(); ++k) {
-                all.op_indices[k] = k;
-            }
-            for (const Operation& op : circuit.ops()) {
-                all.has_multi_qudit =
-                    all.has_multi_qudit || op.gate.arity() >= 2;
-            }
-            moments.push_back(std::move(all));
-        }
-        build_error_draws(circuit, sites);
-        const WireDims& dims = circuit.dims();
-        width = dims.num_wires();
-        dim = dims.dim(0);
-        for (int w = 0; w < width; ++w) {
-            if (dims.dim(w) != dim) {
-                return;  // mixed radix: no acceleration
+            const Circuit program = build_program(circuit, source);
+            per_op = exec::CompiledCircuit(program, off, {}, &cache);
+            replay_ = &per_op;
+            noisy_ = &per_op;
+            if (fusion.enabled && !model.has_dephasing()) {
+                // No fences: a lane with an event inside a fused op
+                // replays the op's source steps from a checkpoint.
+                exec::FusionOptions noisy_fusion = fusion;
+                noisy_fusion.cost_model =
+                    fusion.cost_model &&
+                    circuit.dims().size() >= kLookaheadMinAmplitudes;
+                fused = exec::CompiledCircuit(program, noisy_fusion, {},
+                                              &cache);
+                noisy_ = &fused;
             }
         }
-        if (dim > 3) {
-            return;
-        }
-        count_key.resize(dims.size());
-        std::vector<int> digits(static_cast<std::size_t>(width), 0);
-        int n1 = 0, n2 = 0;
-        const int stride = width + 1;
-        for (Index idx = 0;; ++idx) {
-            count_key[idx] =
-                static_cast<std::uint16_t>(n1 * stride + n2);
-            if (idx + 1 >= dims.size()) {
-                break;
-            }
-            for (int w = width - 1;; --w) {
-                const std::size_t uw = static_cast<std::size_t>(w);
-                n1 -= digits[uw] == 1;
-                n2 -= digits[uw] == 2;
-                if (++digits[uw] < dim) {
-                    n1 += digits[uw] == 1;
-                    n2 += digits[uw] == 2;
-                    break;
+        build_sites(circuit, source);
+        const std::size_t num_ops = noisy_->num_ops();
+        block_of.assign(steps.size(), 0);
+        keep.assign(num_ops, 1.0);
+        kick.resize(num_ops, 0.0);  // build_program filled it per step
+        for (std::size_t k = 0; k < num_ops; ++k) {
+            Real bound = 1;
+            for (const std::uint32_t s : noisy_->ops()[k].source_ops) {
+                block_of[s] = static_cast<std::uint32_t>(k);
+                if (steps[s].damping != nullptr) {
+                    bound *= steps[s].damping->keep;
                 }
-                digits[uw] = 0;
             }
+            keep[k] = bound * (1 - kKeepSlack);
         }
-        accel = true;
+    }
+
+    /** The program the noisy loop runs, one batched pass per op. */
+    const exec::CompiledCircuit& noisy() const { return *noisy_; }
+    /** Step s compiled alone, as replays run it. */
+    const exec::CompiledOp& replay(std::size_t s) const {
+        return replay_->ops()[s];
     }
 
   private:
+    static constexpr std::uint32_t kNoSource = ~std::uint32_t{0};
+
     /**
-     * Precompiles every depolarizing error unitary the trajectory loop can
-     * draw, sharing apply plans with the compiled circuits (an error on a
-     * gate's wires reuses that gate's offset tables via the shared
-     * cache). Placement comes from enumerate_error_sites — the same
-     * policy the exact density-matrix engine compiles against, so the two
-     * stay comparable. Draws are memoised by (wires, per-channel
-     * probability), so a circuit with many gates on the same wire pair
-     * compiles its channel once. Per-source-op draw lists are folded onto
-     * the noisy compilation through CompiledOp::source_ops.
+     * The noisy program's source ops (filling `steps`, `source` and, under
+     * dephasing, where the program stays per op, `kick`): the circuit's
+     * ops in ASAP-moment order, each preceded by the K0 steps of its
+     * wires' idle time. A wire's idle time runs from its previous gate's
+     * moment (that moment included) to its next gate, or to the end of
+     * the circuit.
      */
-    void build_error_draws(const Circuit& circuit,
-                           const std::vector<std::vector<ErrorSite>>& sites) {
+    Circuit build_program(const Circuit& circuit,
+                          std::vector<std::uint32_t>& source) {
         const WireDims& dims = circuit.dims();
-        std::vector<std::vector<const ErrorDraw*>> per_op(circuit.num_ops());
-        for (std::size_t i = 0; i < sites.size(); ++i) {
-            for (const ErrorSite& site : sites[i]) {
-                const auto key =
-                    std::make_pair(site.wires, site.per_channel);
+        Circuit program(dims);
+        std::vector<Real> idle(static_cast<std::size_t>(dims.num_wires()),
+                               0.0);
+        auto push = [&](const Gate& gate, const std::vector<int>& wires,
+                        Step step, std::uint32_t src) {
+            program.append(gate, wires);
+            steps.push_back(step);
+            source.push_back(src);
+            if (model.has_dephasing()) {
+                kick.push_back(0.0);
+            }
+        };
+        auto flush = [&](int w) {
+            Real& tau = idle[static_cast<std::size_t>(w)];
+            if (tau > 0 && model.has_damping()) {
+                if (const Damping* d = damping_for(dims.dim(w), tau)) {
+                    push(d->k0, {w}, Step{d, w}, kNoSource);
+                    damping = true;
+                }
+            }
+            tau = 0;
+        };
+        for (const Moment& moment : schedule_asap(circuit)) {
+            for (const std::size_t idx : moment.op_indices) {
+                const Operation& op = circuit.ops()[idx];
+                for (const int w : op.wires) {
+                    flush(w);
+                }
+                push(op.gate, op.wires, Step{},
+                     static_cast<std::uint32_t>(idx));
+            }
+            const Real dt = model.moment_duration(moment.has_multi_qudit);
+            for (Real& tau : idle) {
+                tau += dt;
+            }
+            if (model.has_dephasing()) {
+                kick.back() = dt;  // after the moment's last op
+            }
+        }
+        for (int w = 0; w < dims.num_wires(); ++w) {
+            flush(w);
+        }
+        return program;
+    }
+
+    /** The memoised K0 of a d-level wire over `tau`; null when no level
+     *  decays (K0 is the identity and the step is dropped). */
+    const Damping* damping_for(int d, Real tau) {
+        auto [it, fresh] = damping_memo_.try_emplace({d, tau});
+        Damping& damp = it->second;
+        if (fresh) {
+            damp.lambda.assign(static_cast<std::size_t>(d), 0.0);
+            std::vector<Complex> diag(static_cast<std::size_t>(d),
+                                      Complex(1, 0));
+            bool decays = false;
+            for (int m = 1; m < d; ++m) {
+                const Real lam = model.lambda(m, tau);
+                damp.lambda[static_cast<std::size_t>(m)] = lam;
+                diag[static_cast<std::size_t>(m)] =
+                    Complex(std::sqrt(1.0 - lam), 0);
+                damp.keep = std::min(damp.keep, 1.0 - lam);
+                decays = decays || lam > 0;
+            }
+            if (decays) {
+                damp.k0 = Gate("k0", {d}, Matrix::diagonal(diag));
+            }
+        }
+        return damp.k0.empty() ? nullptr : &damp;
+    }
+
+    /**
+     * Precompiles every depolarizing error unitary a trajectory can draw,
+     * sharing apply plans with the compiled programs (an error on a gate's
+     * wires reuses that gate's offset tables via the shared cache), and
+     * lists the lotteries in step order. Placement comes from
+     * enumerate_error_sites — the same policy the exact density-matrix
+     * engine compiles against, so the two stay comparable. Draws are
+     * memoised by (wires, per-channel probability), so a circuit with
+     * many gates on the same wire pair compiles its channel once.
+     */
+    void build_sites(const Circuit& circuit,
+                     const std::vector<std::uint32_t>& source) {
+        const WireDims& dims = circuit.dims();
+        const auto per_op = enumerate_error_sites(circuit, model);
+        for (std::size_t s = 0; s < source.size(); ++s) {
+            if (source[s] == kNoSource) {
+                continue;
+            }
+            for (const ErrorSite& site : per_op[source[s]]) {
+                const auto key = std::make_pair(site.wires, site.per_channel);
                 auto it = error_memo_.find(key);
                 if (it == error_memo_.end()) {
                     const MixedUnitaryChannel ch =
@@ -224,21 +341,18 @@ struct TrajectoryCompilation::Impl {
                     }
                     it = error_memo_.emplace(key, std::move(draw)).first;
                 }
-                per_op[i].push_back(&it->second);
-            }
-        }
-        errors.resize(noisy.num_ops());
-        for (std::size_t k = 0; k < noisy.num_ops(); ++k) {
-            for (const std::uint32_t s : noisy.ops()[k].source_ops) {
-                const auto& draws = per_op[static_cast<std::size_t>(s)];
-                errors[k].insert(errors[k].end(), draws.begin(),
-                                 draws.end());
+                sites.push_back(
+                    Site{static_cast<std::uint32_t>(s), &it->second});
             }
         }
     }
 
-    /** Owns the deduplicated draws; node-based map keeps pointers stable. */
+    const exec::CompiledCircuit* noisy_ = nullptr;
+    const exec::CompiledCircuit* replay_ = nullptr;
+    /** Owns the deduplicated draws and K0s; node-based maps keep the
+     *  pointers in `sites` and `steps` stable. */
     std::map<std::pair<std::vector<int>, Real>, ErrorDraw> error_memo_;
+    std::map<std::pair<int, Real>, Damping> damping_memo_;
 };
 
 TrajectoryCompilation::TrajectoryCompilation(
@@ -257,13 +371,7 @@ TrajectoryCompilation::model() const
 const WireDims&
 TrajectoryCompilation::dims() const
 {
-    return impl_->noisy.dims();
-}
-
-bool
-TrajectoryCompilation::fused_damping_supported() const
-{
-    return impl_->accel;
+    return impl_->ideal.dims();
 }
 
 namespace {
@@ -271,17 +379,65 @@ namespace {
 // The engine helpers below read the compilation through its original
 // working name.
 using EngineContext = TrajectoryCompilation::Impl;
-using ErrorDraw = EngineContext::ErrorDraw;
 
 // --------------------------------------------------------------------------
-// One engine: B trajectory lanes advance through one compiled-circuit pass
-// (run_single_trajectory is B = 1). Shared, deterministic work (gates,
-// no-jump scaling, dephasing) runs on all lanes at once; divergent per-lane
-// events (gate-error draws, damping jumps, the fused rare branch) extract
-// the lane to a StateVector, run the single-lane helpers below on it, and
-// write it back. Every lane primitive matches its StateVector counterpart
-// bitwise, so a lane's result does not depend on the batch width.
+// One engine: B trajectory lanes advance through one pass per noisy op
+// (run_single_trajectory is B = 1). A lane leaves the group only around an
+// op holding one of its own events — a presampled gate error that fired,
+// or a damping-threshold crossing — and replays that op's source steps on
+// the single-shot kernels from a checkpoint. Every decision reads only the
+// lane's own stream and norms, and every lane primitive computes a lane
+// from that lane alone, so a lane's result does not depend on the batch
+// width.
 // --------------------------------------------------------------------------
+
+/** A presampled gate error: `unitary` runs right after step `step`, which
+ *  noisy op `block` realises. */
+struct Fire {
+    std::uint32_t block = 0;
+    std::uint32_t step = 0;
+    const exec::CompiledOp* unitary = nullptr;
+};
+
+/** One lane's noise state. */
+struct LaneNoise {
+    std::vector<Fire> fires;  ///< in program order
+    std::size_t next = 0;     ///< first fire not applied yet
+    Real threshold = 0;       ///< damping threshold r on ||psi||^2
+    /** Lower bound on ||psi||^2 (exact right after a measure or a
+     *  replayed K0 step). */
+    Real norm = 1;
+};
+
+/** Draws every gate-error lottery of the program and the first damping
+ *  threshold from the lane's stream, keeping the lotteries that fired. */
+LaneNoise
+presample(const EngineContext& ctx, Rng& rng)
+{
+    LaneNoise noise;
+    for (const EngineContext::Site& site : ctx.sites) {
+        if (rng.uniform() >= site.draw->total) {
+            continue;  // no error at this site
+        }
+        obs::count(obs::Counter::kTrajGateErrorsFired);
+        const std::size_t pick = static_cast<std::size_t>(
+            rng.uniform_int(site.draw->unitaries.size()));
+        noise.fires.push_back(Fire{ctx.block_of[site.step], site.step,
+                                   &site.draw->unitaries[pick]});
+    }
+    // Sites are listed in step order; a fused op may realise later steps
+    // before earlier ones of another op. Stable: a step's errors keep
+    // their site order.
+    std::stable_sort(noise.fires.begin(), noise.fires.end(),
+                     [](const Fire& a, const Fire& b) {
+                         return a.block != b.block ? a.block < b.block
+                                                   : a.step < b.step;
+                     });
+    if (ctx.damping) {
+        noise.threshold = 1 - rng.uniform();  // U(0, 1]: r = 0 never jumps
+    }
+    return noise;
+}
 
 /** Applies a damping jump |level> -> |0> on `wire` and renormalises.
  *  A jump is only ever drawn with probability proportional to the level's
@@ -302,279 +458,79 @@ apply_jump(StateVector& psi, int wire, int level)
     }
 }
 
-/** The no-jump K0 diagonal of a d-dimensional wire over dt. */
-std::vector<Complex>
-k0_diag(const NoiseModel& model, Real dt, int d)
-{
-    std::vector<Complex> diag(static_cast<std::size_t>(d));
-    diag[0] = Complex(1, 0);
-    for (int m = 1; m < d; ++m) {
-        diag[static_cast<std::size_t>(m)] =
-            Complex(std::sqrt(1.0 - model.lambda(m, dt)), 0);
-    }
-    return diag;
-}
-
-/** Applies the no-jump K0 diagonal of a single wire (no renormalise). */
-void
-apply_k0(StateVector& psi, const NoiseModel& model, Real dt, int wire)
-{
-    psi.apply_diag1(k0_diag(model, dt, psi.dims().dim(wire)), wire);
-}
-
-/** True iff any excited level of a d-dimensional wire decays at all over
- *  dt — i.e. the wire's no-jump K0 differs from the identity. */
-bool
-k0_nontrivial(const NoiseModel& model, Real dt, int d)
-{
-    for (int m = 1; m < d; ++m) {
-        if (model.lambda(m, dt) > 0) {
-            return true;
-        }
-    }
-    return false;
-}
-
-/** Builds the fused no-jump scale table (indexed by packed excited-level
- *  counts) and its inverse for one moment duration. */
-void
-build_damping_tables(const NoiseModel& model, Real dt,
-                     const EngineContext& ctx, std::vector<Real>& scale,
-                     std::vector<Real>& inv)
-{
-    const Real l1 = model.lambda(1, dt);
-    const Real l2 = ctx.dim >= 3 ? model.lambda(2, dt) : 0.0;
-    const Real s1 = std::sqrt(1.0 - l1), s2 = std::sqrt(1.0 - l2);
-    const int stride = ctx.width + 1;
-    scale.assign(static_cast<std::size_t>(stride * stride), 1.0);
-    inv.assign(scale.size(), 1.0);
-    for (int n1 = 0; n1 <= ctx.width; ++n1) {
-        for (int n2 = 0; n2 + n1 <= ctx.width; ++n2) {
-            const Real s = std::pow(s1, n1) * std::pow(s2, n2);
-            scale[static_cast<std::size_t>(n1 * stride + n2)] = s;
-            inv[static_cast<std::size_t>(n1 * stride + n2)] = 1.0 / s;
-        }
-    }
-}
-
 /**
- * The fused path's rejected branch, entered with the joint no-jump
- * operator still applied to `psi`: undo it, then draw the jump from the
- * per-(wire, level) populations. Runs on an extracted lane.
+ * One K0(wire, tau) step of a replay (step `s`). K0 keeps
+ * sum_m (1 - lambda_m) * population(m) of ||psi||^2; when that falls
+ * below the threshold the lane jumps instead, to |0> from level m with
+ * weight lambda_m * population(m), renormalises and draws a new
+ * threshold. Returns true on a jump.
  */
-void
-fused_rare_branch(StateVector& psi, const NoiseModel& model, Real dt,
-                  const EngineContext& ctx, Rng& rng,
-                  const std::vector<Real>& scale,
-                  const std::vector<Real>& inv)
+bool
+damping_step(const EngineContext& ctx, std::size_t s, StateVector& lane,
+             LaneNoise& noise, Rng& rng, exec::ExecScratch& scratch)
 {
-    obs::count(obs::Counter::kTrajRareBranches);
-    psi.scale_by_table(ctx.count_key, inv);
-    std::vector<Real> weights;
-    std::vector<std::pair<int, int>> arms;  // (wire, level)
-    for (int w = 0; w < ctx.width; ++w) {
-        const auto pops = psi.populations(w);
-        for (int m = 1; m < ctx.dim; ++m) {
-            weights.push_back(model.lambda(m, dt) *
-                              pops[static_cast<std::size_t>(m)]);
-            arms.emplace_back(w, m);
-        }
+    const EngineContext::Step& step = ctx.steps[s];
+    const std::vector<Real>& lambda = step.damping->lambda;
+    std::vector<Real> jump = lane.populations(step.wire);
+    Real kept = 0;
+    for (std::size_t m = 0; m < jump.size(); ++m) {
+        kept += jump[m] * (1 - lambda[m]);
+        jump[m] *= lambda[m];  // the weight of a jump from level m
     }
-    const std::optional<std::size_t> pick = rng.weighted_draw(weights);
-    if (!pick.has_value()) {
-        // Numerically-all-zero weights: there is no jump to draw (the
-        // acceptance draw lost to rounding). Fall back to the no-jump
-        // evolution instead of forcing a zero-population jump, which
-        // used to die renormalising a zero state.
-        psi.scale_by_table(ctx.count_key, scale);
-        if (!psi.normalize()) {
-            throw std::runtime_error(
-                "trajectory: no-jump evolution produced a zero-norm state");
-        }
-        return;
+    const std::optional<std::size_t> level =
+        kept < noise.threshold ? rng.weighted_draw(jump) : std::nullopt;
+    if (!level) {
+        // No crossing, or nothing to jump from (a lane left below its
+        // threshold by rounding jumps at its next step that can).
+        exec::apply_op(ctx.replay(s), lane, scratch);
+        noise.norm = kept;
+        return false;
     }
-    apply_jump(psi, arms[*pick].first, arms[*pick].second);
-    for (int w = 0; w < ctx.width; ++w) {
-        if (w != arms[*pick].first) {
-            apply_k0(psi, model, dt, w);
-        }
-    }
-    if (!psi.normalize()) {
-        throw std::runtime_error(
-            "trajectory: no-jump evolution produced a zero-norm state");
-    }
+    apply_jump(lane, step.wire, static_cast<int>(*level));
+    noise.norm = 1;
+    noise.threshold = 1 - rng.uniform();
+    return true;
 }
 
-/** Draws and applies per-lane depolarizing errors after one gate. */
+/** Re-runs noisy op `k` on `lane` (its checkpoint from before the op),
+ *  one source step at a time: K0 steps check the threshold, and each
+ *  fired error runs right after its step. */
 void
-apply_gate_error_batched(exec::BatchedStateVector& psi,
-                         const std::vector<const ErrorDraw*>& draws,
-                         std::vector<Rng>& rngs, StateVector& lane,
-                         exec::ExecScratch& scratch)
+replay_op(const EngineContext& ctx, std::size_t k, StateVector& lane,
+          LaneNoise& noise, Rng& rng, exec::ExecScratch& scratch)
 {
-    const int lanes = psi.lanes();
-    // One draw per (error site, lane) — the same lotteries an unbatched
-    // shot would test, so the draw totals are batch-width invariant.
-    obs::count(obs::Counter::kTrajGateErrorDraws,
-               draws.size() * static_cast<std::uint64_t>(lanes));
-    for (const ErrorDraw* e : draws) {
-        for (int j = 0; j < lanes; ++j) {
-            if (rngs[static_cast<std::size_t>(j)].uniform() >= e->total) {
-                continue;  // no error on this lane
-            }
-            obs::count(obs::Counter::kTrajGateErrorsFired);
-            obs::count(obs::Counter::kTrajLaneExtracts);
-            const std::size_t pick = static_cast<std::size_t>(
-                rngs[static_cast<std::size_t>(j)].uniform_int(
-                    e->unitaries.size()));
-            psi.extract_lane(j, lane);
-            exec::apply_op(e->unitaries[pick], lane, scratch);
-            psi.set_lane(j, lane);
+    obs::count(obs::Counter::kTrajLaneExtracts);
+    bool crossed = false;
+    for (const std::uint32_t s : ctx.noisy().ops()[k].source_ops) {
+        if (ctx.steps[s].damping != nullptr) {
+            crossed = damping_step(ctx, s, lane, noise, rng, scratch) ||
+                      crossed;
+        } else {
+            exec::apply_op(ctx.replay(s), lane, scratch);
+        }
+        for (; noise.next < noise.fires.size() &&
+               noise.fires[noise.next].step == s;
+             ++noise.next) {
+            exec::apply_op(*noise.fires[noise.next].unitary, lane, scratch);
         }
     }
-}
-
-/** Reusable buffers for the idle-noise steps (one set per moment loop;
- *  avoids a handful of heap allocations per moment). */
-struct BatchNoiseScratch {
-    std::vector<std::uint8_t> accepted;
-    /** factors[lane][wire] for the batched dephasing kick; the nested
-     *  vectors are sized on first use and refilled in place after that. */
-    std::vector<std::vector<std::vector<Complex>>> dephasing_factors;
-};
-
-/** Batched fused damping: one joint table-scaled pass over all lanes;
- *  rejected lanes take the rare branch on the extracted lane. The
- *  scale/inv tables are a pure function of (model, dt), so the caller
- *  builds them once per moment duration instead of once per moment. */
-void
-apply_idle_damping_fused_batched(exec::BatchedStateVector& psi,
-                                 const NoiseModel& model, Real dt,
-                                 const EngineContext& ctx,
-                                 const std::vector<Real>& scale,
-                                 const std::vector<Real>& inv,
-                                 std::vector<Rng>& rngs, StateVector& lane,
-                                 BatchNoiseScratch& ds)
-{
-    const std::vector<Real> q =
-        psi.scale_by_table_lanes(ctx.count_key, scale);
-    const int lanes = psi.lanes();
-    std::vector<std::uint8_t>& accepted = ds.accepted;
-    accepted.assign(static_cast<std::size_t>(lanes), 0);
-    for (int j = 0; j < lanes; ++j) {
-        accepted[static_cast<std::size_t>(j)] =
-            rngs[static_cast<std::size_t>(j)].uniform() <
-                    q[static_cast<std::size_t>(j)]
-                ? 1
-                : 0;
-    }
-    // q already holds each lane's post-scale squared norm (accumulated in
-    // exactly the order a recomputation would), so the normalize can skip
-    // its own O(size * lanes) norm pass.
-    const auto ok = psi.normalize_lanes_with(q, accepted);
-    for (int j = 0; j < lanes; ++j) {
-        if (accepted[static_cast<std::size_t>(j)] != 0 &&
-            ok[static_cast<std::size_t>(j)] == 0) {
-            throw std::runtime_error(
-                "trajectory: no-jump evolution produced a zero-norm state");
-        }
-    }
-    for (int j = 0; j < lanes; ++j) {
-        if (accepted[static_cast<std::size_t>(j)] != 0) {
-            continue;
-        }
-        obs::count(obs::Counter::kTrajLaneExtracts);
-        psi.extract_lane(j, lane);
-        fused_rare_branch(lane, model, dt, ctx,
-                          rngs[static_cast<std::size_t>(j)], scale, inv);
-        psi.set_lane(j, lane);
-    }
-}
-
-/** Batched exact per-wire sequential idle damping (mixed radix / dim > 3):
- *  populations and the no-jump K0 run lane-parallel per wire; jump lanes
- *  take the jump on the extracted lane. */
-void
-apply_idle_damping_sequential_batched(exec::BatchedStateVector& psi,
-                                      const NoiseModel& model, Real dt,
-                                      std::vector<Rng>& rngs,
-                                      StateVector& lane)
-{
-    const WireDims& dims = psi.dims();
-    const int lanes = psi.lanes();
-    const std::size_t B = static_cast<std::size_t>(lanes);
-    std::vector<std::uint8_t> k0_mask(B);
-    for (int w = 0; w < dims.num_wires(); ++w) {
-        const int d = dims.dim(w);
-        const bool nontrivial_k0 = k0_nontrivial(model, dt, d);
-        const std::vector<Real> pops = psi.populations_lanes(w);
-        std::fill(k0_mask.begin(), k0_mask.end(), 0);
-        std::vector<Real> weights(static_cast<std::size_t>(d), 0.0);
-        for (int j = 0; j < lanes; ++j) {
-            const std::size_t uj = static_cast<std::size_t>(j);
-            Real total = 0;
-            for (int m = 1; m < d; ++m) {
-                const Real pj =
-                    model.lambda(m, dt) *
-                    pops[static_cast<std::size_t>(m) * B + uj];
-                weights[static_cast<std::size_t>(m)] = pj;
-                total += pj;
-            }
-            const Real u = rngs[uj].uniform();
-            if (u < total) {
-                Real acc = 0;
-                int level = d - 1;
-                for (int m = 1; m < d; ++m) {
-                    acc += weights[static_cast<std::size_t>(m)];
-                    if (u < acc) {
-                        level = m;
-                        break;
-                    }
-                }
-                obs::count(obs::Counter::kTrajLaneExtracts);
-                psi.extract_lane(j, lane);
-                apply_jump(lane, w, level);
-                psi.set_lane(j, lane);
-            } else if (nontrivial_k0) {
-                k0_mask[uj] = 1;
-            }
-        }
-        if (!nontrivial_k0) {
-            continue;
-        }
-        bool any = false;
-        for (const std::uint8_t m : k0_mask) {
-            any = any || m != 0;
-        }
-        if (!any) {
-            continue;
-        }
-        psi.apply_diag1_masked(k0_diag(model, dt, d), w, k0_mask);
-        const auto ok = psi.normalize_lanes(k0_mask);
-        for (int j = 0; j < lanes; ++j) {
-            if (k0_mask[static_cast<std::size_t>(j)] != 0 &&
-                ok[static_cast<std::size_t>(j)] == 0) {
-                throw std::runtime_error(
-                    "trajectory: no-jump evolution produced a zero-norm "
-                    "state");
-            }
-        }
+    if (crossed) {
+        obs::count(obs::Counter::kTrajRareBranches);
     }
 }
 
 /** Batched coherent dephasing kick: per-lane per-wire phase walks fused
- *  into one product-diagonal pass over all lanes. */
+ *  into one product-diagonal pass over all lanes. `factors[lane][wire]`
+ *  is sized on first use and refilled in place after that. */
 void
-apply_idle_dephasing_batched(exec::BatchedStateVector& psi,
-                             const NoiseModel& model, Real dt,
-                             std::vector<Rng>& rngs,
-                             BatchNoiseScratch& ds)
+apply_idle_dephasing_batched(
+    exec::BatchedStateVector& psi, const NoiseModel& model, Real dt,
+    std::vector<Rng>& rngs,
+    std::vector<std::vector<std::vector<Complex>>>& factors)
 {
     const WireDims& dims = psi.dims();
     const int lanes = psi.lanes();
     const Real s = model.dephasing_sigma * std::sqrt(dt);
-    std::vector<std::vector<std::vector<Complex>>>& factors =
-        ds.dephasing_factors;
     factors.resize(static_cast<std::size_t>(lanes));
     for (int j = 0; j < lanes; ++j) {
         auto& lane_factors = factors[static_cast<std::size_t>(j)];
@@ -593,74 +549,106 @@ apply_idle_dephasing_batched(exec::BatchedStateVector& psi,
 }
 
 /**
- * The noisy moment loop: advances the prepared lanes `psi` (the inputs)
- * through the noisy compilation, lane j drawing from rngs[j], and returns
- * each lane's fidelity against the same lane of `ideal` (the noiseless
- * outputs). Counts one shot per lane.
+ * The noisy loop: advances the prepared lanes `psi` (the inputs) through
+ * the noisy program, lane j drawing from rngs[j], and returns each lane's
+ * fidelity against the same lane of `ideal` (the noiseless outputs),
+ * divided by the lane's final ||psi||^2. Counts one shot per lane.
+ *
+ * Before the pass of op k, every lane that fires an error in k, or whose
+ * norm times keep[k] is below its threshold (the norm measured afresh
+ * whenever the carried bound says so), is copied out as a checkpoint.
+ * After the pass, a lane that fired, or whose measured norm fell below
+ * its threshold, replays k from the checkpoint and is written back; a
+ * lane measured above its threshold keeps the measured norm, and every
+ * other lane carries norm * keep[k] forward.
  */
 std::vector<Real>
-run_lanes(const NoiseModel& model, const EngineContext& ctx,
-          exec::BatchedStateVector& psi,
+run_lanes(const EngineContext& ctx, exec::BatchedStateVector& psi,
           const exec::BatchedStateVector& ideal, std::vector<Rng>& rngs,
-          exec::BatchedScratch& bscratch, exec::ExecScratch& scratch,
-          bool accel)
+          exec::BatchedScratch& bscratch, exec::ExecScratch& scratch)
 {
-    obs::count(obs::Counter::kTrajShots,
-               static_cast<std::uint64_t>(psi.lanes()));
-    // The fused no-jump tables depend only on the moment duration, which
-    // takes exactly two values — build each once per run, not per moment.
-    std::vector<Real> scale_1q, inv_1q, scale_2q, inv_2q;
-    if (model.has_damping() && accel) {
-        build_damping_tables(model, model.dt_1q, ctx, scale_1q, inv_1q);
-        build_damping_tables(model, model.dt_2q, ctx, scale_2q, inv_2q);
+    const int lanes = psi.lanes();
+    const std::size_t B = static_cast<std::size_t>(lanes);
+    obs::count(obs::Counter::kTrajShots, B);
+    // One draw per (error site, lane): the same lotteries a one-lane run
+    // tests, so the draw totals are batch-width invariant.
+    obs::count(obs::Counter::kTrajGateErrorDraws, ctx.sites.size() * B);
+    std::vector<LaneNoise> noise;
+    noise.reserve(B);
+    for (std::size_t j = 0; j < B; ++j) {
+        noise.push_back(presample(ctx, rngs[j]));
     }
 
-    StateVector lane(psi.dims());  // reused for per-lane divergent events
-    BatchNoiseScratch ds;
-    for (const Moment& moment : ctx.moments) {
-        obs::ScopedSpan mspan("traj", "moment");
-        mspan.arg("ops",
-                  static_cast<std::int64_t>(moment.op_indices.size()));
-        for (const std::size_t idx : moment.op_indices) {
-            exec::apply_op_batched(ctx.noisy.ops()[idx], psi,
-                                    bscratch);
-            apply_gate_error_batched(psi, ctx.errors[idx], rngs, lane,
-                                     scratch);
-        }
-        const Real dt = model.moment_duration(moment.has_multi_qudit);
-        if (model.has_damping()) {
-            if (accel) {
-                apply_idle_damping_fused_batched(
-                    psi, model, dt, ctx,
-                    moment.has_multi_qudit ? scale_2q : scale_1q,
-                    moment.has_multi_qudit ? inv_2q : inv_1q, rngs, lane,
-                    ds);
+    enum : std::uint8_t { kStays, kMayCross, kFires };
+    std::vector<std::uint8_t> event(B, kStays);
+    std::vector<std::optional<StateVector>> checkpoint(B);
+    std::vector<std::vector<std::vector<Complex>>> kick_factors;
+    const std::vector<exec::CompiledOp>& ops = ctx.noisy().ops();
+    for (std::size_t k = 0; k < ops.size(); ++k) {
+        for (std::size_t j = 0; j < B; ++j) {
+            LaneNoise& n = noise[j];
+            if (n.next < n.fires.size() && n.fires[n.next].block == k) {
+                event[j] = kFires;
+            } else if (ctx.damping && n.norm * ctx.keep[k] < n.threshold) {
+                // The bound allows a crossing in k: measure the norm
+                // before paying for a checkpoint.
+                n.norm = psi.norm_sq_lane(static_cast<int>(j));
+                event[j] =
+                    n.norm * ctx.keep[k] < n.threshold ? kMayCross : kStays;
             } else {
-                apply_idle_damping_sequential_batched(psi, model, dt, rngs,
-                                                      lane);
+                event[j] = kStays;
+            }
+            if (event[j] != kStays) {
+                if (!checkpoint[j]) {
+                    checkpoint[j].emplace(psi.dims());
+                }
+                psi.extract_lane(static_cast<int>(j), *checkpoint[j]);
             }
         }
-        if (model.has_dephasing()) {
-            apply_idle_dephasing_batched(psi, model, dt, rngs, ds);
+        exec::apply_op_batched(ops[k], psi, bscratch);
+        for (std::size_t j = 0; j < B; ++j) {
+            LaneNoise& n = noise[j];
+            if (event[j] == kStays) {
+                n.norm *= ctx.keep[k];
+                continue;
+            }
+            if (event[j] == kMayCross) {
+                const Real measured = psi.norm_sq_lane(static_cast<int>(j));
+                if (measured >= n.threshold) {
+                    n.norm = measured;
+                    continue;
+                }
+            }
+            replay_op(ctx, k, *checkpoint[j], n, rngs[j], scratch);
+            psi.set_lane(static_cast<int>(j), *checkpoint[j]);
+        }
+        if (ctx.kick[k] > 0) {
+            apply_idle_dephasing_batched(psi, ctx.model, ctx.kick[k], rngs,
+                                         kick_factors);
         }
     }
-    return psi.fidelity_lanes(ideal);
+    std::vector<Real> fidelity = psi.fidelity_lanes(ideal);
+    const std::vector<Real> norm_sq = psi.norm_sq_lanes();
+    for (std::size_t j = 0; j < B; ++j) {
+        fidelity[j] /= norm_sq[j];
+    }
+    return fidelity;
 }
 
 /**
  * Runs trials [start, start + lanes) as one shot group: per-lane streams
  * root.child(t) and random initial states, one batched noiseless pass for
- * the ideal outputs, then the moment loop. Writes each lane's fidelity to
+ * the ideal outputs, then the noisy loop. Writes each lane's fidelity to
  * fidelities[start + j].
  */
 void
-run_trajectory_batch(const NoiseModel& model, const EngineContext& ctx,
+run_trajectory_batch(const EngineContext& ctx,
                      const TrajectoryOptions& options, const Rng& root,
                      int start, int lanes, std::vector<Real>& fidelities,
                      exec::BatchedScratch& bscratch,
-                     exec::ExecScratch& scratch, bool accel)
+                     exec::ExecScratch& scratch)
 {
-    const WireDims& dims = ctx.noisy.dims();
+    const WireDims& dims = ctx.ideal.dims();
     obs::count(obs::Counter::kTrajBatches);
     obs::ScopedSpan span("traj", "shot_batch");
     span.arg("start", start);
@@ -682,27 +670,9 @@ run_trajectory_batch(const NoiseModel& model, const EngineContext& ctx,
     exec::run_batched(ctx.ideal, ideal, bscratch);
 
     const std::vector<Real> fid =
-        run_lanes(model, ctx, psi, ideal, rngs, bscratch, scratch, accel);
+        run_lanes(ctx, psi, ideal, rngs, bscratch, scratch);
     std::copy(fid.begin(), fid.end(),
               fidelities.begin() + static_cast<std::ptrdiff_t>(start));
-}
-
-/** Resolves the damping-engine choice against a compiled context's
- *  acceleration classification (no mutation — the context is shared).
- *  @throws std::invalid_argument if kFused is requested on a register the
- *          fused operator is undefined for. */
-bool
-resolve_damping_engine(const EngineContext& ctx, DampingEngine engine)
-{
-    if (engine == DampingEngine::kSequential) {
-        return false;
-    }
-    if (engine == DampingEngine::kFused && !ctx.accel) {
-        throw std::invalid_argument(
-            "trajectory: fused damping requires a uniform register with "
-            "dim <= 3");
-    }
-    return ctx.accel;
 }
 
 }  // namespace
@@ -710,33 +680,30 @@ resolve_damping_engine(const EngineContext& ctx, DampingEngine engine)
 Real
 run_single_trajectory(const Circuit& circuit, const NoiseModel& model,
                       const StateVector& initial,
-                      const StateVector& ideal_out, Rng& rng,
-                      DampingEngine engine)
+                      const StateVector& ideal_out, Rng& rng)
 {
     verify::enforce_noisy(circuit, model);
     const TrajectoryCompilation compiled(circuit, model, {});
-    return run_single_trajectory(compiled, initial, ideal_out, rng, engine);
+    return run_single_trajectory(compiled, initial, ideal_out, rng);
 }
 
 Real
 run_single_trajectory(const TrajectoryCompilation& compiled,
                       const StateVector& initial,
-                      const StateVector& ideal_out, Rng& rng,
-                      DampingEngine engine)
+                      const StateVector& ideal_out, Rng& rng)
 {
     const EngineContext& ctx = compiled.impl();
-    const bool accel = resolve_damping_engine(ctx, engine);
     // One lane of the batched engine. set_lane rejects a state on another
     // register before any kernel runs.
-    exec::BatchedStateVector psi(ctx.noisy.dims(), 1);
-    exec::BatchedStateVector ideal(ctx.noisy.dims(), 1);
+    exec::BatchedStateVector psi(compiled.dims(), 1);
+    exec::BatchedStateVector ideal(compiled.dims(), 1);
     psi.set_lane(0, initial);
     ideal.set_lane(0, ideal_out);
     std::vector<Rng> rngs{rng};
     exec::BatchedScratch bscratch;
     exec::ExecScratch scratch;
-    const Real fidelity = run_lanes(compiled.model(), ctx, psi, ideal, rngs,
-                                    bscratch, scratch, accel)[0];
+    const Real fidelity =
+        run_lanes(ctx, psi, ideal, rngs, bscratch, scratch)[0];
     rng = rngs[0];  // the caller's stream advances as the shot drew
     return fidelity;
 }
@@ -786,7 +753,6 @@ run_noisy_trials(const TrajectoryCompilation& compiled,
             threads = 1;
         }
     }
-    const NoiseModel& model = compiled.model();
     const EngineContext& ctx = compiled.impl();
     // Trials are dealt out in fixed groups of `batch` lanes (the last
     // group may be narrower, covering trials < batch); lane t always runs
@@ -795,7 +761,7 @@ run_noisy_trials(const TrajectoryCompilation& compiled,
     const int batch =
         options.batch > 0
             ? options.batch
-            : default_lane_count(ctx.noisy.dims().size(), trials,
+            : default_lane_count(compiled.dims().size(), trials,
                                  std::min(threads, trials));
     const int num_batches = ceil_div(trials, batch);
     const int workers = std::min(threads, num_batches);
@@ -803,8 +769,6 @@ run_noisy_trials(const TrajectoryCompilation& compiled,
     // share of it for their OpenMP teams.
     const int team = std::max(1, threads / workers);
 
-    const bool accel =
-        resolve_damping_engine(ctx, options.damping_engine);
     std::vector<Real> fidelities(static_cast<std::size_t>(trials), 0.0);
     std::atomic<int> next{0};
     const Rng root(options.seed);
@@ -820,9 +784,9 @@ run_noisy_trials(const TrajectoryCompilation& compiled,
                 return;
             }
             const int start = g * batch;
-            run_trajectory_batch(model, ctx, options, root, start,
+            run_trajectory_batch(ctx, options, root, start,
                                  std::min(batch, trials - start), fidelities,
-                                 bscratch, scratch, accel);
+                                 bscratch, scratch);
         }
     };
 
@@ -841,16 +805,19 @@ run_noisy_trials(const TrajectoryCompilation& compiled,
 
     TrajectoryResult result;
     result.trials = trials;
-    Real sum = 0, sum_sq = 0;
+    Real sum = 0;
     for (const Real f : fidelities) {
         sum += f;
-        sum_sq += f * f;
     }
     result.mean_fidelity = sum / trials;
     if (trials > 1) {
-        const Real var =
-            (sum_sq - sum * sum / trials) / static_cast<Real>(trials - 1);
-        result.std_error = std::sqrt(std::max<Real>(var, 0) /
+        // Two passes: the spread about the mean, not sum_sq - sum^2 / n,
+        // whose cancellation loses every digit when fidelities cluster.
+        Real sq = 0;
+        for (const Real f : fidelities) {
+            sq += (f - result.mean_fidelity) * (f - result.mean_fidelity);
+        }
+        result.std_error = std::sqrt(sq / static_cast<Real>(trials - 1) /
                                      static_cast<Real>(trials));
     }
     if (options.keep_per_trial) {

@@ -3,31 +3,53 @@
  * Quantum-trajectory noise simulation (paper Section 6.1/6.2, Algorithm 1).
  *
  * Instead of evolving a d^N x d^N density matrix, each trial propagates a
- * single state vector and draws one error term per channel application
- * (the quantum-trajectory / Monte-Carlo-wavefunction method). Per moment:
- *   1. apply the moment's ideal gates; after each gate draw a depolarizing
- *      error on its operands,
- *   2. for every wire, draw an amplitude-damping jump with state-dependent
- *      probability ||K_m |psi>||^2 = lambda_m * population(wire, m), apply
- *      the chosen Kraus operator and renormalise,
- *   3. (optionally) apply a coherent random dephasing kick.
- * The trial's fidelity is |<psi_ideal | psi_actual>|^2; over trials the
- * mean converges to the density-matrix fidelity (validated against the
- * exact density-matrix evolution in tests).
+ * single state vector and samples one Kraus branch per channel application
+ * (the quantum-trajectory / Monte-Carlo-wavefunction method). The channels
+ * of Algorithm 1, per moment:
+ *   1. the moment's ideal gates, each followed by a depolarizing error on
+ *      its operands,
+ *   2. amplitude damping on every wire over the moment's duration,
+ *   3. (optionally) a coherent random dephasing kick.
+ * The trial's fidelity is |<psi_ideal | psi>|^2 / ||psi||^2; over trials
+ * the mean converges to the density-matrix fidelity (validated against
+ * the exact density-matrix evolution in tests).
  *
- * Execution: the circuit is compiled ONCE per batch (qdsim/exec/ —
- * specialized kernels plus shared gather/scatter plans), and every
- * depolarizing error unitary the loop can draw is precompiled against the
- * same plans, so each of the thousands of shots replays allocation-free
- * kernel dispatches instead of re-deriving index arithmetic per gate.
- * Every shot runs as a lane of an exec::BatchedStateVector
- * (amplitude-major lanes) through one moment loop: one pass over the
- * compiled circuit advances B trajectories, amortising every plan/offset-
- * table read across the batch. run_noisy_trials runs shot groups of B
- * lanes; run_single_trajectory runs one lane. Each trial keeps its own RNG
- * stream (root.child(t)) and divergent per-lane events (damping jumps,
- * gate-error draws) run on the extracted lane, so results are BITWISE
- * independent of the batch width and thread count.
+ * Noise events are rare, so a trial samples them up front and pays for
+ * them only where they happen:
+ *  - Gate errors are state-independent lotteries: each trial draws all of
+ *    them before its first gate and keeps only those that fired.
+ *  - Damping on one wire composes in time (AD(t1) o AD(t2) = AD(t1 + t2))
+ *    and its no-jump operator K0 is diagonal, so each wire's idle time is
+ *    gathered into one K0(wire, tau) step just before the wire's next
+ *    gate, plus one at the end. The steps are sampled by waiting time
+ *    (Dalibard, Castin & Molmer, PRL 68, 580, 1992): a trial draws a
+ *    threshold r ~ U(0, 1), evolves without renormalising, and jumps on
+ *    the step where ||psi||^2 falls below r, picking level m of the wire
+ *    with weight lambda_m(tau) * population(wire, m); after a jump it
+ *    renormalises and draws a new r. This is the same channel the density
+ *    engine applies moment by moment, on every register.
+ *  - Dephasing kicks stay per moment.
+ *
+ * Execution: the compilation holds two programs over one shared plan
+ * cache (qdsim/exec/) — the fully fused ideal circuit for the reference
+ * pass, and the noisy program: the circuit in ASAP-moment order with the
+ * K0 steps inserted as single-wire diagonal ops, fused with the job's
+ * FusionOptions (the stage-2 look-ahead only on registers of 2^13
+ * amplitudes or more, where it pays back its compile time; without
+ * damping it is the ideal program; under dephasing it stays per op so
+ * the kicks land between moments). Every shot runs as
+ * a lane of an exec::BatchedStateVector: one pass of each noisy op
+ * advances the whole shot group. A lane leaves the group only for its own
+ * events: before an op in which it fires an error, or in which its norm
+ * may cross r (a precompiled lower bound on the share of the norm each op
+ * keeps says when, from the lane's last measured norm), the lane is
+ * copied out as a checkpoint; if it fired, or its norm after the pass is
+ * below r, it replays that op source op by source op on the single-shot
+ * kernels (jumping where r is crossed, each error unitary right after its
+ * source op) and rejoins. Each trial keeps its
+ * own RNG stream (root.child(t)) and every decision reads only the lane's
+ * own stream and norms, so results are BITWISE independent of the batch
+ * width and thread count.
  */
 #ifndef NOISE_TRAJECTORY_H
 #define NOISE_TRAJECTORY_H
@@ -43,18 +65,6 @@
 #include "qdsim/state_vector.h"
 
 namespace qd::noise {
-
-/**
- * Which idle amplitude-damping implementation trials run on.
- * kAuto picks kFused for uniform registers with dim <= 3 and kSequential
- * otherwise; the explicit values exist so tests can cross-validate the two
- * engines on the same workload (they agree in distribution).
- */
-enum class DampingEngine {
-    kAuto,
-    kFused,      ///< joint no-jump operator, one table-scaled pass
-    kSequential, ///< exact per-wire loop (paper Algorithm 1)
-};
 
 /** Options for a batch of trajectory trials. */
 struct TrajectoryOptions {
@@ -78,23 +88,21 @@ struct TrajectoryOptions {
      * 0 = sized from the work: about 4–8 MiB of lane state per group, at
      * most 12 lanes, and equal groups so every worker runs the same
      * number of trials (default_lane_count in trajectory.cc). 1 = one lane
-     * per group, the shape run_single_trajectory runs. Per-trial results
-     * are bitwise identical for every setting and equal to
-     * run_single_trajectory on stream root.child(t) (property-tested).
+     * per group, the shape run_single_trajectory runs. A lane leaves its
+     * group only to replay the noisy ops its own noise events fall in.
+     * Per-trial results are bitwise identical for every setting and equal
+     * to run_single_trajectory on stream root.child(t) (property-tested).
      */
     int batch = 0;
-    /** Idle-damping implementation; see DampingEngine. */
-    DampingEngine damping_engine = DampingEngine::kAuto;
     /** Record every trial's fidelity in TrajectoryResult::per_trial. */
     bool keep_per_trial = false;
     /**
-     * Compile-time operator fusion (see exec/fusion.h). The ideal
-     * reference passes always compile fully fused; the noisy loop fuses
-     * only between noise boundaries: every op that draws a gate-error
-     * channel is a fence (errors attach to pre-fusion op boundaries), and
-     * circuits under idle noise (damping/dephasing) keep the per-op
-     * moment schedule, where ops are wire-disjoint and nothing merges.
-     * Disabling reproduces the pre-fusion engine bitwise.
+     * Compile-time operator fusion (see exec/fusion.h) for both programs:
+     * the ideal reference and the noisy program, which fuses across gate
+     * errors and damping steps alike (no fences: a lane with an event in a
+     * fused op replays its source ops one by one). On registers under
+     * 2^13 amplitudes the noisy program skips the stage-2 look-ahead;
+     * under dephasing it stays per op. Disabling compiles both per op.
      */
     exec::FusionOptions fusion = {};
 };
@@ -114,12 +122,12 @@ struct TrajectoryResult {
 /**
  * Everything the trajectory engine derives from (circuit, model, fusion)
  * before the first shot runs: the fully fused ideal reference compilation,
- * the error-fenced noisy compilation, the precompiled gate-error draw
- * tables, the moment schedule, and the fused-damping acceleration
- * classification. Immutable after construction and safe to share across
- * threads — the CompileService caches these across requests so repeated
- * submissions of the same (circuit, model, fusion) skip compilation
- * entirely. Construction does NOT verify; admission is the
+ * the noisy program (with its damping steps, its per-source-op compile for
+ * replays and its per-op norm bounds), the precompiled gate-error draws,
+ * and the dephasing kick points. Immutable after construction and safe to
+ * share across threads — the CompileService caches these across requests
+ * so repeated submissions of the same (circuit, model, fusion) skip
+ * compilation entirely. Construction does NOT verify; admission is the
  * CompileService's job (or verify::enforce_noisy for direct callers).
  */
 class TrajectoryCompilation {
@@ -132,9 +140,6 @@ class TrajectoryCompilation {
 
     const NoiseModel& model() const;
     const WireDims& dims() const;
-    /** True when the fused joint no-jump damping operator is defined
-     *  (uniform register with dim <= 3); kAuto resolves on this. */
-    bool fused_damping_supported() const;
 
     struct Impl;
     const Impl& impl() const { return *impl_; }
@@ -146,27 +151,27 @@ class TrajectoryCompilation {
 /**
  * Runs one noisy trajectory of `circuit` from `initial`, comparing against
  * `ideal_out` (the noiseless output for the same input), as a one-lane run
- * of the moment loop run_noisy_trials uses; `rng` advances by the shot's
- * draws. Trial t of run_noisy_trials equals it on stream root.child(t),
- * bitwise, at every batch width.
+ * of the loop run_noisy_trials uses: the lane presamples its gate errors
+ * and damping threshold from `rng`, which then advances by every further
+ * draw of the shot (jump levels, new thresholds, dephasing kicks). Trial
+ * t of run_noisy_trials equals it on stream root.child(t), bitwise, at
+ * every batch width.
  * Exposed for tests; most callers use run_noisy_trials.
  *
  * @throws std::invalid_argument if `initial` or `ideal_out` is on another
- *         register than the circuit (checked before any kernel runs), or
- *         if `engine` is kFused but the register is mixed-radix or has
- *         dim > 3 (the fused operator is undefined there).
+ *         register than the circuit (checked before any kernel runs or
+ *         any draw is taken).
+ * @throws std::runtime_error if a damping jump leaves a zero-norm state.
  */
 Real run_single_trajectory(const Circuit& circuit, const NoiseModel& model,
                            const StateVector& initial,
-                           const StateVector& ideal_out, Rng& rng,
-                           DampingEngine engine = DampingEngine::kAuto);
+                           const StateVector& ideal_out, Rng& rng);
 
 /** Precompiled variant: runs one trajectory on an existing compilation
  *  (no verification, no recompilation). Same throw contract. */
 Real run_single_trajectory(const TrajectoryCompilation& compiled,
                            const StateVector& initial,
-                           const StateVector& ideal_out, Rng& rng,
-                           DampingEngine engine = DampingEngine::kAuto);
+                           const StateVector& ideal_out, Rng& rng);
 
 /**
  * Runs `options.trials` independent trajectories with per-trial random
@@ -176,9 +181,9 @@ Real run_single_trajectory(const TrajectoryCompilation& compiled,
  * fixed seed regardless of thread count AND batch width (lane t always
  * consumes stream root.child(t)).
  *
- * @throws std::invalid_argument if options.trials <= 0, options.batch < 0,
- *         or options.damping_engine is kFused on a register the fused
- *         operator is undefined for (mixed radix or dim > 3).
+ * @throws std::invalid_argument if options.trials <= 0 or
+ *         options.batch < 0.
+ * @throws std::runtime_error if a damping jump leaves a zero-norm state.
  *
  * @deprecated For job-stream traffic prefer serve::execute() (serve/run.h),
  *         which routes through the shared CompileService and returns a
@@ -195,7 +200,7 @@ TrajectoryResult run_noisy_trials(const Circuit& circuit,
  * re-verifying or recompiling — the per-request hot path behind the
  * CompileService. `options.fusion` is ignored (the compilation already
  * fixed it); every other option behaves as above, with the same throw
- * contract for trials/batch/damping_engine.
+ * contract.
  */
 TrajectoryResult run_noisy_trials(const TrajectoryCompilation& compiled,
                                   const TrajectoryOptions& options);

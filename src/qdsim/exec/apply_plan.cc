@@ -38,6 +38,39 @@ local_offsets(const WireDims& dims, std::span<const int> wires)
     return offsets;
 }
 
+namespace {
+
+/** Base index of every digit tuple over wires of `dims` / `strides`
+ *  (least significant last), in odometer order. */
+std::vector<Index>
+odometer_bases(std::span<const Index> dims, std::span<const Index> strides)
+{
+    Index count = 1;
+    for (const Index d : dims) {
+        count *= d;
+    }
+    std::vector<Index> bases(static_cast<std::size_t>(count));
+    std::vector<Index> odo(dims.size(), 0);
+    Index base = 0;
+    for (Index step = 0;; ++step) {
+        bases[static_cast<std::size_t>(step)] = base;
+        if (step + 1 >= count) {
+            break;
+        }
+        for (std::size_t i = dims.size(); i-- > 0;) {
+            if (++odo[i] < dims[i]) {
+                base += strides[i];
+                break;
+            }
+            base -= (odo[i] - 1) * strides[i];
+            odo[i] = 0;
+        }
+    }
+    return bases;
+}
+
+}  // namespace
+
 std::shared_ptr<const ApplyPlan>
 make_apply_plan(const WireDims& dims, std::span<const int> wires)
 {
@@ -63,8 +96,15 @@ make_apply_plan(const WireDims& dims, std::span<const int> wires)
     }
     plan->local_offset = local_offsets(dims, wires);
     plan->outer = dims.size() / plan->block;
+    if (plan->outer / ApplyPlan::kBaseTableCap > ApplyPlan::kBaseTableCap) {
+        // Keeps the split tables near sqrt(outer) <= kBaseTableCap
+        // entries; no such register fits in memory anyway.
+        throw std::length_error("make_apply_plan: register too large");
+    }
 
-    // Non-operand wire geometry (least significant last), for base_of.
+    // Non-operand wire geometry (least significant last).
+    std::vector<Index> other_dims;
+    std::vector<Index> other_strides;
     for (int w = 0; w < n; ++w) {
         bool is_operand = false;
         for (const int t : wires) {
@@ -74,29 +114,32 @@ make_apply_plan(const WireDims& dims, std::span<const int> wires)
             }
         }
         if (!is_operand) {
-            plan->other_dims.push_back(static_cast<Index>(dims.dim(w)));
-            plan->other_strides.push_back(dims.stride(w));
+            other_dims.push_back(static_cast<Index>(dims.dim(w)));
+            other_strides.push_back(dims.stride(w));
         }
     }
-
-    if (plan->outer > ApplyPlan::kBaseTableCap) {
-        return plan;  // large register: compute bases, don't tabulate
-    }
-    plan->base_offsets.resize(static_cast<std::size_t>(plan->outer));
-    std::vector<Index> odo(plan->other_dims.size(), 0);
-    Index base = 0;
-    for (Index step = 0;; ++step) {
-        plan->base_offsets[static_cast<std::size_t>(step)] = base;
-        if (step + 1 >= plan->outer) {
+    // The low table takes the least significant wires while it stays
+    // within sqrt(outer) entries; the high table takes the rest.
+    std::size_t split = other_dims.size();
+    for (Index lo = 1; split > 0;) {
+        const Index next = lo * other_dims[split - 1];
+        if (next > plan->outer / next) {
             break;
         }
-        for (std::size_t i = plan->other_dims.size(); i-- > 0;) {
-            if (++odo[i] < plan->other_dims[i]) {
-                base += plan->other_strides[i];
-                break;
-            }
-            base -= (odo[i] - 1) * plan->other_strides[i];
-            odo[i] = 0;
+        lo = next;
+        --split;
+    }
+    const std::span<const Index> od(other_dims), os(other_strides);
+    plan->base_hi = odometer_bases(od.first(split), os.first(split));
+    plan->base_lo = odometer_bases(od.subspan(split), os.subspan(split));
+
+    if (plan->outer > ApplyPlan::kBaseTableCap) {
+        return plan;  // large register: split tables only
+    }
+    plan->base_offsets.reserve(static_cast<std::size_t>(plan->outer));
+    for (const Index hi : plan->base_hi) {
+        for (const Index lo : plan->base_lo) {
+            plan->base_offsets.push_back(hi + lo);
         }
     }
     return plan;

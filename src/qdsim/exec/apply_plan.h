@@ -44,14 +44,19 @@ struct ApplyPlan {
      * Tabulated base index of every non-operand configuration, in
      * odometer order — filled only when `outer` fits kBaseTableCap, so
      * plan memory stays bounded on large registers (the table trades
-     * memory for zero index math; past the cap `base_of` computes bases
-     * instead, whose cost amortises over the block work).
+     * memory for zero index math; past the cap `base_of` reads the split
+     * tables below instead).
      */
     std::vector<Index> base_offsets;
-    /** Dimensions/strides of the non-operand wires, least significant
-     *  last; used by `base_of` when the table is not materialised. */
-    std::vector<Index> other_dims;
-    std::vector<Index> other_strides;
+    /**
+     * The same bases split in two: the base of configuration o is
+     * base_hi[o / base_lo.size()] + base_lo[o % base_lo.size()], where
+     * base_lo runs over the least significant non-operand wires and
+     * holds at most sqrt(outer) entries. Always filled (they are small),
+     * so past the cap a base costs one division, not one per wire.
+     */
+    std::vector<Index> base_hi;
+    std::vector<Index> base_lo;
 
     /** Entry cap for `base_offsets` (8 MiB of offsets per plan). */
     static constexpr Index kBaseTableCap = Index{1} << 20;
@@ -63,12 +68,9 @@ struct ApplyPlan {
         if (!base_offsets.empty()) {
             return base_offsets[static_cast<std::size_t>(o)];
         }
-        Index base = 0;
-        for (std::size_t i = other_dims.size(); i-- > 0;) {
-            base += (o % other_dims[i]) * other_strides[i];
-            o /= other_dims[i];
-        }
-        return base;
+        const Index lo = static_cast<Index>(base_lo.size());
+        return base_hi[static_cast<std::size_t>(o / lo)] +
+               base_lo[static_cast<std::size_t>(o % lo)];
     }
 };
 
@@ -85,6 +87,7 @@ std::vector<Index> local_offsets(const WireDims& dims,
  * Builds the plan for applying a k-local operator to `wires` of `dims`.
  *
  * @throws std::invalid_argument if wires are out of range or not distinct.
+ * @throws std::length_error past kBaseTableCap^2 non-operand configurations.
  */
 std::shared_ptr<const ApplyPlan> make_apply_plan(const WireDims& dims,
                                                  std::span<const int> wires);

@@ -42,7 +42,7 @@ as_reals(const Complex* p)
 /**
  * ns[b] = sum over the n amplitudes of lane b of re^2 + im^2, accumulated
  * in amplitude-index order (the StateVector::norm accumulation order, so
- * per-lane sums are bitwise reproducible). Lanes are processed in tiles of
+ * per-lane sums are bitwise reproducible and equal norm_sq_lane). Lanes are processed in tiles of
  * four with register accumulators: a single flat loop would re-load and
  * re-store ns[b] per amplitude because the compiler cannot prove the
  * accumulator array does not alias the amplitudes.
@@ -116,74 +116,18 @@ BatchedStateVector::extract_lane(int lane, StateVector& dst) const
     }
 }
 
-StateVector
-BatchedStateVector::lane_state(int lane) const
-{
-    std::vector<Complex> out(static_cast<std::size_t>(dims_.size()));
-    const std::size_t B = static_cast<std::size_t>(lanes_);
-    const Complex* a = amps_.data() + static_cast<std::size_t>(lane);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        out[i] = a[i * B];
-    }
-    return StateVector::from_amplitudes(dims_, std::move(out));
-}
-
-std::vector<Real>
-BatchedStateVector::scale_by_table_lanes(
-    const std::vector<std::uint16_t>& key, const std::vector<Real>& scale)
+Real
+BatchedStateVector::norm_sq_lane(int lane) const
 {
     const std::size_t n = static_cast<std::size_t>(dims_.size());
-    if (key.size() != n) {
-        throw std::invalid_argument(
-            "scale_by_table_lanes: key size mismatch");
-    }
     const std::size_t B = static_cast<std::size_t>(lanes_);
-    std::vector<Real> norm_sq(B);
-    // Lane tiles of four with register accumulators, scaling and
-    // accumulating in one traversal; per lane the multiply-then-accumulate
-    // runs in amplitude-index order, so the result matches
-    // StateVector::scale_by_table bitwise. (A flat lane loop would
-    // re-load/re-store the accumulator array per amplitude against
-    // possible aliasing with the amplitudes.)
-    Real* const base = as_reals(amps_.data());
-    const std::uint16_t* __restrict k = key.data();
-    const Real* __restrict s = scale.data();
-    std::size_t b = 0;
-    for (; b + 4 <= B; b += 4) {
-        Real a0 = 0, a1 = 0, a2 = 0, a3 = 0;
-        Real* __restrict p = base + 2 * b;
-        for (std::size_t i = 0; i < n; ++i, p += 2 * B) {
-            const Real f = s[k[i]];
-            p[0] *= f;
-            p[1] *= f;
-            p[2] *= f;
-            p[3] *= f;
-            p[4] *= f;
-            p[5] *= f;
-            p[6] *= f;
-            p[7] *= f;
-            a0 += p[0] * p[0] + p[1] * p[1];
-            a1 += p[2] * p[2] + p[3] * p[3];
-            a2 += p[4] * p[4] + p[5] * p[5];
-            a3 += p[6] * p[6] + p[7] * p[7];
-        }
-        norm_sq[b] = a0;
-        norm_sq[b + 1] = a1;
-        norm_sq[b + 2] = a2;
-        norm_sq[b + 3] = a3;
+    Real acc = 0;
+    const Real* p =
+        as_reals(amps_.data()) + 2 * static_cast<std::size_t>(lane);
+    for (std::size_t i = 0; i < n; ++i, p += 2 * B) {
+        acc += p[0] * p[0] + p[1] * p[1];
     }
-    for (; b < B; ++b) {
-        Real acc = 0;
-        Real* __restrict p = base + 2 * b;
-        for (std::size_t i = 0; i < n; ++i, p += 2 * B) {
-            const Real f = s[k[i]];
-            p[0] *= f;
-            p[1] *= f;
-            acc += p[0] * p[0] + p[1] * p[1];
-        }
-        norm_sq[b] = acc;
-    }
-    return norm_sq;
+    return acc;
 }
 
 std::vector<Real>
@@ -194,138 +138,6 @@ BatchedStateVector::norm_sq_lanes() const
     std::vector<Real> norm_sq(B);
     accumulate_norm_sq(as_reals(amps_.data()), n, B, norm_sq.data());
     return norm_sq;
-}
-
-std::vector<std::uint8_t>
-BatchedStateVector::normalize_lanes(const std::vector<std::uint8_t>& mask)
-{
-    return normalize_lanes_with(norm_sq_lanes(), mask);
-}
-
-std::vector<std::uint8_t>
-BatchedStateVector::normalize_lanes_with(const std::vector<Real>& norm_sq,
-                                         const std::vector<std::uint8_t>& mask)
-{
-    const std::size_t B = static_cast<std::size_t>(lanes_);
-    if (!mask.empty() && mask.size() != B) {
-        throw std::invalid_argument("normalize_lanes: mask size mismatch");
-    }
-    if (norm_sq.size() != B) {
-        throw std::invalid_argument("normalize_lanes: norm count mismatch");
-    }
-    std::vector<std::uint8_t> ok(B, 1);
-    // inv == 1 leaves deselected/failed lanes untouched; selected lanes get
-    // exactly StateVector::normalize's sqrt-then-reciprocal scaling.
-    std::vector<Real> inv(B, 1.0);
-    bool any = false;
-    for (std::size_t b = 0; b < B; ++b) {
-        if (!mask.empty() && mask[b] == 0) {
-            continue;
-        }
-        const Real nrm = std::sqrt(norm_sq[b]);
-        if (nrm <= 0 || !std::isfinite(nrm)) {
-            ok[b] = 0;
-            continue;
-        }
-        inv[b] = 1.0 / nrm;
-        any = true;
-    }
-    if (!any) {
-        return ok;
-    }
-    // Lane factors expanded to re/im pairs: deselected/failed lanes carry
-    // exactly 1.0, whose multiply is a bitwise no-op on finite values.
-    std::vector<Real> inv2(2 * B);
-    for (std::size_t b = 0; b < B; ++b) {
-        inv2[2 * b] = inv[b];
-        inv2[2 * b + 1] = inv[b];
-    }
-    const std::size_t n = static_cast<std::size_t>(dims_.size());
-    Real* __restrict d = as_reals(amps_.data());
-    const Real* __restrict f = inv2.data();
-    for (std::size_t i = 0; i < n; ++i, d += 2 * B) {
-        QD_SIMD
-        for (std::size_t k = 0; k < 2 * B; ++k) {
-            d[k] *= f[k];
-        }
-    }
-    return ok;
-}
-
-std::vector<Real>
-BatchedStateVector::populations_lanes(int wire) const
-{
-    const Index stride = dims_.stride(wire);
-    const int d = dims_.dim(wire);
-    const Index period = stride * static_cast<Index>(d);
-    const Index total = dims_.size();
-    const std::size_t B = static_cast<std::size_t>(lanes_);
-    std::vector<Real> acc(static_cast<std::size_t>(d) * B, 0.0);
-    // Mirrors StateVector::populations: per (start, level) run, accumulate
-    // into a local partial sum, then fold it into the level total — the
-    // same order keeps each lane bitwise equal to its unbatched shot.
-    std::vector<Real> s(B);
-    for (Index start = 0; start < total; start += period) {
-        for (int v = 0; v < d; ++v) {
-            std::fill(s.begin(), s.end(), 0.0);
-            const Complex* p =
-                amps_.data() +
-                static_cast<std::size_t>(start +
-                                         static_cast<Index>(v) * stride) *
-                    B;
-            for (Index i = 0; i < stride; ++i, p += B) {
-                const Real* d = as_reals(p);
-                QD_SIMD
-                for (std::size_t b = 0; b < B; ++b) {
-                    s[b] += d[2 * b] * d[2 * b] + d[2 * b + 1] * d[2 * b + 1];
-                }
-            }
-            Real* lvl = acc.data() + static_cast<std::size_t>(v) * B;
-            for (std::size_t b = 0; b < B; ++b) {
-                lvl[b] += s[b];
-            }
-        }
-    }
-    return acc;
-}
-
-void
-BatchedStateVector::apply_diag1_masked(const std::vector<Complex>& diag,
-                                       int wire,
-                                       const std::vector<std::uint8_t>& mask)
-{
-    const int d = dims_.dim(wire);
-    if (static_cast<int>(diag.size()) != d) {
-        throw std::invalid_argument(
-            "apply_diag1_masked: diagonal size mismatch");
-    }
-    const std::size_t B = static_cast<std::size_t>(lanes_);
-    if (!mask.empty() && mask.size() != B) {
-        throw std::invalid_argument("apply_diag1_masked: mask size mismatch");
-    }
-    const Index stride = dims_.stride(wire);
-    const Index period = stride * static_cast<Index>(d);
-    const Index total = dims_.size();
-    for (Index start = 0; start < total; start += period) {
-        for (int v = 0; v < d; ++v) {
-            const Complex f = diag[static_cast<std::size_t>(v)];
-            if (f == Complex(1, 0)) {
-                continue;  // same skip as StateVector::apply_diag1
-            }
-            Complex* p =
-                amps_.data() +
-                static_cast<std::size_t>(start +
-                                         static_cast<Index>(v) * stride) *
-                    B;
-            for (Index i = 0; i < stride; ++i, p += B) {
-                for (std::size_t b = 0; b < B; ++b) {
-                    if (mask.empty() || mask[b] != 0) {
-                        p[b] *= f;
-                    }
-                }
-            }
-        }
-    }
 }
 
 void
@@ -345,12 +157,12 @@ BatchedStateVector::apply_product_diag_lanes(
         }
     }
     // One odometer drives all lanes (the digit sequence only depends on the
-    // dims); each lane's running product follows the exact multiply/divide
-    // sequence of StateVector::apply_product_diag. The quotients it
-    // multiplies by are computed once per call rather than once per
-    // amplitude: step[m] = f[m] / f[m-1] on a digit increment to m, and
-    // step[0] = f[0] / f[d-1] on rollover — the same divisions, so the
-    // products stay bitwise equal. Laid out step[(level0[w] + m) * B + b].
+    // dims); each lane keeps a running product, multiplied on every digit
+    // change by a quotient of that lane's own factors. The quotients are
+    // computed once per call rather than once per amplitude:
+    // step[m] = f[m] / f[m-1] on a digit increment to m, and
+    // step[0] = f[0] / f[d-1] on rollover. Laid out
+    // step[(level0[w] + m) * B + b].
     std::vector<std::size_t> level0(static_cast<std::size_t>(n) + 1, 0);
     for (int w = 0; w < n; ++w) {
         const std::size_t uw = static_cast<std::size_t>(w);

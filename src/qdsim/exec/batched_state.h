@@ -11,13 +11,12 @@
  * offset table once instead of B times (cf. the batched Monte-Carlo runs of
  * superconducting-qutrit noise studies, arXiv:2305.16507).
  *
- * Every per-lane primitive replicates the arithmetic of its StateVector
- * counterpart operation-for-operation, in the same order, so a lane's
- * amplitudes stay BITWISE identical to an unbatched shot run with the same
- * RNG stream — results are independent of the batch width and of thread
- * scheduling. Divergent per-lane events (damping jumps, gate-error draws)
- * are handled by extracting the lane to a StateVector, running the existing
- * single-shot code, and writing the lane back.
+ * Every per-lane primitive computes a lane from that lane's values alone,
+ * in a fixed order, so a lane's amplitudes and norms stay BITWISE
+ * identical whatever the batch width and thread scheduling. Divergent
+ * per-lane events (damping jumps, gate errors) are handled by extracting
+ * the lane to a StateVector, running the single-shot kernels on it, and
+ * writing the lane back.
  */
 #ifndef QDSIM_EXEC_BATCHED_STATE_H
 #define QDSIM_EXEC_BATCHED_STATE_H
@@ -44,77 +43,27 @@ class BatchedStateVector {
     Complex* data() { return amps_.data(); }
     const Complex* data() const { return amps_.data(); }
 
-    /** Amplitude `idx` of lane `lane`. */
-    Complex& at(Index idx, int lane) {
-        return amps_[static_cast<std::size_t>(idx) *
-                         static_cast<std::size_t>(lanes_) +
-                     static_cast<std::size_t>(lane)];
-    }
-    const Complex& at(Index idx, int lane) const {
-        return amps_[static_cast<std::size_t>(idx) *
-                         static_cast<std::size_t>(lanes_) +
-                     static_cast<std::size_t>(lane)];
-    }
-
     /** Overwrites one lane with `src` (dims must match). */
     void set_lane(int lane, const StateVector& src);
 
     /** Copies one lane into `dst` (dims must match). */
     void extract_lane(int lane, StateVector& dst) const;
 
-    /** Materialises one lane as a standalone StateVector. */
-    StateVector lane_state(int lane) const;
-
-    /**
-     * amps[idx] *= scale[key[idx]] on every lane in one pass; returns the
-     * per-lane squared norms (same accumulation order as
-     * StateVector::scale_by_table, so the values match an unbatched shot
-     * bitwise). key.size() must equal size().
-     */
-    std::vector<Real> scale_by_table_lanes(
-        const std::vector<std::uint16_t>& key,
-        const std::vector<Real>& scale);
+    /** Squared norm of one lane, accumulated in amplitude-index order
+     *  (the order norm_sq_lanes uses, so the two agree bitwise). */
+    Real norm_sq_lane(int lane) const;
 
     /** Per-lane squared norms, accumulated in amplitude-index order. */
     std::vector<Real> norm_sq_lanes() const;
 
     /**
-     * Normalises the lanes selected by `mask` (empty mask = every lane).
-     * Returns one flag per lane: false iff the lane was selected and its
-     * norm was zero or non-finite (such lanes are left untouched, matching
-     * StateVector::normalize); deselected lanes report true.
-     */
-    std::vector<std::uint8_t> normalize_lanes(
-        const std::vector<std::uint8_t>& mask = {});
-
-    /**
-     * Same, but reuses per-lane squared norms the caller already holds
-     * (e.g. the return value of scale_by_table_lanes, which accumulates in
-     * exactly the order a fresh recomputation would) instead of a fresh
-     * O(size * lanes) pass. `norm_sq` must describe the CURRENT amplitudes;
-     * results are bitwise identical to the recomputing overload.
-     */
-    std::vector<std::uint8_t> normalize_lanes_with(
-        const std::vector<Real>& norm_sq,
-        const std::vector<std::uint8_t>& mask);
-
-    /** Per-lane per-level populations of `wire`, laid out as
-     *  pops[level * lanes() + lane]; matches StateVector::populations
-     *  bitwise per lane. */
-    std::vector<Real> populations_lanes(int wire) const;
-
-    /** Applies a single-wire diagonal to the lanes selected by `mask`
-     *  (empty = all), skipping unit factors exactly like
-     *  StateVector::apply_diag1. Used for the batched no-jump K0. */
-    void apply_diag1_masked(const std::vector<Complex>& diag, int wire,
-                            const std::vector<std::uint8_t>& mask = {});
-
-    /**
      * Per-lane product-of-per-wire-diagonals pass (batched coherent
      * dephasing kick): factors[lane][wire] has dim(wire) unit-modulus
-     * entries. One incremental odometer drives every lane, and each lane's
-     * running factor is updated with exactly the quotients of
-     * StateVector::apply_product_diag, each computed once per call.
+     * entries. One incremental odometer drives every lane; each lane's
+     * running factor is updated with quotients of its own factors only
+     * (f[m] / f[m-1] on a digit increment, f[0] / f[d-1] on rollover),
+     * each computed once per call, so a lane's result does not depend on
+     * the other lanes.
      */
     void apply_product_diag_lanes(
         const std::vector<std::vector<std::vector<Complex>>>& factors);

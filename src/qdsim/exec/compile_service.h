@@ -127,8 +127,9 @@ class CompileService {
     /**
      * Runs the admission analysis without compiling or caching: circuit
      * legality + plan/fusion audits, plus the noise audit when a model is
-     * given (with its error fences applied, exactly as the noisy engines
-     * fence). This is the report a rejected compile() throws with.
+     * given (with its error fences applied, exactly as the density engine
+     * fences; the trajectory engine's noisy program has none). This is
+     * the report a rejected compile() throws with.
      */
     static verify::Report admission_report(const Circuit& circuit,
                                            Admission admission =

@@ -57,9 +57,11 @@
  * shared cache can never alias plan variants.
  *
  *  - Fences pin operation boundaries that noise must observe: the
- *    trajectory and density-matrix engines fence every operation that
- *    draws a gate-error channel, so errors always attach to pre-fusion
- *    op boundaries and never migrate into a fused block. Stage 2 windows
+ *    density-matrix engine fences every operation that draws a
+ *    gate-error channel, so errors always attach to pre-fusion op
+ *    boundaries and never migrate into a fused block. (The trajectory
+ *    engine needs no fences: a lane that fires an error inside a fused
+ *    block replays the block's source ops.) Stage 2 windows
  *    never span a fence (a fenced op stays the last member of its merged
  *    group, so this holds even when groups span wire-set unions).
  *

@@ -98,7 +98,8 @@ struct CompiledOp {
     std::vector<Complex> diag;
 
     // kSingleWireD2 / kSingleWireD3: row-major unitary entries and the
-    // wire's run geometry (see StateVector::apply_diag1 for the layout).
+    // wire's run geometry: runs of stride1 amplitudes share the wire's
+    // digit, which advances every stride1 and wraps every period1.
     Complex u[9] = {};
     Index stride1 = 0;
     Index period1 = 0;

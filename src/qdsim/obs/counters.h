@@ -86,14 +86,20 @@ enum class Counter : unsigned {
     kServiceMisses,      ///< artifact-cache misses (fresh compile)
     kServiceEvictions,   ///< LRU evictions past the configured capacity
     kServiceRejects,     ///< admissions rejected by the verify gate
-    // Trajectory divergence events (noise/trajectory.cc).
-    kTrajShots,
+    // Trajectory noise events (noise/trajectory.cc). Every count but
+    // kTrajBatches is a per-lane sum, invariant under the batch width.
+    kTrajShots,             ///< trajectories run (one per lane)
     kTrajBatches,           ///< batched shot groups (NOT batch-invariant)
-    kTrajGateErrorDraws,    ///< per-shot gate-error lotteries tested
-    kTrajGateErrorsFired,   ///< lotteries that drew an error operator
-    kTrajDampingJumps,      ///< amplitude-damping jump applications
-    kTrajRareBranches,      ///< fused idle-damping rare-branch resolutions
-    kTrajLaneExtracts,      ///< batched lanes spilled to single-shot code
+    kTrajGateErrorDraws,    ///< gate-error lotteries presampled: sites x shots
+    kTrajGateErrorsFired,   ///< presampled lotteries that drew an error
+    kTrajDampingJumps,      ///< amplitude-damping jumps (threshold crossings)
+    kTrajRareBranches,      ///< lane replays that crossed a damping threshold
+    /** Lane replays: a lane re-ran one noisy op source op by source op on
+     *  the single-shot kernels, from its checkpoint, after a fire or a
+     *  threshold crossing inside the op. (A lane copied out as a
+     *  checkpoint whose measured norm stayed above its threshold is not
+     *  replayed and not counted.) */
+    kTrajLaneExtracts,
     // Serving front-end (src/serve/): the qd_served daemon and the
     // stdin single-client loop share these through the RunRequest →
     // RunResult facade.

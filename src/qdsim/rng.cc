@@ -60,14 +60,21 @@ Rng::weighted_draw(const std::vector<Real>& weights)
     if (total <= 0) {
         return std::nullopt;
     }
+    // u lies in [0, total): an arm is hit while u falls below zero, so a
+    // zero weight can never be drawn, not even at u == 0; rounding that
+    // leaves u >= 0 past the end draws the last non-zero arm.
     Real u = uniform() * total;
+    std::size_t last = 0;
     for (std::size_t i = 0; i < weights.size(); ++i) {
-        u -= weights[i];
-        if (u <= 0) {
-            return i;
+        if (weights[i] > 0) {
+            last = i;
+            u -= weights[i];
+            if (u < 0) {
+                return i;
+            }
         }
     }
-    return weights.size() - 1;
+    return last;
 }
 
 }  // namespace qd

@@ -47,7 +47,8 @@ class Rng {
     Complex complex_gaussian();
 
     /**
-     * Draws an index from unnormalised non-negative weights.
+     * Draws an index from unnormalised non-negative weights; an index of
+     * zero weight is never drawn.
      * Returns std::nullopt when the weights are empty or their total is
      * zero (or negative): there is no valid arm to draw, and callers must
      * handle that explicitly. (Returning the last arm here used to let the

@@ -15,19 +15,6 @@ StateVector::StateVector(WireDims dims, const std::vector<int>& digits)
     amps_[dims_.pack(digits)] = Complex(1, 0);
 }
 
-StateVector
-StateVector::from_amplitudes(WireDims dims, std::vector<Complex> amps)
-{
-    if (amps.size() != static_cast<std::size_t>(dims.size())) {
-        throw std::invalid_argument(
-            "StateVector::from_amplitudes: amplitude count does not match "
-            "register size");
-    }
-    StateVector psi(std::move(dims));
-    psi.amps_ = std::move(amps);
-    return psi;
-}
-
 void
 StateVector::apply(const Matrix& op, std::span<const int> wires)
 {
@@ -137,82 +124,6 @@ StateVector::apply(const Matrix& op, std::span<const int> wires)
             odo[i] = 0;
         }
     }
-}
-
-void
-StateVector::apply_diag1(const std::vector<Complex>& diag, int wire)
-{
-    const int d = dims_.dim(wire);
-    if (static_cast<int>(diag.size()) != d) {
-        throw std::invalid_argument("apply_diag1: diagonal size mismatch");
-    }
-    const Index stride = dims_.stride(wire);
-    const Index run = stride;  // contiguous run per digit value
-    const Index period = stride * static_cast<Index>(d);
-    const Index total = dims_.size();
-    for (Index start = 0; start < total; start += period) {
-        for (int v = 0; v < d; ++v) {
-            const Complex f = diag[static_cast<std::size_t>(v)];
-            if (f == Complex(1, 0)) {
-                continue;
-            }
-            Complex* p = &amps_[start + static_cast<Index>(v) * stride];
-            for (Index i = 0; i < run; ++i) {
-                p[i] *= f;
-            }
-        }
-    }
-}
-
-void
-StateVector::apply_product_diag(
-    const std::vector<std::vector<Complex>>& factors)
-{
-    const int n = dims_.num_wires();
-    if (static_cast<int>(factors.size()) != n) {
-        throw std::invalid_argument("apply_product_diag: factor count");
-    }
-    // Odometer over digits (wire n-1 least significant); maintain the
-    // running product incrementally: one multiply on digit increment, and
-    // on rollover divide out the wire's accumulated product.
-    std::vector<int> odo(static_cast<std::size_t>(n), 0);
-    Complex cur(1, 0);
-    for (int w = 0; w < n; ++w) {
-        cur *= factors[static_cast<std::size_t>(w)][0];
-    }
-    const Index total = dims_.size();
-    for (Index idx = 0;; ++idx) {
-        amps_[idx] *= cur;
-        if (idx + 1 >= total) {
-            break;
-        }
-        for (int w = n - 1;; --w) {
-            const std::size_t uw = static_cast<std::size_t>(w);
-            if (++odo[uw] < dims_.dim(w)) {
-                cur *= factors[uw][static_cast<std::size_t>(odo[uw])] /
-                       factors[uw][static_cast<std::size_t>(odo[uw] - 1)];
-                break;
-            }
-            cur *= factors[uw][0] /
-                   factors[uw][static_cast<std::size_t>(odo[uw] - 1)];
-            odo[uw] = 0;
-        }
-    }
-}
-
-Real
-StateVector::scale_by_table(const std::vector<std::uint16_t>& key,
-                            const std::vector<Real>& scale)
-{
-    if (key.size() != amps_.size()) {
-        throw std::invalid_argument("scale_by_table: key size mismatch");
-    }
-    Real norm_sq = 0;
-    for (Index i = 0; i < amps_.size(); ++i) {
-        amps_[i] *= scale[key[i]];
-        norm_sq += std::norm(amps_[i]);
-    }
-    return norm_sq;
 }
 
 Complex

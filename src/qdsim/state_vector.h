@@ -34,17 +34,6 @@ class StateVector {
     /** Initialises to the classical basis state given by `digits`. */
     StateVector(WireDims dims, const std::vector<int>& digits);
 
-    /**
-     * Adopts an explicit amplitude vector (not renormalised). Used by the
-     * batched execution engine to materialise one lane of a
-     * exec::BatchedStateVector as a standalone state. (A named factory, not
-     * a constructor: a braced list of ints must keep selecting the
-     * basis-state constructor above.)
-     * @throws std::invalid_argument if amps.size() != dims.size().
-     */
-    static StateVector from_amplitudes(WireDims dims,
-                                       std::vector<Complex> amps);
-
     const WireDims& dims() const { return dims_; }
     Index size() const { return dims_.size(); }
 
@@ -64,28 +53,6 @@ class StateVector {
      *         (a duplicate wire would silently corrupt the state).
      */
     void apply(const Matrix& op, std::span<const int> wires);
-
-    /** Applies a diagonal single-wire operator (fast path for no-jump
-     *  evolution and phase noise). `diag` has dim(wire) entries. */
-    void apply_diag1(const std::vector<Complex>& diag, int wire);
-
-    /**
-     * Applies the product of per-wire unit-modulus diagonal factors in a
-     * single pass: amp[idx] *= prod_w factors[w][digit_w(idx)].
-     * `factors[w]` must have dim(w) entries of modulus ~1. Implemented
-     * with an incremental odometer so the cost is O(size) regardless of
-     * wire count (used for fused coherent dephasing).
-     */
-    void apply_product_diag(const std::vector<std::vector<Complex>>& factors);
-
-    /**
-     * Multiplies amplitude idx by scale[level_counts_key(idx)] in one pass
-     * and returns the resulting squared norm. `key` maps each basis index
-     * to a small table key (e.g. packed excited-level counts); used for the
-     * fused no-jump amplitude-damping step. key.size() must equal size().
-     */
-    Real scale_by_table(const std::vector<std::uint16_t>& key,
-                        const std::vector<Real>& scale);
 
     /** <this|other>; registers must have equal dims. */
     Complex inner(const StateVector& other) const;

@@ -117,36 +117,30 @@ audit_plan(const WireDims& dims, std::span<const int> wires,
                                std::to_string(size));
             }
         }
+    } else if (plan.base_hi.empty() || plan.base_lo.empty()) {
+        report.add("plan.table-size", Severity::kError, op_index,
+                   where + ": no base table and an empty split table");
     } else {
-        Index strided_outer = 1;
-        Index max_base = 0;
-        bool strides_ok = plan.other_dims.size() == plan.other_strides.size();
-        for (std::size_t i = 0; strides_ok && i < plan.other_dims.size();
-             ++i) {
-            strided_outer *= plan.other_dims[i];
-            max_base += (plan.other_dims[i] - 1) * plan.other_strides[i];
+        const Index split_outer =
+            static_cast<Index>(plan.base_hi.size() * plan.base_lo.size());
+        if (split_outer != plan.outer) {
+            report.add("plan.outer-mismatch", Severity::kError, op_index,
+                       where + ": split base tables cover " +
+                           std::to_string(split_outer) +
+                           " configurations, outer is " +
+                           std::to_string(plan.outer));
         }
-        if (!strides_ok) {
-            report.add("plan.table-size", Severity::kError, op_index,
-                       where + ": other_dims/other_strides length mismatch");
-        } else {
-            if (strided_outer != plan.outer) {
-                report.add("plan.outer-mismatch", Severity::kError, op_index,
-                           where + ": strided base generator covers " +
-                               std::to_string(strided_outer) +
-                               " configurations, outer is " +
-                               std::to_string(plan.outer));
-            }
-            if (plan.outer > 0 &&
-                (max_base >= size || max_local >= size - max_base)) {
-                report.add("plan.offset-bounds", Severity::kError, op_index,
-                           where + ": max strided base " +
-                               std::to_string(max_base) +
-                               " + max local offset " +
-                               std::to_string(max_local) +
-                               " reaches outside register size " +
-                               std::to_string(size));
-            }
+        const Index max_base =
+            *std::max_element(plan.base_hi.begin(), plan.base_hi.end()) +
+            *std::max_element(plan.base_lo.begin(), plan.base_lo.end());
+        if (max_base >= size || max_local >= size - max_base) {
+            report.add("plan.offset-bounds", Severity::kError, op_index,
+                       where + ": max split base " +
+                           std::to_string(max_base) +
+                           " + max local offset " +
+                           std::to_string(max_local) +
+                           " reaches outside register size " +
+                           std::to_string(size));
         }
     }
 }

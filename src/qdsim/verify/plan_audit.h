@@ -26,7 +26,7 @@ namespace qd::verify {
  * canonical local_offsets table (plan.offset-mismatch), and every
  * reachable amplitude index base_of(o) + local_offset[b] provably inside
  * [0, dims.size()) (plan.offset-bounds) — for both the materialised
- * base table and the strided base_of fallback.
+ * base table and the split tables base_of falls back on.
  */
 void audit_plan(const WireDims& dims, std::span<const int> wires,
                 const exec::ApplyPlan& plan, Report& report,

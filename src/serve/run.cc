@@ -24,6 +24,15 @@ since(Clock::time_point t0)
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+/** The stable error id of a job whose engine threw. */
+const char*
+exec_error_id(std::string_view engine)
+{
+    return engine == "state"        ? "exec.state"
+           : engine == "trajectory" ? "exec.trajectory"
+                                    : "exec.density";
+}
+
 }  // namespace
 
 RunRequest
@@ -193,6 +202,7 @@ execute(const RunRequest& request, exec::CompileService& service)
         result.message = e.what();
     } catch (const std::exception& e) {
         result.status = "failed";
+        result.error_id = exec_error_id(job.engine);
         result.message = e.what();
     }
     result.seconds = since(start);

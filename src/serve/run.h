@@ -20,7 +20,8 @@
  *   "rejected"  the job never executed: IR decode failure (stable
  *               `qdj.*` id), unknown noise preset, or a verify admission
  *               rejection (the id is the first finding's rule).
- *   "failed"    the job threw during execution.
+ *   "failed"    the job threw during execution; the id names the
+ *               engine (`exec.state`, `exec.trajectory`, `exec.density`).
  *
  * `repeat > 1` resubmits the SAME parsed job N times (compile + execute
  * per iteration, decode never repeated): the artifact cache turns every

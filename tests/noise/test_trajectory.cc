@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "constructions/gen_toffoli.h"
 #include "noise/density_matrix.h"
 #include "noise/error_placement.h"
 #include "noise/models.h"
@@ -228,8 +229,8 @@ TEST(Trajectory, StdErrorShrinksWithTrials) {
 
 
 TEST(Trajectory, MixedRadixDampingSequentialPath) {
-    // Mixed-radix registers take the exact per-wire sequential idle path;
-    // validate against the density-matrix oracle.
+    // Mixed-radix registers run the same per-wire damping steps as
+    // uniform ones; validate against the density-matrix oracle.
     Circuit c(WireDims({2, 3}));
     c.append(gates::H(), {0});
     c.append(gates::Xplus1().controlled(2, 1), {0, 1});
@@ -258,9 +259,9 @@ rng_wire(Rng& rng, int n)
     return rng.uniform_int(static_cast<std::uint64_t>(n));
 }
 
-/** Noise model hot enough that every divergent branch (gate-error draws,
- *  damping jumps, the fused rare branch, dephasing kicks) fires within a
- *  few dozen trials. */
+/** Noise model hot enough that every divergent branch (gate errors,
+ *  damping jumps, dephasing kicks) fires within a few dozen trials. Under
+ *  dephasing the noisy program stays per op. */
 NoiseModel
 hot_noise()
 {
@@ -294,8 +295,7 @@ per_shot_reference(const Circuit& c, const NoiseModel& m,
                 ? haar_random_qubit_subspace_state(c.dims(), rng)
                 : haar_random_state(c.dims(), rng);
         ref.per_trial.push_back(run_single_trajectory(
-            compiled, initial, simulate(ideal, initial), rng,
-            opts.damping_engine));
+            compiled, initial, simulate(ideal, initial), rng));
         sum += ref.per_trial.back();
     }
     ref.mean_fidelity = sum / opts.trials;
@@ -338,14 +338,14 @@ expect_batch_invariant(const Circuit& c, const NoiseModel& m, int trials)
 }
 
 TEST(Trajectory, BatchedLanesMatchSingleShotUniformQutrit) {
-    // Uniform qutrit register: batched gates + fused damping + dephasing
+    // Uniform qutrit register: batched gates + damping steps + dephasing
     // against one-lane runs, bitwise.
     expect_batch_invariant(small_qutrit_circuit(), hot_noise(), 21);
 }
 
 TEST(Trajectory, BatchedLanesMatchSingleShotMixedRadix) {
-    // Mixed radix forces the sequential damping engine (per-wire jumps,
-    // masked K0) through the batched path.
+    // Mixed radix: per-wire damping steps of two wire dimensions through
+    // the batched path.
     Circuit c(WireDims({2, 3, 2}));
     c.append(gates::H(), {0});
     c.append(gates::Xplus1().controlled(2, 1), {0, 1});
@@ -504,22 +504,11 @@ TEST(Trajectory, RejectsNegativeBatch) {
                  std::invalid_argument);
 }
 
-TEST(Trajectory, FusedEngineRejectsMixedRadix) {
-    Circuit c(WireDims({2, 3}));
-    c.append(gates::H(), {0});
-    TrajectoryOptions opts;
-    opts.damping_engine = DampingEngine::kFused;
-    NoiseModel m = noiseless();
-    m.t1 = 100 * m.dt_1q;
-    EXPECT_THROW(run_noisy_trials(c, m, opts), std::invalid_argument);
-}
-
 TEST(Trajectory, DampingEnginesAgreeUnderLevel2OnlyDecay) {
-    // Regression: the sequential engine gated the no-jump K0 on
+    // Regression: a damping step once gated the no-jump K0 on
     // lambda(1) > 0 alone, so a level-2-only decay model (lambda(1) == 0,
-    // lambda(2) > 0) silently skipped no-jump damping there while the
-    // fused engine applied it. Both engines must converge to the exact
-    // density-matrix fidelity.
+    // lambda(2) > 0) silently skipped no-jump damping. The engine must
+    // converge to the exact density-matrix fidelity, fused and unfused.
     Circuit c(WireDims::uniform(1, 3));
     for (int i = 0; i < 8; ++i) {
         c.append(gates::H3(), {0});
@@ -539,20 +528,23 @@ TEST(Trajectory, DampingEnginesAgreeUnderLevel2OnlyDecay) {
     const StateVector ideal = simulate(c, init);
     const Real exact = density_matrix_fidelity(c, m, init);
 
-    auto mean_fid = [&](DampingEngine engine) {
+    auto mean_fid = [&](const exec::FusionOptions& fusion) {
+        const TrajectoryCompilation compiled(c, m, fusion);
         Real mean = 0;
         const int trials = 3000;
         for (int t = 0; t < trials; ++t) {
             Rng child = rng.child(static_cast<std::uint64_t>(t));
-            mean += run_single_trajectory(c, m, init, ideal, child, engine);
+            mean += run_single_trajectory(compiled, init, ideal, child);
         }
         return mean / trials;
     };
-    const Real fused = mean_fid(DampingEngine::kFused);
-    const Real sequential = mean_fid(DampingEngine::kSequential);
+    exec::FusionOptions unfused;
+    unfused.enabled = false;
+    const Real fused = mean_fid(exec::FusionOptions{});
+    const Real per_op = mean_fid(unfused);
     EXPECT_NEAR(fused, exact, 0.01);
-    EXPECT_NEAR(sequential, exact, 0.01);
-    EXPECT_NEAR(fused, sequential, 0.015);
+    EXPECT_NEAR(per_op, exact, 0.01);
+    EXPECT_NEAR(fused, per_op, 0.015);
 }
 
 TEST(Trajectory, TotalConventionScalesErrors) {
@@ -661,6 +653,202 @@ TEST(Trajectory, BatchInvarianceSurvivesFusion) {
     m.p2 = 5e-3;
     expect_batch_invariant(c, m, 25);
 }
+
+/** Damping and gate errors hot enough that threshold crossings and error
+ *  fires are common, without dephasing: the noisy program fuses across
+ *  both, so crossings and fires land inside multi-op blocks. */
+NoiseModel
+hot_damping()
+{
+    NoiseModel m = noiseless();
+    m.p1 = 5e-3;
+    m.p2 = 5e-3;
+    m.t1 = 5 * m.dt_1q;
+    return m;
+}
+
+/** Expects the mean of `trials` one-lane shots of `c` under `m` from
+ *  `init` (streams Rng(seed).child(t)) within 4 standard errors of the
+ *  exact density-matrix fidelity. */
+void
+expect_matches_exact(const Circuit& c, const NoiseModel& m,
+                     const StateVector& init, int trials, std::uint64_t seed)
+{
+    const TrajectoryCompilation compiled(c, m);
+    const StateVector ideal = simulate(c, init);
+    const Rng root(seed);
+    std::vector<Real> f;
+    for (int t = 0; t < trials; ++t) {
+        Rng rng = root.child(static_cast<std::uint64_t>(t));
+        f.push_back(run_single_trajectory(compiled, init, ideal, rng));
+    }
+    Real mean = 0;
+    for (const Real x : f) {
+        mean += x;
+    }
+    mean /= trials;
+    Real sq = 0;
+    for (const Real x : f) {
+        sq += (x - mean) * (x - mean);
+    }
+    const Real se = std::sqrt(sq / (trials - 1) / trials);
+    const Real exact = density_matrix_fidelity(c, m, init);
+    EXPECT_NEAR(mean, exact, 4 * se + 1e-12) << "se " << se;
+}
+
+TEST(Trajectory, FusedDampingBlocksStayBatchInvariant) {
+    // hot_noise() has dephasing, which keeps the noisy program per op;
+    // without it damping steps and gates fuse, and lanes replay fused
+    // blocks around their crossings and fires.
+    expect_batch_invariant(fusable_qutrit_circuit(), hot_damping(), 25);
+}
+
+TEST(Trajectory, LookaheadFusedDampingStaysBatchInvariant) {
+    // From 2^13 amplitudes up the noisy program also runs the stage-2
+    // look-ahead, whose union blocks hold damping steps of several
+    // wires: the 9-qutrit gen-Toffoli (19683 amplitudes).
+    const ctor::GenToffoli g =
+        ctor::build_gen_toffoli(ctor::Method::kQutrit, 8);
+    ASSERT_GE(g.circuit.dims().size(), Index{1} << 13);
+    expect_batch_invariant(g.circuit, hot_damping(), 8);
+}
+
+TEST(Trajectory, FusedDampingMatchesDensityMatrix) {
+    const Circuit c = fusable_qutrit_circuit();
+    Rng rng(31);
+    expect_matches_exact(c, hot_damping(), haar_random_state(c.dims(), rng),
+                         4000, 32);
+}
+
+TEST(Trajectory, MixedRadixAndFourLevelDampingMatchDensityMatrix) {
+    NoiseModel m = noiseless();
+    m.p1 = 1e-3;
+    m.p2 = 1e-3;
+    m.t1 = 20 * m.dt_2q;
+    {
+        Circuit c(WireDims({2, 3, 2}));
+        c.append(gates::H(), {0});
+        c.append(gates::Xplus1().controlled(2, 1), {0, 1});
+        c.append(gates::H3(), {1});
+        c.append(gates::X().controlled(3, 2), {1, 2});
+        c.append(gates::H(), {2});
+        Rng rng(41);
+        expect_matches_exact(c, m, haar_random_state(c.dims(), rng), 4000,
+                             42);
+    }
+    {
+        // A d = 4 wire: three decaying levels per damping step.
+        Circuit c(WireDims({4, 3}));
+        c.append(gates::fourier(4), {0});
+        c.append(gates::Xplus1().controlled(4, 3), {0, 1});
+        c.append(gates::shift(4), {0});
+        c.append(gates::fourier(3), {1});
+        Rng rng(43);
+        expect_matches_exact(c, m, haar_random_state(c.dims(), rng), 4000,
+                             44);
+    }
+}
+
+TEST(Trajectory, StdErrorIsTheSpreadAboutTheMean) {
+    // Under SC+T1 at width 4 the eight fidelities agree to about 1e-8, so
+    // sum_sq - sum^2 / n cancels to rounding; the standard error must be
+    // the two-pass spread of the per-trial values.
+    const ctor::GenToffoli g =
+        ctor::build_gen_toffoli(ctor::Method::kQubitNoAncilla, 3);
+    TrajectoryOptions opts;
+    opts.trials = 8;
+    opts.seed = 7;
+    opts.keep_per_trial = true;
+    const TrajectoryResult res = run_noisy_trials(g.circuit, sc_t1(), opts);
+    Real sq = 0;
+    for (const Real f : res.per_trial) {
+        sq += (f - res.mean_fidelity) * (f - res.mean_fidelity);
+    }
+    const Real two_pass = std::sqrt(sq / 7 / 8);
+    ASSERT_GT(two_pass, 0.0);
+    EXPECT_NEAR(res.std_error, two_pass, 1e-6 * two_pass);
+}
+
+#if QD_OBS_BUILD
+/** Counters of one run_noisy_trials call on `compiled`. */
+obs::CounterSnapshot
+trial_counters(const TrajectoryCompilation& compiled,
+               const TrajectoryOptions& opts)
+{
+    const bool was_enabled = obs::enabled();
+    obs::set_enabled(true);
+    obs::reset_counters();
+    run_noisy_trials(compiled, opts);
+    const obs::CounterSnapshot s = obs::counters_snapshot();
+    obs::set_enabled(was_enabled);
+    obs::reset_counters();
+    return s;
+}
+
+TEST(Trajectory, GateErrorDrawsCountEverySiteOnEveryShot) {
+    const Circuit c = fusable_qutrit_circuit();
+    const NoiseModel m = hot_damping();
+    std::uint64_t sites = 0;
+    for (const auto& op_sites : enumerate_error_sites(c, m)) {
+        sites += op_sites.size();
+    }
+    ASSERT_GT(sites, 0u);
+    const TrajectoryCompilation compiled(c, m);
+    TrajectoryOptions opts;
+    opts.trials = 25;
+    opts.threads = 2;
+    const auto s = trial_counters(compiled, opts);
+    EXPECT_EQ(s[obs::Counter::kTrajGateErrorDraws], sites * 25);
+    EXPECT_EQ(s[obs::Counter::kTrajShots], 25u);
+}
+
+TEST(Trajectory, CrossingsAndFiresShareFusedBlocks) {
+    // Light gates on two qutrits: the damping steps fuse with them into
+    // multi-op blocks only, and the controlled op is the only error site.
+    Circuit c(WireDims::uniform(2, 3));
+    c.append(gates::Xplus1(), {0});
+    c.append(gates::Z3(), {1});
+    c.append(gates::Xplus1().controlled(3, 1), {0, 1});
+    c.append(gates::X12(), {0});
+    c.append(gates::Z3(), {0});
+    NoiseModel m = hot_damping();
+    m.p1 = 0;
+
+    const bool was_enabled = obs::enabled();
+    obs::set_enabled(true);
+    obs::reset_counters();
+    const exec::CompiledCircuit ideal(c, exec::FusionOptions{});
+    const obs::CounterSnapshot ideal_fusion = obs::counters_snapshot();
+    obs::reset_counters();
+    const TrajectoryCompilation compiled(c, m);
+    const obs::CounterSnapshot both = obs::counters_snapshot();
+    obs::set_enabled(was_enabled);
+    // The noisy program's own fusion pass: every block merges >= 2 ops.
+    const std::uint64_t blocks = both[obs::Counter::kFusionBlocksOut] -
+                                 ideal_fusion[obs::Counter::kFusionBlocksOut];
+    EXPECT_GE(blocks, 1u);
+    EXPECT_EQ(both[obs::Counter::kFusionFusedGroups] -
+                  ideal_fusion[obs::Counter::kFusionFusedGroups],
+              blocks);
+    EXPECT_GT(both[obs::Counter::kFusionOpsIn] -
+                  ideal_fusion[obs::Counter::kFusionOpsIn],
+              c.num_ops());
+
+    TrajectoryOptions opts;
+    opts.trials = 200;
+    opts.seed = 3;
+    const auto s = trial_counters(compiled, opts);
+    const std::uint64_t fires = s[obs::Counter::kTrajGateErrorsFired];
+    const std::uint64_t crossings = s[obs::Counter::kTrajRareBranches];
+    const std::uint64_t replays = s[obs::Counter::kTrajLaneExtracts];
+    EXPECT_GT(fires, 0u);
+    EXPECT_GT(crossings, 0u);  // inside the multi-op block
+    EXPECT_GE(s[obs::Counter::kTrajDampingJumps], crossings);
+    // One site in the program: a replay holds at most one fire, so
+    // replays = fires + crossings - (replays holding both).
+    EXPECT_GT(fires + crossings, replays);
+}
+#endif
 
 TEST(Trajectory, PerChannelConventionPenalisesQutrits) {
     // gate_error_total must expose the paper's (1-80p2)/(1-15p2) penalty

@@ -1,9 +1,10 @@
 /**
  * Property tests for the batched execution engine: every batched kernel
- * and per-lane primitive must leave each lane BITWISE identical to the
- * single-shot path run on that lane's state — that exact equivalence is
- * what lets the trajectory engine mix batched passes with per-lane
- * single-shot fallbacks and stay reproducible regardless of batch width.
+ * must leave each lane BITWISE identical to the single-shot path run on
+ * that lane's state, and every per-lane primitive must compute a lane
+ * from that lane alone — those exact equivalences are what let the
+ * trajectory engine mix batched passes with per-lane single-shot replays
+ * and stay reproducible regardless of batch width.
  */
 #include "qdsim/exec/batched_kernels.h"
 
@@ -58,8 +59,9 @@ expect_lanes_bitwise_equal(const BatchedStateVector& batch,
                            const std::vector<StateVector>& lanes,
                            const char* what)
 {
+    StateVector got(batch.dims());
     for (int b = 0; b < batch.lanes(); ++b) {
-        const StateVector got = batch.lane_state(b);
+        batch.extract_lane(b, got);
         const StateVector& want = lanes[static_cast<std::size_t>(b)];
         for (Index i = 0; i < got.size(); ++i) {
             ASSERT_EQ(got[i].real(), want[i].real())
@@ -166,59 +168,16 @@ TEST(Batched, RandomCircuitsMatchSingleShotOnMixedRadix) {
     }
 }
 
-TEST(Batched, PerLanePrimitivesMatchStateVectorBitwise) {
+TEST(Batched, PerLanePrimitivesAreLaneLocal) {
     Rng rng(303);
     const WireDims dims({3, 2, 3});
     const int lanes = 6;
     BatchedStateVector batch(dims, lanes);
     std::vector<StateVector> ref = random_lanes(batch, rng);
 
-    // populations_lanes == per-lane populations.
-    for (int w = 0; w < dims.num_wires(); ++w) {
-        const auto pops = batch.populations_lanes(w);
-        for (int b = 0; b < lanes; ++b) {
-            const auto want = ref[static_cast<std::size_t>(b)].populations(w);
-            for (int v = 0; v < dims.dim(w); ++v) {
-                ASSERT_EQ(pops[static_cast<std::size_t>(v) *
-                                   static_cast<std::size_t>(lanes) +
-                               static_cast<std::size_t>(b)],
-                          want[static_cast<std::size_t>(v)]);
-            }
-        }
-    }
-
-    // scale_by_table_lanes == per-lane scale_by_table (values and norms).
-    std::vector<std::uint16_t> key(static_cast<std::size_t>(dims.size()));
-    for (std::size_t i = 0; i < key.size(); ++i) {
-        key[i] = static_cast<std::uint16_t>(i % 4);
-    }
-    const std::vector<Real> scale = {1.0, 0.75, 0.5, 0.25};
-    const auto norms = batch.scale_by_table_lanes(key, scale);
-    for (int b = 0; b < lanes; ++b) {
-        ASSERT_EQ(norms[static_cast<std::size_t>(b)],
-                  ref[static_cast<std::size_t>(b)].scale_by_table(key,
-                                                                  scale));
-    }
-    expect_lanes_bitwise_equal(batch, ref, "scale_by_table");
-
-    // Masked diag1 touches exactly the selected lanes.
-    const std::vector<Complex> diag = {Complex(1, 0), Complex(0.8, 0),
-                                       Complex(0.3, 0.1)};
-    std::vector<std::uint8_t> mask(static_cast<std::size_t>(lanes), 0);
-    mask[1] = mask[4] = 1;
-    batch.apply_diag1_masked(diag, 0, mask);
-    ref[1].apply_diag1(diag, 0);
-    ref[4].apply_diag1(diag, 0);
-    expect_lanes_bitwise_equal(batch, ref, "masked diag1");
-
-    // Masked normalize matches per-lane normalize.
-    const auto ok = batch.normalize_lanes(mask);
-    EXPECT_TRUE(ok[1] && ok[4]);
-    ASSERT_TRUE(ref[1].normalize());
-    ASSERT_TRUE(ref[4].normalize());
-    expect_lanes_bitwise_equal(batch, ref, "masked normalize");
-
-    // Per-lane product diagonal (the dephasing shape).
+    // Per-lane product diagonal (the dephasing shape): each lane equals
+    // the same kick run as a one-lane batch, bitwise, and the product of
+    // its factors up to rounding.
     std::vector<std::vector<std::vector<Complex>>> factors(
         static_cast<std::size_t>(lanes));
     for (int b = 0; b < lanes; ++b) {
@@ -233,10 +192,33 @@ TEST(Batched, PerLanePrimitivesMatchStateVectorBitwise) {
     }
     batch.apply_product_diag_lanes(factors);
     for (int b = 0; b < lanes; ++b) {
-        ref[static_cast<std::size_t>(b)].apply_product_diag(
-            factors[static_cast<std::size_t>(b)]);
+        StateVector& r = ref[static_cast<std::size_t>(b)];
+        const StateVector before = r;
+        BatchedStateVector one(dims, 1);
+        one.set_lane(0, r);
+        one.apply_product_diag_lanes({factors[static_cast<std::size_t>(b)]});
+        one.extract_lane(0, r);
+        for (Index i = 0; i < dims.size(); ++i) {
+            Complex f(1, 0);
+            const std::vector<int> digits = dims.unpack(i);
+            for (int w = 0; w < dims.num_wires(); ++w) {
+                f *= factors[static_cast<std::size_t>(b)]
+                            [static_cast<std::size_t>(w)]
+                            [static_cast<std::size_t>(
+                                digits[static_cast<std::size_t>(w)])];
+            }
+            ASSERT_NEAR(std::abs(r[i] - before[i] * f), 0.0, 1e-12);
+        }
     }
     expect_lanes_bitwise_equal(batch, ref, "product diag");
+
+    // norm_sq_lane == norm_sq_lanes, bitwise, and the lane's norm.
+    const auto norms = batch.norm_sq_lanes();
+    for (int b = 0; b < lanes; ++b) {
+        ASSERT_EQ(batch.norm_sq_lane(b), norms[static_cast<std::size_t>(b)]);
+        const Real n = ref[static_cast<std::size_t>(b)].norm();
+        ASSERT_NEAR(norms[static_cast<std::size_t>(b)], n * n, 1e-12);
+    }
 
     // fidelity_lanes == per-lane fidelity.
     BatchedStateVector other(dims, lanes);
@@ -247,21 +229,6 @@ TEST(Batched, PerLanePrimitivesMatchStateVectorBitwise) {
                   ref[static_cast<std::size_t>(b)].fidelity(
                       oref[static_cast<std::size_t>(b)]));
     }
-}
-
-TEST(Batched, ZeroNormLaneSignalledAndLeftUntouched) {
-    const WireDims dims({3, 3});
-    BatchedStateVector batch(dims, 2);
-    StateVector zero(dims);
-    zero.amplitudes().assign(static_cast<std::size_t>(dims.size()),
-                             Complex(0, 0));
-    batch.set_lane(1, zero);
-    const auto ok = batch.normalize_lanes();
-    EXPECT_TRUE(ok[0]);
-    EXPECT_FALSE(ok[1]);
-    // Healthy lane normalised, dead lane untouched (all zeros).
-    EXPECT_NEAR(batch.lane_state(0).norm(), 1.0, 1e-12);
-    EXPECT_EQ(batch.lane_state(1).norm(), 0.0);
 }
 
 TEST(Batched, ExtractInsertRoundTripAndValidation) {
@@ -276,9 +243,7 @@ TEST(Batched, ExtractInsertRoundTripAndValidation) {
     EXPECT_THROW(BatchedStateVector(dims, 0), std::invalid_argument);
     StateVector wrong(WireDims({3, 3}));
     EXPECT_THROW(batch.set_lane(0, wrong), std::invalid_argument);
-    EXPECT_THROW(
-        StateVector::from_amplitudes(dims, std::vector<Complex>(3)),
-        std::invalid_argument);
+    EXPECT_THROW(batch.extract_lane(0, wrong), std::invalid_argument);
 }
 
 }  // namespace

@@ -319,6 +319,15 @@ TEST(Exec, BaseOfMatchesTabulatedOffsets) {
     }
 }
 
+TEST(Exec, PlanRejectsRegistersPastTheSplitTables) {
+    // 2^41 outer blocks: the split base tables would outgrow
+    // kBaseTableCap, and no such register fits in memory anyway.
+    const WireDims dims = WireDims::uniform(42, 2);
+    EXPECT_THROW(exec::make_apply_plan(dims, std::vector<int>{0}),
+                 std::length_error);
+    EXPECT_NO_THROW(exec::make_apply_plan(dims, std::vector<int>{0, 1}));
+}
+
 TEST(Exec, CompileRejectsInvalidSites) {
     const WireDims dims = WireDims::uniform(3, 3);
     EXPECT_THROW(

@@ -233,9 +233,10 @@ TEST(Fusion, BatchedLanesBitwiseMatchSingleShotUnderFusion) {
     exec::BatchedScratch bscratch;
     exec::run_batched(fused, batch, bscratch);
     exec::ExecScratch scratch;
+    StateVector got(dims);
     for (int b = 0; b < lanes; ++b) {
         fused.run(ref[static_cast<std::size_t>(b)], scratch);
-        const StateVector got = batch.lane_state(b);
+        batch.extract_lane(b, got);
         const StateVector& want = ref[static_cast<std::size_t>(b)];
         for (Index i = 0; i < got.size(); ++i) {
             ASSERT_EQ(got[i].real(), want[i].real())

@@ -118,14 +118,18 @@ TEST(Rng, ChildStreamsIndependent) {
 }
 
 TEST(Rng, WeightedDrawRespectsWeights) {
+    // Zero weights first, between and last: neither a draw at u == 0 nor
+    // rounding past the last arm may land on one.
     Rng rng(55);
-    int counts[3] = {0, 0, 0};
+    int counts[5] = {0, 0, 0, 0, 0};
     for (int i = 0; i < 30000; ++i) {
-        ++counts[rng.weighted_draw({0.2, 0.0, 0.8}).value()];
+        ++counts[rng.weighted_draw({0.0, 0.2, 0.0, 0.8, 0.0}).value()];
     }
-    EXPECT_EQ(counts[1], 0);
-    EXPECT_NEAR(counts[0] / 30000.0, 0.2, 0.02);
-    EXPECT_NEAR(counts[2] / 30000.0, 0.8, 0.02);
+    EXPECT_EQ(counts[0], 0);
+    EXPECT_EQ(counts[2], 0);
+    EXPECT_EQ(counts[4], 0);
+    EXPECT_NEAR(counts[1] / 30000.0, 0.2, 0.02);
+    EXPECT_NEAR(counts[3] / 30000.0, 0.8, 0.02);
 }
 
 TEST(Rng, WeightedDrawAllZerosIsSignalled) {

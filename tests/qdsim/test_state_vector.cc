@@ -78,20 +78,6 @@ TEST(StateVector, MixedRadixGateApplication) {
     EXPECT_NEAR(std::abs(psi[dims.pack({1, 2})]), 1.0, 1e-12);
 }
 
-TEST(StateVector, ApplyDiag1MatchesGeneric) {
-    Rng rng(11);
-    StateVector psi = haar_random_state(WireDims({3, 2, 3}), rng);
-    StateVector a = psi, b = psi;
-    const std::vector<Complex> diag = {Complex(1, 0), std::polar(1.0, 0.3),
-                                       std::polar(0.9, -0.2)};
-    a.apply_diag1(diag, 2);
-    const int w[] = {2};
-    b.apply(Matrix::diagonal(diag), w);
-    for (Index i = 0; i < a.size(); ++i) {
-        EXPECT_NEAR(std::abs(a[i] - b[i]), 0.0, 1e-12);
-    }
-}
-
 TEST(StateVector, PopulationsSumToOne) {
     Rng rng(13);
     StateVector psi = haar_random_state(WireDims::uniform(3, 3), rng);
@@ -197,68 +183,6 @@ TEST(StateVector, ThreeWireGate) {
     psi.apply(ccx.matrix(), wires);
     const WireDims dims = WireDims::uniform(3, 2);
     EXPECT_NEAR(std::abs(psi[dims.pack({1, 1, 1})]), 1.0, 1e-12);
-}
-
-
-TEST(StateVector, ApplyProductDiagMatchesPerWire) {
-    Rng rng(77);
-    const WireDims dims({3, 2, 3, 2});
-    StateVector a = haar_random_state(dims, rng);
-    StateVector b = a;
-    std::vector<std::vector<Complex>> factors;
-    for (int w = 0; w < dims.num_wires(); ++w) {
-        std::vector<Complex> f;
-        for (int m = 0; m < dims.dim(w); ++m) {
-            f.push_back(std::polar(1.0, 0.1 * (w + 1) * m + 0.05));
-        }
-        factors.push_back(f);
-    }
-    a.apply_product_diag(factors);
-    for (int w = 0; w < dims.num_wires(); ++w) {
-        b.apply_diag1(factors[static_cast<std::size_t>(w)], w);
-    }
-    for (Index i = 0; i < a.size(); ++i) {
-        EXPECT_NEAR(std::abs(a[i] - b[i]), 0.0, 1e-10) << i;
-    }
-}
-
-TEST(StateVector, ApplyProductDiagIdentity) {
-    Rng rng(78);
-    const WireDims dims = WireDims::uniform(3, 3);
-    StateVector a = haar_random_state(dims, rng);
-    const StateVector before = a;
-    std::vector<std::vector<Complex>> factors(
-        3, std::vector<Complex>(3, Complex(1, 0)));
-    a.apply_product_diag(factors);
-    EXPECT_NEAR(a.fidelity(before), 1.0, 1e-12);
-}
-
-TEST(StateVector, ScaleByTableComputesNorm) {
-    Rng rng(79);
-    const WireDims dims = WireDims::uniform(2, 3);
-    StateVector psi = haar_random_state(dims, rng);
-    // Key: number of nonzero digits, packed as n1*(width+1)+n2 analogue;
-    // here simply digit sum as a key in [0, 4].
-    std::vector<std::uint16_t> key(dims.size());
-    for (Index i = 0; i < dims.size(); ++i) {
-        const auto d = dims.unpack(i);
-        key[i] = static_cast<std::uint16_t>(d[0] + d[1]);
-    }
-    std::vector<Real> scale = {1.0, 0.9, 0.8, 0.7, 0.6};
-    StateVector ref = psi;
-    const Real q = psi.scale_by_table(key, scale);
-    Real expect_q = 0;
-    for (Index i = 0; i < dims.size(); ++i) {
-        expect_q += std::norm(ref[i]) * scale[key[i]] * scale[key[i]];
-        EXPECT_NEAR(std::abs(psi[i] - ref[i] * scale[key[i]]), 0.0, 1e-12);
-    }
-    EXPECT_NEAR(q, expect_q, 1e-10);
-}
-
-TEST(StateVector, ScaleByTableValidatesKeySize) {
-    StateVector psi(WireDims::uniform(2, 2));
-    std::vector<std::uint16_t> key(3);
-    EXPECT_THROW(psi.scale_by_table(key, {1.0}), std::invalid_argument);
 }
 
 }  // namespace

@@ -545,5 +545,48 @@ TEST(ServeRun, RejectsBadRepeatAndUnknownNoise)
     EXPECT_EQ(result.error_id, "qdj.job");
 }
 
+TEST(ServeRun, EngineFailuresCarryExecIds)
+{
+    // Programmatic jobs skip the .qdj decoder's field and size checks, so
+    // each of these reaches its engine, which throws.
+    {
+        // Trajectory: no shots to average.
+        const serve::RunResult result =
+            serve::execute(serve::RunRequest::from_job(trajectory_job(0)));
+        EXPECT_EQ(result.status, "failed");
+        EXPECT_EQ(result.error_id, "exec.trajectory");
+        EXPECT_NE(result.message.find("trials"), std::string::npos)
+            << result.message;
+    }
+    {
+        // State: 2^60 amplitudes, which no machine holds; compiling the
+        // X gate's plan throws before anything register-sized is built.
+        ir::Job job = state_job();
+        job.circuit = Circuit(WireDims::uniform(60, 2));
+        job.circuit.append(gates::X(), {0});
+        const serve::RunResult result =
+            serve::execute(serve::RunRequest::from_job(job));
+        EXPECT_EQ(result.status, "failed");
+        EXPECT_EQ(result.error_id, "exec.state");
+    }
+    {
+        // Density: SC's per-channel two-qudit rate over 144^2 - 1
+        // channels is a total error probability above 1. Admission would
+        // reject the model first, so it is off.
+        ir::Job job = trajectory_job();
+        job.engine = "density";
+        job.circuit = Circuit(WireDims({12, 12}));
+        job.circuit.append(Gate("id", {12, 12}, Matrix::identity(144)),
+                           {0, 1});
+        serve::RunRequest request = serve::RunRequest::from_job(job);
+        request.admission = exec::Admission::kNever;
+        const serve::RunResult result = serve::execute(request);
+        EXPECT_EQ(result.status, "failed");
+        EXPECT_EQ(result.error_id, "exec.density");
+        EXPECT_NE(result.message.find("probabilities"), std::string::npos)
+            << result.message;
+    }
+}
+
 }  // namespace
 }  // namespace qd
