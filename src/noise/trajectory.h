@@ -28,7 +28,10 @@
  *    with weight lambda_m(tau) * population(wire, m); after a jump it
  *    renormalises and draws a new r. This is the same channel the density
  *    engine applies moment by moment, on every register.
- *  - Dephasing kicks stay per moment.
+ *  - Dephasing kicks stay per moment. A kick draws one phase per wire and
+ *    lane, and one pass scales each lane's amplitudes by the product of
+ *    its phases, read from two small per-lane tables (see
+ *    exec::BatchedStateVector::apply_product_diag_lanes).
  *
  * Execution: the compilation holds two programs over one shared plan
  * cache (qdsim/exec/) — the fully fused ideal circuit for the reference

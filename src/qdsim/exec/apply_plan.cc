@@ -1,5 +1,6 @@
 #include "qdsim/exec/apply_plan.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "qdsim/obs/counters.h"
@@ -132,6 +133,11 @@ make_apply_plan(const WireDims& dims, std::span<const int> wires)
     const std::span<const Index> od(other_dims), os(other_strides);
     plan->base_hi = odometer_bases(od.first(split), os.first(split));
     plan->base_lo = odometer_bases(od.subspan(split), os.subspan(split));
+    Index below = dims.size();  // configurations below the lowest operand
+    for (const int w : wires) {
+        below = std::min(below, dims.stride(w));
+    }
+    plan->run = std::min(below, static_cast<Index>(plan->base_lo.size()));
 
     if (plan->outer > ApplyPlan::kBaseTableCap) {
         return plan;  // large register: split tables only

@@ -52,11 +52,22 @@ struct ApplyPlan {
      * The same bases split in two: the base of configuration o is
      * base_hi[o / base_lo.size()] + base_lo[o % base_lo.size()], where
      * base_lo runs over the least significant non-operand wires and
-     * holds at most sqrt(outer) entries. Always filled (they are small),
-     * so past the cap a base costs one division, not one per wire.
+     * holds at most sqrt(outer) entries. Always filled (they are small):
+     * past the cap a base costs one division, not one per wire, and the
+     * batched kernels walk them run by run (see `run`).
      */
     std::vector<Index> base_hi;
     std::vector<Index> base_lo;
+    /**
+     * Length of the runs of consecutive bases in base_lo: entry
+     * k * run + r is base_lo[k * run] + r for every r < run. It counts the
+     * configurations of the non-operand wires below every operand, capped
+     * at base_lo.size(), and is 1 when the least significant wire is an
+     * operand. The amplitudes of a run are adjacent in the register, so
+     * the batched kernels treat a run of blocks of B lanes as one block of
+     * run * B lanes.
+     */
+    Index run = 1;
 
     /** Entry cap for `base_offsets` (8 MiB of offsets per plan). */
     static constexpr Index kBaseTableCap = Index{1} << 20;

@@ -35,161 +35,160 @@ lane_team(std::int64_t outer, std::size_t B, const BatchedScratch& scratch)
                        scratch.threads);
 }
 
+/**
+ * Calls block(base, width, buf) once per outer block of `plan`; the block
+ * holds, for each local offset x, one row of `width` lanes starting at
+ * amps + (base + x) * B. Outer blocks come in runs of plan.run
+ * consecutive bases (the non-operand wires below every operand). The
+ * rows of a run sit back to back, so a run is walked as one block of
+ * run * B lanes: every amplitude sees the arithmetic it would see in a
+ * block of B, with the per-block overhead paid once per run. `buf` holds
+ * `buf_rows` rows of `width` lanes (one buffer per thread). The team is
+ * sized on outer blocks x lanes, as for every other kernel.
+ */
+template <class Block>
 void
-run_permutation_b(const CompiledOp& op, Complex* amps, const std::size_t B,
-                  BatchedScratch& scratch)
+walk_blocks(const ApplyPlan& plan, const std::size_t B,
+            const std::size_t buf_rows, BatchedScratch& scratch,
+            Block&& block)
 {
-    const ApplyPlan& plan = *op.plan;
-    const std::int64_t nouter =
-        static_cast<std::int64_t>(plan.outer_count());
-    const Index* cyc = op.cycle_offsets.data();
-    const std::uint32_t* lens = op.cycle_lengths.data();
-    const std::size_t ncycles = op.cycle_lengths.size();
-    auto do_block = [&](Index base, Complex* tmp) {
-        const Index* c = cyc;
-        for (std::size_t j = 0; j < ncycles; ++j) {
-            const std::uint32_t len = lens[j];
-            const Complex* last = amps + (base + c[len - 1]) * B;
-            for (std::size_t b = 0; b < B; ++b) {
-                tmp[b] = last[b];
-            }
-            for (std::uint32_t i = len - 1; i >= 1; --i) {
-                Complex* dst = amps + (base + c[i]) * B;
-                const Complex* src = amps + (base + c[i - 1]) * B;
-                for (std::size_t b = 0; b < B; ++b) {
-                    dst[b] = src[b];
-                }
-            }
-            Complex* first = amps + (base + c[0]) * B;
-            for (std::size_t b = 0; b < B; ++b) {
-                first[b] = tmp[b];
-            }
-            c += len;
-        }
-    };
+    const Index run = plan.run;
+    const std::size_t width = static_cast<std::size_t>(run) * B;
+    const std::size_t need = buf_rows * width;
+    const Index nlo = static_cast<Index>(plan.base_lo.size()) / run;
 #ifdef _OPENMP
+    const std::int64_t nouter = static_cast<std::int64_t>(plan.outer);
     if (const int team = lane_team(nouter, B, scratch); team > 1) {
+        const std::int64_t nruns = static_cast<std::int64_t>(plan.outer / run);
 #pragma omp parallel num_threads(team)
         {
-            std::vector<Complex> tmp(B);
+            std::vector<Complex> buf(need);
 #pragma omp for schedule(static)
-            for (std::int64_t o = 0; o < nouter; ++o) {
-                do_block(plan.base_of(static_cast<Index>(o)), tmp.data());
+            for (std::int64_t i = 0; i < nruns; ++i) {
+                const Index u = static_cast<Index>(i);
+                const Index base =
+                    run == 1 ? plan.base_of(u)
+                             : plan.base_hi[u / nlo] +
+                                   plan.base_lo[u % nlo * run];
+                block(base, width, buf.data());
             }
         }
         return;
     }
 #endif
-    if (scratch.tmp.size() < B) {
-        scratch.tmp.resize(B);
+    if (scratch.tmp.size() < need) {
+        scratch.tmp.resize(need);
     }
-    for (std::int64_t o = 0; o < nouter; ++o) {
-        do_block(plan.base_of(static_cast<Index>(o)), scratch.tmp.data());
+    Complex* buf = scratch.tmp.data();
+    for (const Index hi : plan.base_hi) {
+        for (Index k = 0; k < nlo; ++k) {
+            block(hi + plan.base_lo[k * run], width, buf);
+        }
     }
+}
+
+void
+run_permutation_b(const CompiledOp& op, Complex* amps, const std::size_t B,
+                  BatchedScratch& scratch)
+{
+    const Index* cyc = op.cycle_offsets.data();
+    const std::uint32_t* lens = op.cycle_lengths.data();
+    const std::size_t ncycles = op.cycle_lengths.size();
+    walk_blocks(*op.plan, B, 1, scratch,
+                [&](Index base, std::size_t width, Complex* tmp) {
+        Complex* const a = amps + base * B;
+        const Index* c = cyc;
+        for (std::size_t j = 0; j < ncycles; ++j) {
+            const std::uint32_t len = lens[j];
+            const Complex* last = a + c[len - 1] * B;
+            for (std::size_t l = 0; l < width; ++l) {
+                tmp[l] = last[l];
+            }
+            for (std::uint32_t i = len - 1; i >= 1; --i) {
+                Complex* dst = a + c[i] * B;
+                const Complex* src = a + c[i - 1] * B;
+                for (std::size_t l = 0; l < width; ++l) {
+                    dst[l] = src[l];
+                }
+            }
+            Complex* first = a + c[0] * B;
+            for (std::size_t l = 0; l < width; ++l) {
+                first[l] = tmp[l];
+            }
+            c += len;
+        }
+    });
 }
 
 void
 run_monomial_b(const CompiledOp& op, Complex* amps, const std::size_t B,
                BatchedScratch& scratch)
 {
-    const ApplyPlan& plan = *op.plan;
-    const std::int64_t nouter =
-        static_cast<std::int64_t>(plan.outer_count());
     const Index* cyc = op.cycle_offsets.data();
     const Complex* ph = op.cycle_phases.data();
     const std::uint32_t* lens = op.cycle_lengths.data();
     const std::size_t ncycles = op.cycle_lengths.size();
-    // dst[b] = src[b] * phase, lane loop on raw re/im doubles (matches the
+    // dst[l] = src[l] * phase, lane loop on raw re/im doubles (matches the
     // single-shot complex multiply bitwise; see the note at the top).
-    auto move_scaled = [&](Complex* dst, const Complex* src, Complex f) {
+    auto move_scaled = [](Complex* dst, const Complex* src, Complex f,
+                          std::size_t width) {
         const Real fr = f.real(), fi = f.imag();
         Real* d = as_reals(dst);
         const Real* s = as_reals(src);
         QD_SIMD
-        for (std::size_t l = 0; l < B; ++l) {
+        for (std::size_t l = 0; l < width; ++l) {
             const Real ar = s[2 * l], ai = s[2 * l + 1];
             d[2 * l] = ar * fr - ai * fi;
             d[2 * l + 1] = ar * fi + ai * fr;
         }
     };
-    auto do_block = [&](Index base, Complex* tmp) {
+    walk_blocks(*op.plan, B, 1, scratch,
+                [&](Index base, std::size_t width, Complex* tmp) {
+        Complex* const a = amps + base * B;
         const Index* c = cyc;
         const Complex* v = ph;
         for (std::size_t j = 0; j < ncycles; ++j) {
             const std::uint32_t len = lens[j];
             if (len == 1) {
-                Complex* p = amps + (base + c[0]) * B;
-                move_scaled(p, p, v[0]);
+                Complex* p = a + c[0] * B;
+                move_scaled(p, p, v[0], width);
             } else {
-                move_scaled(tmp, amps + (base + c[len - 1]) * B, v[len - 1]);
+                move_scaled(tmp, a + c[len - 1] * B, v[len - 1], width);
                 for (std::uint32_t i = len - 1; i >= 1; --i) {
-                    move_scaled(amps + (base + c[i]) * B,
-                                amps + (base + c[i - 1]) * B, v[i - 1]);
+                    move_scaled(a + c[i] * B, a + c[i - 1] * B, v[i - 1],
+                                width);
                 }
-                Complex* first = amps + (base + c[0]) * B;
-                for (std::size_t b = 0; b < B; ++b) {
-                    first[b] = tmp[b];
+                Complex* first = a + c[0] * B;
+                for (std::size_t l = 0; l < width; ++l) {
+                    first[l] = tmp[l];
                 }
             }
             c += len;
             v += len;
         }
-    };
-#ifdef _OPENMP
-    if (const int team = lane_team(nouter, B, scratch); team > 1) {
-#pragma omp parallel num_threads(team)
-        {
-            std::vector<Complex> tmp(B);
-#pragma omp for schedule(static)
-            for (std::int64_t o = 0; o < nouter; ++o) {
-                do_block(plan.base_of(static_cast<Index>(o)), tmp.data());
-            }
-        }
-        return;
-    }
-#endif
-    if (scratch.tmp.size() < B) {
-        scratch.tmp.resize(B);
-    }
-    for (std::int64_t o = 0; o < nouter; ++o) {
-        do_block(plan.base_of(static_cast<Index>(o)), scratch.tmp.data());
-    }
+    });
 }
 
 void
 run_diagonal_b(const CompiledOp& op, Complex* amps, const std::size_t B,
-               [[maybe_unused]] const BatchedScratch& scratch)
+               BatchedScratch& scratch)
 {
-    const ApplyPlan& plan = *op.plan;
-    const Index* off = plan.local_offset.data();
+    const Index* off = op.plan->local_offset.data();
     const Complex* diag = op.diag.data();
-    const Index block = plan.block;
-    const std::int64_t nouter =
-        static_cast<std::int64_t>(plan.outer_count());
-    auto do_block = [&](Index base) {
+    const Index block = op.plan->block;
+    walk_blocks(*op.plan, B, 0, scratch,
+                [&](Index base, std::size_t width, Complex*) {
         for (Index b = 0; b < block; ++b) {
             const Real fr = diag[b].real(), fi = diag[b].imag();
             Real* d = as_reals(amps + (base + off[b]) * B);
             QD_SIMD
-            for (std::size_t l = 0; l < B; ++l) {
+            for (std::size_t l = 0; l < width; ++l) {
                 const Real ar = d[2 * l], ai = d[2 * l + 1];
                 d[2 * l] = ar * fr - ai * fi;
                 d[2 * l + 1] = ar * fi + ai * fr;
             }
         }
-    };
-#ifdef _OPENMP
-    if (const int team = lane_team(nouter, B, scratch); team > 1) {
-#pragma omp parallel for num_threads(team) schedule(static)
-        for (std::int64_t o = 0; o < nouter; ++o) {
-            do_block(plan.base_of(static_cast<Index>(o)));
-        }
-        return;
-    }
-#endif
-    for (std::int64_t o = 0; o < nouter; ++o) {
-        do_block(plan.base_of(static_cast<Index>(o)));
-    }
+    });
 }
 
 void
@@ -366,6 +365,54 @@ matvec_block_b(Complex* amps, Index base, const Index* off, Index nb,
     }
 }
 
+/**
+ * kControlled with one target of N = 2 or 3 levels: the inner matrix is
+ * hoisted into locals once per op, and each lane's N target amplitudes
+ * load straight into registers, with no gather buffer. Per lane the
+ * accumulation is matvec_block_b's, 0 + row[0]*in[0] + row[1]*in[1] + ...,
+ * so lanes stay bitwise equal to the single-shot kernel.
+ */
+template <std::size_t N>
+void
+run_controlled_small_b(const CompiledOp& op, Complex* amps,
+                       const std::size_t B, BatchedScratch& scratch)
+{
+    Real mr[N * N], mi[N * N];
+    const Complex* m = op.inner.data().data();
+    for (std::size_t i = 0; i < N * N; ++i) {
+        mr[i] = m[i].real();
+        mi[i] = m[i].imag();
+    }
+    Index target[N];
+    for (std::size_t c = 0; c < N; ++c) {
+        target[c] = op.ctrl_offset + op.inner_offset[c];
+    }
+    walk_blocks(*op.plan, B, 0, scratch,
+                [&](Index base, std::size_t width, Complex*) {
+        Real* p[N];
+        for (std::size_t c = 0; c < N; ++c) {
+            p[c] = as_reals(amps + (base + target[c]) * B);
+        }
+        QD_SIMD
+        for (std::size_t l = 0; l < width; ++l) {
+            Real sr[N], si[N];
+            for (std::size_t c = 0; c < N; ++c) {
+                sr[c] = p[c][2 * l];
+                si[c] = p[c][2 * l + 1];
+            }
+            for (std::size_t r = 0; r < N; ++r) {
+                Real accr = 0.0, acci = 0.0;
+                for (std::size_t c = 0; c < N; ++c) {
+                    accr += mr[r * N + c] * sr[c] - mi[r * N + c] * si[c];
+                    acci += mr[r * N + c] * si[c] + mi[r * N + c] * sr[c];
+                }
+                p[r][2 * l] = accr;
+                p[r][2 * l + 1] = acci;
+            }
+        }
+    });
+}
+
 void
 run_block_matvec_b(const CompiledOp& op, Complex* amps, const std::size_t B,
                    BatchedScratch& scratch, const Index* off, Index nb,
@@ -443,6 +490,14 @@ apply_op_batched(const CompiledOp& op, Complex* amps, int lanes,
             run_single_d3_b(op, amps, op.dim, B, scratch);
             return;
         case KernelKind::kControlled:
+            if (op.inner_offset.size() == 2) {
+                run_controlled_small_b<2>(op, amps, B, scratch);
+                return;
+            }
+            if (op.inner_offset.size() == 3) {
+                run_controlled_small_b<3>(op, amps, B, scratch);
+                return;
+            }
             run_block_matvec_b(op, amps, B, scratch, op.inner_offset.data(),
                                static_cast<Index>(op.inner_offset.size()),
                                op.inner.data().data(), op.ctrl_offset);

@@ -6,9 +6,12 @@
  * BatchedStateVector in a single pass: the plan's offset tables and the
  * gate payload are read once per amplitude block instead of once per shot,
  * and the per-amplitude work runs over the B contiguous lanes with
- * `QD_SIMD` inner loops. Outer blocks go parallel via OpenMP once
- * outer blocks x lanes reach the single-shot kernels' threshold, with at
- * most BatchedScratch::threads threads.
+ * `QD_SIMD` inner loops. Where the plan's outer blocks come in runs of
+ * consecutive bases (ApplyPlan::run), the permutation, diagonal, monomial
+ * and small controlled kernels take a run as one block of run x B lanes,
+ * so the lane loops stream at one or two lanes too. Outer blocks go
+ * parallel via OpenMP once outer blocks x lanes reach the single-shot
+ * kernels' threshold, with at most BatchedScratch::threads threads.
  *
  * Per lane, every kernel performs the same floating-point operations in
  * the same order as its single-shot counterpart in kernels.cc, so lane b

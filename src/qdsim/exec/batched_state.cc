@@ -75,6 +75,33 @@ accumulate_norm_sq(const Real* d, std::size_t n, std::size_t B, Real* ns)
     }
 }
 
+/** Per-lane products of the factors of wires [first, last) of `dims`:
+ *  entry t * B + b is lane b's product at the t-th digit tuple over those
+ *  wires (odometer order), multiplied in wire order. */
+std::vector<Complex>
+lane_products(const WireDims& dims,
+              const std::vector<std::vector<std::vector<Complex>>>& factors,
+              int first, int last)
+{
+    const std::size_t B = factors.size();
+    std::vector<Complex> table(B, Complex(1, 0));
+    for (int w = first; w < last; ++w) {
+        const std::size_t uw = static_cast<std::size_t>(w);
+        const std::size_t d = static_cast<std::size_t>(dims.dim(w));
+        std::vector<Complex> next(table.size() * d);
+        for (std::size_t t = 0; t < table.size() / B; ++t) {
+            for (std::size_t m = 0; m < d; ++m) {
+                for (std::size_t b = 0; b < B; ++b) {
+                    next[(t * d + m) * B + b] =
+                        table[t * B + b] * factors[b][uw][m];
+                }
+            }
+        }
+        table = std::move(next);
+    }
+    return table;
+}
+
 }  // namespace
 
 BatchedStateVector::BatchedStateVector(WireDims dims, int lanes)
@@ -155,67 +182,47 @@ BatchedStateVector::apply_product_diag_lanes(
             throw std::invalid_argument(
                 "apply_product_diag_lanes: factor count mismatch");
         }
-    }
-    // One odometer drives all lanes (the digit sequence only depends on the
-    // dims); each lane keeps a running product, multiplied on every digit
-    // change by a quotient of that lane's own factors. The quotients are
-    // computed once per call rather than once per amplitude:
-    // step[m] = f[m] / f[m-1] on a digit increment to m, and
-    // step[0] = f[0] / f[d-1] on rollover. Laid out
-    // step[(level0[w] + m) * B + b].
-    std::vector<std::size_t> level0(static_cast<std::size_t>(n) + 1, 0);
-    for (int w = 0; w < n; ++w) {
-        const std::size_t uw = static_cast<std::size_t>(w);
-        level0[uw + 1] =
-            level0[uw] + static_cast<std::size_t>(dims_.dim(w));
-    }
-    std::vector<Complex> step(level0.back() * B);
-    std::vector<Complex> cur(B, Complex(1, 0));
-    for (std::size_t b = 0; b < B; ++b) {
         for (int w = 0; w < n; ++w) {
-            const std::size_t uw = static_cast<std::size_t>(w);
-            const std::vector<Complex>& f = factors[b][uw];
-            const std::size_t d = static_cast<std::size_t>(dims_.dim(w));
-            cur[b] *= f[0];
-            step[level0[uw] * B + b] = f[0] / f[d - 1];
-            for (std::size_t m = 1; m < d; ++m) {
-                step[(level0[uw] + m) * B + b] = f[m] / f[m - 1];
+            if (static_cast<int>(
+                    lane_factors[static_cast<std::size_t>(w)].size()) !=
+                dims_.dim(w)) {
+                throw std::invalid_argument(
+                    "apply_product_diag_lanes: factor length mismatch");
             }
         }
     }
-    std::vector<int> odo(static_cast<std::size_t>(n), 0);
-    std::vector<Real> cur2(2 * B);
+    // Amplitude h * L + l of a lane takes the product of its high wires'
+    // factors at digit tuple h and its low wires' at l. The low group is
+    // the least significant wires while it stays within sqrt(size)
+    // configurations (the ApplyPlan split), so both tables are small.
     const Index total = dims_.size();
-    Complex* a = amps_.data();
-    for (Index idx = 0;; ++idx, a += B) {
-        for (std::size_t b = 0; b < B; ++b) {
-            cur2[2 * b] = cur[b].real();
-            cur2[2 * b + 1] = cur[b].imag();
-        }
-        Real* d = as_reals(a);
-        QD_SIMD
-        for (std::size_t b = 0; b < B; ++b) {
-            const Real ar = d[2 * b], ai = d[2 * b + 1];
-            d[2 * b] = ar * cur2[2 * b] - ai * cur2[2 * b + 1];
-            d[2 * b + 1] = ar * cur2[2 * b + 1] + ai * cur2[2 * b];
-        }
-        if (idx + 1 >= total) {
+    int split = n;
+    for (Index lo = 1; split > 0;) {
+        const Index next = lo * static_cast<Index>(dims_.dim(split - 1));
+        if (next > total / next) {
             break;
         }
-        for (int w = n - 1;; --w) {
-            const std::size_t uw = static_cast<std::size_t>(w);
-            const bool carry = ++odo[uw] == dims_.dim(w);
-            if (carry) {
-                odo[uw] = 0;
-            }
-            const Complex* s =
-                step.data() +
-                (level0[uw] + static_cast<std::size_t>(odo[uw])) * B;
+        lo = next;
+        --split;
+    }
+    const std::vector<Complex> hi = lane_products(dims_, factors, 0, split);
+    const std::vector<Complex> lo = lane_products(dims_, factors, split, n);
+    const std::size_t nhi = hi.size() / B, nlo = lo.size() / B;
+    const Real* lr = as_reals(lo.data());
+    Real* d = as_reals(amps_.data());
+    for (std::size_t h = 0; h < nhi; ++h) {
+        const Real* hr = as_reals(hi.data()) + 2 * h * B;
+        for (std::size_t l = 0; l < nlo; ++l, d += 2 * B) {
+            const Real* f = lr + 2 * l * B;
+            QD_SIMD
             for (std::size_t b = 0; b < B; ++b) {
-                cur[b] *= s[b];
-            }
-            if (!carry) {
-                break;
+                const Real fr = hr[2 * b] * f[2 * b] -
+                                hr[2 * b + 1] * f[2 * b + 1];
+                const Real fi = hr[2 * b] * f[2 * b + 1] +
+                                hr[2 * b + 1] * f[2 * b];
+                const Real ar = d[2 * b], ai = d[2 * b + 1];
+                d[2 * b] = ar * fr - ai * fi;
+                d[2 * b + 1] = ar * fi + ai * fr;
             }
         }
     }

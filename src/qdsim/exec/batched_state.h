@@ -59,11 +59,20 @@ class BatchedStateVector {
     /**
      * Per-lane product-of-per-wire-diagonals pass (batched coherent
      * dephasing kick): factors[lane][wire] has dim(wire) unit-modulus
-     * entries. One incremental odometer drives every lane; each lane's
-     * running factor is updated with quotients of its own factors only
-     * (f[m] / f[m-1] on a digit increment, f[0] / f[d-1] on rollover),
-     * each computed once per call, so a lane's result does not depend on
-     * the other lanes.
+     * entries. The wires split into a high and a low group (the low one
+     * the least significant wires within sqrt(size) configurations), and
+     * each lane gets one table per group: the products of its own factors
+     * at every digit tuple of the group, multiplied in wire order. One pass
+     * then scales amplitude h * L + l of each lane by hi[h] * lo[l], with
+     * no serial dependence between amplitudes. A lane's result depends only
+     * on its own factors, so it is bitwise the same at every batch width.
+     * It equals the exact product up to rounding, and the rounding follows
+     * this order: a dephased trial's values reproduce to the bit only with
+     * the same tables and the same hi[h] * lo[l] product.
+     *
+     * @throws std::invalid_argument unless there is one factor list per
+     *         lane, one vector per wire and dim(wire) entries in each
+     *         (checked before any amplitude changes).
      */
     void apply_product_diag_lanes(
         const std::vector<std::vector<std::vector<Complex>>>& factors);

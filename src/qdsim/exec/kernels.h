@@ -26,6 +26,16 @@
  * the dense/permutation/diagonal/controlled outer loops go parallel via
  * OpenMP when the register is large enough (blocks are disjoint by
  * construction).
+ *
+ * The batched zoo (batched_kernels.h) runs the same classes over B lanes
+ * with the same per-lane arithmetic. Two of its paths have no single-shot
+ * twin. The permutation, diagonal, monomial and small controlled passes
+ * walk the outer blocks in runs of consecutive bases (ApplyPlan::run): the
+ * rows of a run are adjacent, so a run is one block of run x B lanes and a
+ * short lane count still streams. kControlled with one 2- or 3-level
+ * target runs an unrolled kernel that holds the inner matrix in locals and
+ * loads each lane's target amplitudes straight into registers; wider
+ * targets and kDense keep the gather matvec, block by block.
  */
 #ifndef QDSIM_EXEC_KERNELS_H
 #define QDSIM_EXEC_KERNELS_H

@@ -79,8 +79,17 @@ put_u64(std::vector<std::uint8_t>& out, std::uint64_t v)
 std::vector<std::uint8_t>
 canonical_bytes(const Circuit& circuit)
 {
+    // Reserved to the exact encoded size, so encoding allocates once.
+    std::size_t size = 4 + 4 + 4 * circuit.dims().dims().size() + 8;
+    for (const Operation& op : circuit.ops()) {
+        size += 4 + 4 * op.wires.size() + 8 +
+                16 * op.gate.matrix().data().size();
+    }
     std::vector<std::uint8_t> out;
-    out.insert(out.end(), {'Q', 'D', 'J', kQdjVersion});
+    out.reserve(size);
+    for (const char c : {'Q', 'D', 'J', char{kQdjVersion}}) {
+        out.push_back(static_cast<std::uint8_t>(c));
+    }
     put_u32(out, static_cast<std::uint32_t>(circuit.num_wires()));
     for (const int d : circuit.dims().dims()) {
         put_u32(out, static_cast<std::uint32_t>(d));

@@ -60,7 +60,10 @@ members_str(const FusedGroup& group)
 {
     std::string s = "group {";
     for (std::size_t i = 0; i < group.members.size(); ++i) {
-        s += (i ? "," : "") + std::to_string(group.members[i]);
+        if (i > 0) {
+            s += ',';
+        }
+        s += std::to_string(group.members[i]);
     }
     return s + "}";
 }

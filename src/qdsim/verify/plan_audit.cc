@@ -117,31 +117,42 @@ audit_plan(const WireDims& dims, std::span<const int> wires,
                                std::to_string(size));
             }
         }
-    } else if (plan.base_hi.empty() || plan.base_lo.empty()) {
+    }
+    // The split tables are always filled, and the batched kernels walk
+    // them run by run whichever way base_of reads.
+    if (plan.base_hi.empty() || plan.base_lo.empty()) {
         report.add("plan.table-size", Severity::kError, op_index,
-                   where + ": no base table and an empty split table");
-    } else {
-        const Index split_outer =
-            static_cast<Index>(plan.base_hi.size() * plan.base_lo.size());
-        if (split_outer != plan.outer) {
-            report.add("plan.outer-mismatch", Severity::kError, op_index,
-                       where + ": split base tables cover " +
-                           std::to_string(split_outer) +
-                           " configurations, outer is " +
-                           std::to_string(plan.outer));
-        }
-        const Index max_base =
-            *std::max_element(plan.base_hi.begin(), plan.base_hi.end()) +
-            *std::max_element(plan.base_lo.begin(), plan.base_lo.end());
-        if (max_base >= size || max_local >= size - max_base) {
-            report.add("plan.offset-bounds", Severity::kError, op_index,
-                       where + ": max split base " +
-                           std::to_string(max_base) +
-                           " + max local offset " +
-                           std::to_string(max_local) +
-                           " reaches outside register size " +
-                           std::to_string(size));
-        }
+                   where + ": empty split base table");
+        return;
+    }
+    const Index split_outer =
+        static_cast<Index>(plan.base_hi.size() * plan.base_lo.size());
+    if (split_outer != plan.outer) {
+        report.add("plan.outer-mismatch", Severity::kError, op_index,
+                   where + ": split base tables cover " +
+                       std::to_string(split_outer) +
+                       " configurations, outer is " +
+                       std::to_string(plan.outer));
+    }
+    const Index max_base =
+        *std::max_element(plan.base_hi.begin(), plan.base_hi.end()) +
+        *std::max_element(plan.base_lo.begin(), plan.base_lo.end());
+    if (max_base >= size || max_local >= size - max_base) {
+        report.add("plan.offset-bounds", Severity::kError, op_index,
+                   where + ": max split base " + std::to_string(max_base) +
+                       " + max local offset " + std::to_string(max_local) +
+                       " reaches outside register size " +
+                       std::to_string(size));
+    }
+    const Index run = plan.run;
+    bool runs_ok = run >= 1 && plan.base_lo.size() % run == 0;
+    for (std::size_t i = 0; runs_ok && i < plan.base_lo.size(); ++i) {
+        runs_ok = plan.base_lo[i] == plan.base_lo[i - i % run] + i % run;
+    }
+    if (!runs_ok) {
+        report.add("plan.table-size", Severity::kError, op_index,
+                   where + ": split low table is not made of runs of " +
+                       std::to_string(run) + " consecutive bases");
     }
 }
 

@@ -23,7 +23,10 @@ wires_str(std::span<const int> wires)
 {
     std::string s = "[";
     for (std::size_t i = 0; i < wires.size(); ++i) {
-        s += (i ? "," : "") + std::to_string(wires[i]);
+        if (i > 0) {
+            s += ',';
+        }
+        s += std::to_string(wires[i]);
     }
     return s + "]";
 }

@@ -125,6 +125,59 @@ TEST(Batched, EveryKernelKindMatchesSingleShotBitwise) {
                                  KernelKind::kSingleWireD2);
     check_batched_matches_single(q2, gates::CCX(), {2, 0, 1}, 4, rng,
                                  KernelKind::kPermutation);
+
+    // The layouts the kernels walk differently: controlled ops with one 2-
+    // or 3-level target (unrolled) and a 4-level one (generic), and block
+    // bases in runs of several (the lowest operand above the least
+    // significant wire) or of one (an operand on it).
+    const WireDims mixed({3, 2, 3, 3, 2, 3});
+    const Gate u2("u2", {2}, random_matrix(2, rng));
+    const Gate zx("Z3xX+1", {3, 3},
+                  gates::Z3().matrix().kron(gates::Xplus1().matrix()));
+    struct Case {
+        WireDims dims;
+        Gate gate;
+        std::vector<int> wires;
+        KernelKind kind;
+    };
+    const std::vector<Case> cases = {
+        {mixed, u2.controlled(2, 1), {1, 4}, KernelKind::kControlled},
+        {mixed, u2.controlled(3, 2), {3, 1}, KernelKind::kControlled},
+        {mixed, u2.controlled(3, 2), {5, 4}, KernelKind::kControlled},
+        {mixed, gates::fourier(3).controlled(3, 1).controlled(2, 1),
+         {1, 3, 2}, KernelKind::kControlled},
+        {mixed, gates::fourier(3).controlled(3, 2).controlled(3, 0),
+         {0, 2, 5}, KernelKind::kControlled},
+        {WireDims({3, 4, 2, 3}),
+         Gate("u4", {4}, random_matrix(4, rng)).controlled(3, 1), {0, 1},
+         KernelKind::kControlled},
+        {mixed, gates::Z3(), {5}, KernelKind::kDiagonal},
+        {mixed, gates::Z3(), {2}, KernelKind::kDiagonal},
+        {mixed, gates::Z3(), {0}, KernelKind::kDiagonal},
+        {mixed, zx, {3, 5}, KernelKind::kMonomial},
+        {mixed, zx, {2, 3}, KernelKind::kMonomial},
+        {mixed, zx, {2, 0}, KernelKind::kMonomial},
+        {mixed, gates::Xplus1().controlled(3, 2), {0, 3},
+         KernelKind::kPermutation},
+    };
+    for (const Case& c : cases) {
+        for (const int lanes : {1, 2, 3, 8}) {
+            check_batched_matches_single(c.dims, c.gate, c.wires, lanes, rng,
+                                         c.kind);
+        }
+    }
+
+    // 3^9 amplitudes x 8 lanes: past the OpenMP threshold, so the run walk
+    // splits its runs across a team.
+    const WireDims big = WireDims::uniform(9, 3);
+    check_batched_matches_single(big, gates::Z3(), {4}, 8, rng,
+                                 KernelKind::kDiagonal);
+    check_batched_matches_single(big, zx, {6, 3}, 8, rng,
+                                 KernelKind::kMonomial);
+    check_batched_matches_single(big, gates::fourier(3).controlled(3, 2),
+                                 {1, 5}, 8, rng, KernelKind::kControlled);
+    check_batched_matches_single(big, gates::Xplus1().controlled(3, 1),
+                                 {2, 7}, 8, rng, KernelKind::kPermutation);
 }
 
 TEST(Batched, RandomCircuitsMatchSingleShotOnMixedRadix) {
@@ -154,7 +207,7 @@ TEST(Batched, RandomCircuitsMatchSingleShotOnMixedRadix) {
                  {0, 1});
 
         const exec::CompiledCircuit compiled(c);
-        for (const int lanes : {1, 3, 8}) {
+        for (const int lanes : {1, 2, 3, 8}) {
             BatchedStateVector batch(dims, lanes);
             std::vector<StateVector> ref = random_lanes(batch, rng);
             BatchedScratch bscratch;
@@ -168,20 +221,13 @@ TEST(Batched, RandomCircuitsMatchSingleShotOnMixedRadix) {
     }
 }
 
-TEST(Batched, PerLanePrimitivesAreLaneLocal) {
-    Rng rng(303);
-    const WireDims dims({3, 2, 3});
-    const int lanes = 6;
-    BatchedStateVector batch(dims, lanes);
-    std::vector<StateVector> ref = random_lanes(batch, rng);
-
-    // Per-lane product diagonal (the dephasing shape): each lane equals
-    // the same kick run as a one-lane batch, bitwise, and the product of
-    // its factors up to rounding.
+/** Per-lane random unit-modulus factors, factors[lane][wire][level]. */
+std::vector<std::vector<std::vector<Complex>>>
+random_kick(const WireDims& dims, int lanes, Rng& rng)
+{
     std::vector<std::vector<std::vector<Complex>>> factors(
         static_cast<std::size_t>(lanes));
-    for (int b = 0; b < lanes; ++b) {
-        auto& lf = factors[static_cast<std::size_t>(b)];
+    for (auto& lf : factors) {
         lf.resize(static_cast<std::size_t>(dims.num_wires()));
         for (int w = 0; w < dims.num_wires(); ++w) {
             for (int m = 0; m < dims.dim(w); ++m) {
@@ -190,27 +236,58 @@ TEST(Batched, PerLanePrimitivesAreLaneLocal) {
             }
         }
     }
+    return factors;
+}
+
+/** Per-lane product diagonal (the dephasing shape) on `batch`: each lane
+ *  equals the same kick run as a one-lane batch, bitwise, and the product
+ *  of its factors up to rounding. `ref` is updated to the expected lanes. */
+void
+check_kick_is_lane_local(BatchedStateVector& batch,
+                         std::vector<StateVector>& ref, Rng& rng)
+{
+    const WireDims& dims = batch.dims();
+    const auto factors = random_kick(dims, batch.lanes(), rng);
     batch.apply_product_diag_lanes(factors);
-    for (int b = 0; b < lanes; ++b) {
+    for (int b = 0; b < batch.lanes(); ++b) {
+        const auto& lane_factors = factors[static_cast<std::size_t>(b)];
         StateVector& r = ref[static_cast<std::size_t>(b)];
         const StateVector before = r;
         BatchedStateVector one(dims, 1);
         one.set_lane(0, r);
-        one.apply_product_diag_lanes({factors[static_cast<std::size_t>(b)]});
+        one.apply_product_diag_lanes({lane_factors});
         one.extract_lane(0, r);
         for (Index i = 0; i < dims.size(); ++i) {
             Complex f(1, 0);
             const std::vector<int> digits = dims.unpack(i);
             for (int w = 0; w < dims.num_wires(); ++w) {
-                f *= factors[static_cast<std::size_t>(b)]
-                            [static_cast<std::size_t>(w)]
-                            [static_cast<std::size_t>(
-                                digits[static_cast<std::size_t>(w)])];
+                f *= lane_factors[static_cast<std::size_t>(w)]
+                                 [static_cast<std::size_t>(
+                                     digits[static_cast<std::size_t>(w)])];
             }
             ASSERT_NEAR(std::abs(r[i] - before[i] * f), 0.0, 1e-12);
         }
     }
     expect_lanes_bitwise_equal(batch, ref, "product diag");
+}
+
+TEST(Batched, PerLanePrimitivesAreLaneLocal) {
+    Rng rng(303);
+    // The kick on a one-wire register (no low wire group) and on a
+    // register with a d = 4 wire, beside the mixed-radix one below.
+    for (const WireDims& kick_dims : {WireDims({3}), WireDims({2, 4, 3})}) {
+        for (const int lanes : {1, 2, 3, 8}) {
+            BatchedStateVector kicked(kick_dims, lanes);
+            std::vector<StateVector> kick_ref = random_lanes(kicked, rng);
+            check_kick_is_lane_local(kicked, kick_ref, rng);
+        }
+    }
+
+    const WireDims dims({3, 2, 3});
+    const int lanes = 6;
+    BatchedStateVector batch(dims, lanes);
+    std::vector<StateVector> ref = random_lanes(batch, rng);
+    check_kick_is_lane_local(batch, ref, rng);
 
     // norm_sq_lane == norm_sq_lanes, bitwise, and the lane's norm.
     const auto norms = batch.norm_sq_lanes();
@@ -244,6 +321,26 @@ TEST(Batched, ExtractInsertRoundTripAndValidation) {
     StateVector wrong(WireDims({3, 3}));
     EXPECT_THROW(batch.set_lane(0, wrong), std::invalid_argument);
     EXPECT_THROW(batch.extract_lane(0, wrong), std::invalid_argument);
+
+    // The kick checks every lane's factor shape before touching a lane.
+    auto factors = random_kick(dims, 3, rng);
+    factors.pop_back();
+    EXPECT_THROW(batch.apply_product_diag_lanes(factors),
+                 std::invalid_argument);
+    factors = random_kick(dims, 3, rng);
+    factors[1].pop_back();
+    EXPECT_THROW(batch.apply_product_diag_lanes(factors),
+                 std::invalid_argument);
+    factors = random_kick(dims, 3, rng);
+    factors[2][1].pop_back();  // wire 1 has 3 levels; lane 2 gives 2
+    EXPECT_THROW(batch.apply_product_diag_lanes(factors),
+                 std::invalid_argument);
+    factors = random_kick(dims, 3, rng);
+    factors[0][0].push_back(Complex(1, 0));
+    EXPECT_THROW(batch.apply_product_diag_lanes(factors),
+                 std::invalid_argument);
+    batch.extract_lane(2, out);
+    EXPECT_EQ(out.fidelity(s), 1.0);
 }
 
 }  // namespace

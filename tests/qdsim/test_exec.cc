@@ -319,6 +319,31 @@ TEST(Exec, BaseOfMatchesTabulatedOffsets) {
     }
 }
 
+TEST(Exec, PlanRunsWalkTheBasesInOrder) {
+    // plan.run counts the configurations of the non-operand wires below
+    // every operand, capped at the low table: 1 when the lowest wire is
+    // an operand, the whole low table when every operand sits above it.
+    const WireDims dims({3, 2, 3, 2, 3});
+    const std::vector<std::pair<std::vector<int>, Index>> cases = {
+        {{4}, 1}, {{1, 3}, 3}, {{2}, 6}, {{0}, 6}, {{3, 0}, 3}};
+    for (const auto& [wires, run] : cases) {
+        const auto plan = exec::make_apply_plan(dims, wires);
+        ASSERT_EQ(plan->run, run) << wires[0];
+        const std::size_t nlo = plan->base_lo.size();
+        ASSERT_EQ(nlo % run, 0u);
+        Index o = 0;
+        for (const Index hi : plan->base_hi) {
+            for (std::size_t k = 0; k < nlo; k += run) {
+                for (Index r = 0; r < run; ++r, ++o) {
+                    EXPECT_EQ(hi + plan->base_lo[k] + r, plan->base_of(o))
+                        << wires[0] << " " << o;
+                }
+            }
+        }
+        EXPECT_EQ(o, plan->outer_count());
+    }
+}
+
 TEST(Exec, PlanRejectsRegistersPastTheSplitTables) {
     // 2^41 outer blocks: the split base tables would outgrow
     // kBaseTableCap, and no such register fits in memory anyway.

@@ -238,6 +238,17 @@ TEST(VerifyPlan, CorruptedPlansAreCaught) {
         verify::audit_plan(dims, wires, bad, r);
         EXPECT_TRUE(r.has_errors()) << r.to_string();
     }
+    {
+        // Wire 2 (the lowest) is a non-operand, so bases come in runs of
+        // 2; a run length the low table does not have would send the
+        // batched kernels' run walk past it.
+        exec::ApplyPlan bad = *exec::make_apply_plan(dims, wires);
+        ASSERT_EQ(bad.run, 2u);
+        bad.run = 4;
+        Report r;
+        verify::audit_plan(dims, wires, bad, r);
+        EXPECT_TRUE(r.has_rule("plan.table-size")) << r.to_string();
+    }
 }
 
 TEST(VerifyPlan, KernelClassAndControlledMaskMismatchesAreCaught) {
