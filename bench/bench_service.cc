@@ -14,20 +14,35 @@
  * counters on: exactly 1 service miss and 15 hits, gated exactly in CI
  * via compare_bench.py.
  *
+ * The .qdj text layer is timed on the width-8 QUBIT gen-Toffoli job
+ * document (about 64 KB, 1,531 ops), the large job of qdbench's
+ * job-stream: decode_mb_per_s (ir::job_from_qdj), encode_mb_per_s
+ * (ir::to_qdj of a freshly built circuit) and hash_us (ir::circuit_hash
+ * of a freshly decoded circuit), so both include the first digest of
+ * each gate, each the median of kTextReps runs. They are recorded for
+ * CI artifacts, not gated.
+ *
  * Knobs: QD_SERVICE_CONTROLS (default 7), QD_SERVICE_COLD (default 5),
  * QD_SERVICE_WARM (default 512).
  */
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench_util.h"
 #include "constructions/gen_toffoli.h"
 #include "noise/models.h"
 #include "qdsim/exec/compile_service.h"
+#include "qdsim/ir/ir.h"
 
 namespace {
 
 using namespace qd;
+
+/** Runs per .qdj text-layer timing (each reported as the median). */
+constexpr int kTextReps = 41;
 
 double
 now_ms()
@@ -35,6 +50,19 @@ now_ms()
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
+}
+
+/** Median of `reps` timings (ms) of `run`. */
+template <class Run>
+double
+median_ms(int reps, Run run)
+{
+    std::vector<double> ms;
+    for (int r = 0; r < reps; ++r) {
+        ms.push_back(run());
+    }
+    std::nth_element(ms.begin(), ms.begin() + ms.size() / 2, ms.end());
+    return ms[ms.size() / 2];
 }
 
 }  // namespace
@@ -98,6 +126,43 @@ main(int argc, char** argv)
     exec::CompileService::global().clear();
     std::printf("%s\n", rep.to_string().c_str());
 
+    // 4. The .qdj text layer on job-stream's large document.
+    ir::Job large;
+    large.name = "QUBIT-w8/SC";
+    large.engine = "trajectory";
+    large.shots = 4;
+    large.noise = model.name;
+    std::string doc;
+    const double encode_ms = median_ms(kTextReps, [&] {
+        // Built anew each run, so no gate digest is cached yet.
+        large.circuit =
+            ctor::build_gen_toffoli(ctor::Method::kQubitNoAncilla, 7).circuit;
+        const double s = now_ms();
+        doc = ir::to_qdj(large);
+        return now_ms() - s;
+    });
+    const double decode_ms = median_ms(kTextReps, [&] {
+        const double s = now_ms();
+        const ir::Job decoded = ir::job_from_qdj(doc);
+        return now_ms() - s;  // before the job is freed
+    });
+    volatile std::uint64_t hash_sink = 0;
+    const double hash_ms = median_ms(kTextReps, [&] {
+        const ir::Job decoded = ir::job_from_qdj(doc);
+        const double s = now_ms();
+        hash_sink = ir::circuit_hash(decoded.circuit);
+        return now_ms() - s;
+    });
+    (void)hash_sink;
+    const double mb = static_cast<double>(doc.size()) / 1e6;
+    std::printf("text layer (%zu-byte width-8 QUBIT job, %zu ops):\n",
+                doc.size(), large.circuit.num_ops());
+    std::printf("  decode %8.3f ms (%6.1f MB/s)\n", decode_ms,
+                mb / (decode_ms / 1e3));
+    std::printf("  encode %8.3f ms (%6.1f MB/s)\n", encode_ms,
+                mb / (encode_ms / 1e3));
+    std::printf("  hash   %8.1f us\n\n", hash_ms * 1e3);
+
     bench::JsonWriter jw;
     jw.str("workload", "qutrit_gen_toffoli_trajectory_job")
         .integer("n_controls", n_controls)
@@ -107,6 +172,10 @@ main(int argc, char** argv)
         .num("cold_ms_per_submission", cold_ms)
         .num("warm_ms_per_submission", warm_ms)
         .num("speedup", speedup, "%.4f")
+        .integer("text_doc_bytes", static_cast<long long>(doc.size()))
+        .num("decode_mb_per_s", mb / (decode_ms / 1e3), "%.2f")
+        .num("encode_mb_per_s", mb / (encode_ms / 1e3), "%.2f")
+        .num("hash_us", hash_ms * 1e3, "%.3f")
         .report(rep);
     jw.write("BENCH_service.json");
     return 0;

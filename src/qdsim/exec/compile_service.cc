@@ -189,19 +189,21 @@ CompileService::compile_impl(const Circuit& circuit,
         admission == Admission::kAlways ||
         (admission == Admission::kDefault && verify::strict());
 
-    std::vector<std::uint8_t> bytes = ir::canonical_bytes(circuit);
-    const Key key{engine, ir::fnv1a(bytes.data(), bytes.size()),
-                  fusion.plan_salt(),
+    const Key key{engine, ir::circuit_hash(circuit), fusion.plan_salt(),
                   model != nullptr ? noise_model_hash(*model) : 0};
 
     std::shared_ptr<const CompiledArtifact> artifact;
     {
         const std::lock_guard<std::mutex> lock(mu_);
         const auto it = cache_.find(key);
-        if (it != cache_.end() && it->second.bytes == bytes) {
+        if (it != cache_.end()) {
             it->second.last_use = ++tick_;
             artifact = it->second.artifact;
         }
+    }
+    // The tie-break runs outside the lock; a colliding entry is a miss.
+    if (artifact && !ir::same_content(artifact->circuit, circuit)) {
+        artifact.reset();
     }
     if (artifact) {
         if (cache_hit != nullptr) {
@@ -262,12 +264,12 @@ CompileService::compile_impl(const Circuit& circuit,
     {
         const std::lock_guard<std::mutex> lock(mu_);
         auto [it, inserted] = cache_.try_emplace(key);
-        if (!inserted && it->second.bytes == bytes) {
+        if (!inserted &&
+            ir::same_content(it->second.artifact->circuit, circuit)) {
             // Another thread compiled the same circuit first; share theirs.
             it->second.last_use = ++tick_;
             return it->second.artifact;
         }
-        it->second.bytes = std::move(bytes);
         it->second.artifact = built;
         it->second.last_use = ++tick_;
         while (cache_.size() > capacity_) {

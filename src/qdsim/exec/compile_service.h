@@ -6,7 +6,13 @@
  *     (engine kind, ir::circuit_hash, FusionOptions::plan_salt(),
  *      noise-model hash)
  *
- * that verifies circuits at admission (verify::analyze as the gate,
+ * where ir::circuit_hash is O(ops) over the gates' cached digests, and a
+ * hash match counts as a hit only if ir::same_content finds the cached
+ * artifact's circuit equal to the submitted one (dims, wires, matrix
+ * bits), so a collision recompiles instead of running the wrong circuit.
+ * Neither a hit nor a miss serializes the circuit.
+ *
+ * The service verifies circuits at admission (verify::analyze as the gate,
  * structured rejection carrying the verify Report) and hands out shared
  * immutable CompiledArtifacts. `simulate()`, `run_noisy_trials()` and
  * `density_matrix_fidelity()` all consume artifacts from here, so a
@@ -162,7 +168,6 @@ class CompileService {
     };
 
     struct Entry {
-        std::vector<std::uint8_t> bytes;  ///< canonical encoding (hash tie-break)
         std::shared_ptr<const CompiledArtifact> artifact;
         std::uint64_t last_use = 0;
     };

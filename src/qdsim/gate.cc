@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "qdsim/hash.h"
+
 namespace qd {
 
 namespace {
@@ -130,6 +132,22 @@ Gate::Gate(std::string name, std::vector<int> dims, Matrix matrix) {
     }
     p->matrix = std::move(matrix);
     payload_ = std::move(p);
+}
+
+std::uint64_t
+Gate::digest() const
+{
+    std::uint64_t d = payload_->digest.load();
+    if (d == 0) {
+        // Racing first calls compute the same value; either store wins.
+        const Matrix& m = payload_->matrix;
+        Hasher h(m.rows());
+        h.add_bytes(m.data().data(), m.data().size() * sizeof(Complex));
+        d = h.finish();
+        d = d == 0 ? 1 : d;  // 0 marks "not computed yet"
+        payload_->digest.store(d);
+    }
+    return d;
 }
 
 Gate

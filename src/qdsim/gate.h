@@ -11,6 +11,8 @@
 #ifndef QDSIM_GATE_H
 #define QDSIM_GATE_H
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -98,6 +100,25 @@ class Gate {
         return *payload_->ctrl;
     }
 
+    /**
+     * Digest of the matrix: its size and the bit pattern of every entry
+     * (name and dims excluded), the per-op term of ir::circuit_hash.
+     * Computed on the first call and cached in the shared payload, so
+     * copies share it and gates that are only built and probed (the
+     * fusion look-ahead's candidate blocks) never pay for it. Safe to
+     * call from several threads at once.
+     */
+    std::uint64_t digest() const;
+
+    /** True if both gates are copies of one gate (one shared payload). */
+    bool same_payload(const Gate& other) const {
+        return payload_ == other.payload_;
+    }
+
+    /** Address of the shared payload: equal for copies of one gate and
+     *  distinct between live gates, so it can key per-gate memos. */
+    const void* payload_id() const { return payload_.get(); }
+
     /** Gate with the adjoint unitary. */
     Gate inverse() const;
 
@@ -124,6 +145,8 @@ class Gate {
         std::optional<std::vector<Index>> perm;
         bool diagonal = false;
         std::optional<ControlledStructure> ctrl;
+        /** digest(), or 0 until first asked for. */
+        mutable std::atomic<std::uint64_t> digest{0};
     };
 
     std::shared_ptr<const Payload> payload_;

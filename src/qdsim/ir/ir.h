@@ -1,7 +1,7 @@
 /**
  * @file ir.h
  * Versioned, stable circuit IR: the human-readable `.qdj` JSON text form
- * plus a canonical byte encoding used for content hashing.
+ * plus the content hash the CompileService keys on.
  *
  * The text form round-trips `Circuit` exactly:
  *   - mixed-radix wire dims are explicit ("dims": [3, 3, 2, ...]);
@@ -12,10 +12,25 @@
  *     hex-float entries ("0x1.5bf0a8b145769p+1"), so doubles survive the
  *     text round-trip bit for bit.
  *
- * The canonical byte encoding covers the semantic content only — wire
- * dims, per-op wires, and matrix entry bit patterns; gate names are
- * excluded — and is hashed with FNV-1a 64 into `circuit_hash`, the
- * cross-request cache key the CompileService uses.
+ * Decoding costs about one pass over the bytes: json::scan validates the
+ * whole document and records its tape, and the members then decode in a
+ * fixed check order straight into a Circuit (so a syntax error anywhere
+ * wins over every semantic error). Hex floats in the form "%a" writes
+ * are assembled bit by bit and every other number goes to strtod, so the
+ * accepted set is strtod's. Each distinct gate of a document — ops whose
+ * gate members ("gate", "i", "r", "base", or "name" and "m") have the
+ * same text, on operand wires of the same dims — is built once and
+ * shared by every op that uses it, so a decoded circuit holds one Gate
+ * payload per distinct gate. Encoding
+ * recognizes each distinct gate (found by its name and matrix digest)
+ * once per document and writes numbers with std::to_chars.
+ *
+ * `circuit_hash` covers the semantic content only: wire dims, per-op
+ * wires, and each gate's matrix digest (Gate::digest: matrix size and
+ * entry bit patterns; names excluded). Digests are cached in the gate
+ * payloads, so hashing is O(ops) and a decoded circuit digests each
+ * distinct gate once. `same_content` is the exact comparison the hash
+ * stands for; the CompileService breaks hash ties with it.
  *
  * Decode failures of untrusted input always throw ir::ParseError carrying
  * a stable dotted error id; they never crash. The ids are:
@@ -52,19 +67,22 @@ inline constexpr int kQdjVersion = 1;
 
 // --------------------------------------------------------------- hashing ---
 
-/** FNV-1a 64 over a byte string. */
-std::uint64_t fnv1a(const std::uint8_t* data, std::size_t n);
+/**
+ * Content hash of a circuit over its wire dims and, per op, its wires and
+ * its gate's matrix digest. Gate names are excluded: circuits that apply
+ * the same matrices to the same wires hash identically regardless of
+ * labeling. An in-process cache key, not a stable identifier: it is never
+ * persisted.
+ */
+std::uint64_t circuit_hash(const Circuit& circuit);
 
 /**
- * Canonical byte encoding of a circuit: magic + version, wire dims,
- * then per op its wires and the raw bit patterns of every matrix entry.
- * Gate names are excluded — circuits that apply the same matrices to the
- * same wires encode (and hash) identically regardless of labeling.
+ * True iff both circuits have the same wire dims and, op by op, the same
+ * wires and bitwise-identical matrices (names excluded): the equality
+ * circuit_hash stands for. Ops whose gates share a payload, or a payload
+ * pair already compared, cost no matrix comparison.
  */
-std::vector<std::uint8_t> canonical_bytes(const Circuit& circuit);
-
-/** Content hash of a circuit: fnv1a(canonical_bytes(circuit)). */
-std::uint64_t circuit_hash(const Circuit& circuit);
+bool same_content(const Circuit& a, const Circuit& b);
 
 // ------------------------------------------------------------- .qdj text ---
 

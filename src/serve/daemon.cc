@@ -12,6 +12,7 @@
 #include <cstring>
 #include <deque>
 #include <istream>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <ostream>
@@ -56,6 +57,44 @@ serve_error(std::string id, std::string message)
     e.id = std::move(id);
     e.message = std::move(message);
     return e;
+}
+
+ir::Error
+oversized_frame_error()
+{
+    return serve_error("serve.frame", "frame longer than " +
+                                          std::to_string(kMaxFrameBytes) +
+                                          " bytes");
+}
+
+/**
+ * Reads one line, without its '\n', into `line` through `buf` (at least
+ * kMaxFrameBytes + 1 chars); false at the end of input. A line past
+ * kMaxFrameBytes is read to its end but not kept: `line` comes back
+ * empty and `oversized` set.
+ */
+bool
+read_line(std::istream& in, std::string& buf, std::string& line,
+          bool& oversized)
+{
+    line.clear();
+    oversized = false;
+    in.getline(buf.data(), static_cast<std::streamsize>(kMaxFrameBytes + 1));
+    const std::streamsize got = in.gcount();
+    if (got == 0) {
+        return false;
+    }
+    if (in.fail() && !in.eof()) {
+        // kMaxFrameBytes stored and no '\n' yet: drop the rest.
+        in.clear();
+        in.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+        oversized = true;
+        return true;
+    }
+    // gcount counts the '\n' unless the line ended at the end of input.
+    line.assign(buf.data(),
+                static_cast<std::size_t>(in.eof() ? got : got - 1));
+    return true;
 }
 
 }  // namespace
@@ -174,7 +213,7 @@ struct Daemon::Impl {
 
     /** Handles one NDJSON line. Returns false on a shutdown frame. */
     bool handle_line(const std::shared_ptr<Conn>& conn,
-                     const std::string& line)
+                     std::string_view line)
     {
         if (blank_line(line)) {
             return true;
@@ -211,10 +250,17 @@ struct Daemon::Impl {
         return true;
     }
 
+    void reject_oversized(const std::shared_ptr<Conn>& conn)
+    {
+        count_rejected();
+        write_frame(*conn, error_frame("", oversized_frame_error()));
+    }
+
     void reader_loop(std::shared_ptr<Conn> conn)
     {
-        std::string acc;
-        char buf[4096];
+        std::string acc;          // the unfinished line
+        bool dropping = false;    // acc is the tail of an oversized line
+        char buf[1 << 16];
         bool shutdown_frame = false;
         while (!shutdown_frame) {
             const ssize_t n = ::read(conn->fd, buf, sizeof(buf));
@@ -227,15 +273,30 @@ struct Daemon::Impl {
             if (n == 0) {
                 break;  // EOF, or wait() issued SHUT_RD
             }
+            // Only the new bytes can hold the line's end.
+            std::size_t scan = acc.size();
             acc.append(buf, static_cast<std::size_t>(n));
-            std::size_t pos;
-            while ((pos = acc.find('\n')) != std::string::npos) {
-                const std::string line = acc.substr(0, pos);
-                acc.erase(0, pos + 1);
-                if (!handle_line(conn, line)) {
+            std::size_t begin = 0;
+            for (std::size_t nl; !shutdown_frame &&
+                                 (nl = acc.find('\n', scan)) !=
+                                     std::string::npos;
+                 begin = scan = nl + 1) {
+                if (dropping) {
+                    dropping = false;
+                } else if (nl - begin > kMaxFrameBytes) {
+                    reject_oversized(conn);
+                } else if (!handle_line(conn, std::string_view(acc).substr(
+                                                  begin, nl - begin))) {
                     shutdown_frame = true;
-                    break;
                 }
+            }
+            acc.erase(0, begin);
+            if (!dropping && acc.size() > kMaxFrameBytes) {
+                reject_oversized(conn);
+                dropping = true;
+            }
+            if (dropping) {
+                acc.clear();
             }
         }
         if (!shutdown_frame && !blank_line(acc)) {
@@ -498,9 +559,17 @@ run_stdin_loop(std::istream& in, std::ostream& out,
         out.flush();
     };
 
+    std::string buf(kMaxFrameBytes + 1, '\0');
     std::string line;
+    bool oversized = false;
     bool shutdown_frame = false;
-    while (!shutdown_frame && std::getline(in, line)) {
+    while (!shutdown_frame && read_line(in, buf, line, oversized)) {
+        if (oversized) {
+            ++st.jobs_rejected;
+            obs::count(obs::Counter::kServeJobsRejected);
+            emit(error_frame("", oversized_frame_error()));
+            continue;
+        }
         if (blank_line(line)) {
             continue;
         }

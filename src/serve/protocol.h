@@ -27,7 +27,7 @@
  *       dotted id: the qdj.* decode ids pass through, and the serving
  *       layer adds
  *         serve.frame     malformed frame (bad JSON / not an object /
- *                         missing "type")
+ *                         missing "type" / longer than kMaxFrameBytes)
  *         serve.type      unknown frame type
  *         serve.submit    submit frame missing "id" or "qdj"
  *         serve.quota     per-client quota exceeded (queued jobs or
@@ -39,11 +39,16 @@
  *   {"type": "bye"}
  *
  * Unparseable frames get an error frame with id "" — the server never
- * closes the connection on bad input and never crashes on it.
+ * closes the connection on bad input and never crashes on it. A line
+ * longer than kMaxFrameBytes is answered with serve.frame — on a socket
+ * as soon as it passes the cap, on stdin once its end has been read —
+ * and the rest of it is read and dropped, so a client that never sends
+ * a newline cannot grow the server.
  */
 #ifndef SERVE_PROTOCOL_H
 #define SERVE_PROTOCOL_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -53,6 +58,11 @@
 #include "serve/run.h"
 
 namespace qd::serve {
+
+/** Longest frame a server reads, '\n' excluded: well above the largest
+ *  corpus job (the width-11 QUBIT gen-Toffoli, 182 KB of .qdj, about
+ *  200 KB once escaped into a frame). Larger documents go through qd_run. */
+inline constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 20;
 
 /** One decoded client → server frame. */
 struct Frame {

@@ -10,12 +10,28 @@
  * Adversarial: every stable qdj.* error id is produced by at least one
  * malformed input, decode never crashes, and truncating a valid document
  * at any byte yields a structured ParseError.
+ *
+ * Decoder and hash contracts: the checked-in job corpus re-encodes byte
+ * for byte; member order, spacing and duplicated keys do not change what
+ * a document decodes to; every single-byte mutation of two small
+ * documents either decodes or throws a qdj.* id; repeated gates decode to
+ * one shared payload; the hex-float fast path agrees with strtod and
+ * printf("%a") bit for bit; and circuit_hash / same_content see every
+ * flipped matrix bit, swapped wire pair and changed dim.
  */
 #include "qdsim/ir/ir.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <limits>
+#include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -32,7 +48,9 @@
 #include "qdsim/circuit.h"
 #include "qdsim/exec/compiled_circuit.h"
 #include "qdsim/gate_library.h"
+#include "qdsim/ir/json.h"
 #include "qdsim/simulator.h"
+#include "qdsim/verify/verify.h"
 
 namespace qd {
 namespace {
@@ -173,10 +191,8 @@ TEST(IrRoundTrip, FullCorpusBitwiseExact)
         const std::string text = ir::to_qdj(entry.circuit);
         Circuit decoded = ir::circuit_from_qdj(text);
         expect_identical(entry.circuit, decoded, entry.name);
-        // Canonical bytes (and so the cache key) must agree too.
-        EXPECT_EQ(ir::canonical_bytes(entry.circuit),
-                  ir::canonical_bytes(decoded))
-            << entry.name;
+        // The cache key and its tie-break must agree too.
+        EXPECT_TRUE(ir::same_content(entry.circuit, decoded)) << entry.name;
         EXPECT_EQ(ir::circuit_hash(entry.circuit),
                   ir::circuit_hash(decoded))
             << entry.name;
@@ -467,11 +483,11 @@ TEST(IrHashing, NameExcludedContentSensitive)
 {
     Circuit a(WireDims::uniform(1, 2));
     a.append(gates::X(), {0});
-    // Same matrix under a different label: identical canonical bytes.
+    // Same matrix under a different label: the same content.
     Circuit b(WireDims::uniform(1, 2));
     b.append(gates::from_matrix("relabeled", {2},
                                 gates::X().matrix()), {0});
-    EXPECT_EQ(ir::canonical_bytes(a), ir::canonical_bytes(b));
+    EXPECT_TRUE(ir::same_content(a, b));
     EXPECT_EQ(ir::circuit_hash(a), ir::circuit_hash(b));
     // Different wires / different matrix: different hash.
     Circuit c(WireDims::uniform(2, 2));
@@ -480,6 +496,426 @@ TEST(IrHashing, NameExcludedContentSensitive)
     Circuit d(WireDims::uniform(1, 2));
     d.append(gates::Z(), {0});
     EXPECT_NE(ir::circuit_hash(a), ir::circuit_hash(d));
+}
+
+
+TEST(IrHashing, EveryMutationChangesHashAndContent)
+{
+    Circuit base(WireDims({3, 3, 2}));
+    base.append(gates::H3(), {0});
+    base.append(gates::Xplus1().controlled(3, 1), {0, 1});
+    base.append(gates::X().controlled(3, 2), {1, 2});
+    const std::uint64_t h = ir::circuit_hash(base);
+    EXPECT_TRUE(ir::same_content(base, base));
+
+    // One flipped bit in one matrix entry.
+    Matrix m = base.ops()[0].gate.matrix();
+    m(1, 2) = Complex(std::bit_cast<double>(
+                          std::bit_cast<std::uint64_t>(m(1, 2).real()) ^ 1),
+                      m(1, 2).imag());
+    Circuit flipped(base.dims());
+    flipped.append(gates::from_matrix("H3", {3}, m), {0});
+    flipped.append(base.ops()[1].gate, base.ops()[1].wires);
+    flipped.append(base.ops()[2].gate, base.ops()[2].wires);
+
+    // A swapped wire pair.
+    Circuit swapped(base.dims());
+    swapped.append(base.ops()[0].gate, {0});
+    swapped.append(base.ops()[1].gate, {1, 0});
+    swapped.append(base.ops()[2].gate, {1, 2});
+
+    // A changed dim (an idle wire's).
+    Circuit redimmed(WireDims({3, 3, 2, 2}));
+    for (const Operation& op : base.ops()) {
+        redimmed.append(op.gate, op.wires);
+    }
+    Circuit grown(WireDims({3, 3, 2, 3}));
+    for (const Operation& op : base.ops()) {
+        grown.append(op.gate, op.wires);
+    }
+
+    for (const Circuit* other : {&flipped, &swapped, &redimmed, &grown}) {
+        EXPECT_NE(ir::circuit_hash(*other), h);
+        EXPECT_FALSE(ir::same_content(base, *other));
+        EXPECT_FALSE(ir::same_content(*other, base));
+    }
+    EXPECT_NE(ir::circuit_hash(redimmed), ir::circuit_hash(grown));
+}
+
+// ---------------------------------------------------- decoder contracts ---
+
+std::string
+read_file(const std::filesystem::path& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+/** The checked-in job corpus: the .qdj files of bench/jobs, by name. */
+std::vector<std::filesystem::path>
+corpus_files()
+{
+    std::vector<std::filesystem::path> files;
+    for (const auto& e : std::filesystem::directory_iterator(
+             std::filesystem::path(QD_SOURCE_DIR) / "bench" / "jobs")) {
+        if (e.path().extension() == ".qdj") {
+            files.push_back(e.path());
+        }
+    }
+    std::sort(files.begin(), files.end());
+    return files;
+}
+
+/** Asserts two decoded jobs agree: envelope, content, hash and names. */
+void
+expect_same_job(const ir::Job& a, const ir::Job& b, const std::string& label)
+{
+    EXPECT_EQ(a.name, b.name) << label;
+    EXPECT_EQ(a.engine, b.engine) << label;
+    EXPECT_EQ(a.shots, b.shots) << label;
+    EXPECT_EQ(a.seed, b.seed) << label;
+    EXPECT_EQ(a.batch, b.batch) << label;
+    EXPECT_EQ(a.fusion, b.fusion) << label;
+    EXPECT_EQ(a.noise, b.noise) << label;
+    expect_identical(a.circuit, b.circuit, label);
+    EXPECT_TRUE(ir::same_content(a.circuit, b.circuit)) << label;
+    EXPECT_EQ(ir::circuit_hash(a.circuit), ir::circuit_hash(b.circuit))
+        << label;
+    ASSERT_EQ(a.circuit.num_ops(), b.circuit.num_ops()) << label;
+    for (std::size_t i = 0; i < a.circuit.num_ops(); ++i) {
+        EXPECT_EQ(a.circuit.ops()[i].gate.name(),
+                  b.circuit.ops()[i].gate.name())
+            << label << " op " << i;
+    }
+}
+
+TEST(IrCorpus, EveryJobFileReencodesByteForByte)
+{
+    const auto files = corpus_files();
+    ASSERT_FALSE(files.empty());
+    for (const auto& file : files) {
+        const std::string text = read_file(file);
+        const ir::Job job = ir::job_from_qdj(text);
+        EXPECT_EQ(ir::to_qdj(job), text) << file;
+    }
+}
+
+/** JSON text of a DOM value with every object's members in reverse order
+ *  and extra whitespace around every token. */
+void
+write_reordered(const ir::json::Value& v, std::string& out)
+{
+    using Kind = ir::json::Value::Kind;
+    const auto quoted = [&out](const std::string& s) {
+        out += '"';
+        for (const char c : s) {
+            if (c == '"' || c == '\\') {
+                out += '\\';
+            }
+            out += c;
+        }
+        out += '"';
+    };
+    switch (v.kind) {
+    case Kind::kObject:
+        out += "{\n\t";
+        for (auto it = v.object.rbegin(); it != v.object.rend(); ++it) {
+            if (it != v.object.rbegin()) {
+                out += " ,\r\n ";
+            }
+            quoted(it->first);
+            out += " :  ";
+            write_reordered(it->second, out);
+        }
+        out += "\n}";
+        break;
+    case Kind::kArray:
+        out += "[ ";
+        for (std::size_t i = 0; i < v.array.size(); ++i) {
+            out += i == 0 ? "" : " , ";
+            write_reordered(v.array[i], out);
+        }
+        out += " ]";
+        break;
+    case Kind::kString: quoted(v.string); break;
+    case Kind::kBool: out += v.boolean ? "true" : "false"; break;
+    case Kind::kNumber: out += std::to_string(v.integer); break;
+    case Kind::kNull: out += "null"; break;
+    }
+}
+
+TEST(IrDecoder, MemberOrderAndSpacingDoNotMatter)
+{
+    // A construction-corpus job with both op forms: library specs
+    // (nested "base" objects) and raw 9x9 matrices.
+    ir::Job job;
+    job.name = "w3 \"quoted\" \\ name";
+    job.engine = "trajectory";
+    job.noise = "SC";
+    job.shots = 17;
+    job.seed = 99;
+    job.circuit = ctor::build_gen_toffoli(ctor::Method::kQutrit, 3).circuit;
+    const std::string text = ir::to_qdj(job);
+    ASSERT_NE(text.find("\"matrix\""), std::string::npos);
+    const ir::Job decoded = ir::job_from_qdj(text);
+    expect_identical(job.circuit, decoded.circuit, "direct");
+
+    std::string reordered;
+    write_reordered(ir::json::parse(text), reordered);
+    ASSERT_NE(reordered, text);
+    ASSERT_LT(reordered.find("\"circuit\""), reordered.find("\"qdj\""));
+    expect_same_job(decoded, ir::job_from_qdj(reordered), "reordered");
+
+    for (const auto& file : corpus_files()) {
+        const std::string corpus = read_file(file);
+        std::string r;
+        write_reordered(ir::json::parse(corpus), r);
+        expect_same_job(ir::job_from_qdj(corpus), ir::job_from_qdj(r),
+                        file.string());
+    }
+}
+
+TEST(IrDecoder, DuplicatedKeysKeepTheFirstValue)
+{
+    const std::string doc =
+        "{\"qdj\": 1, \"kind\": \"job\", \"shots\": 7, \"shots\": 9,"
+        " \"engine\": \"state\", \"engine\": \"warp\", \"circuit\": "
+        "{\"dims\": [2, 3], \"dims\": [2], \"ops\": ["
+        "{\"gate\": \"X\", \"wires\": [0], \"wires\": [1], \"gate\": \"Y\"},"
+        "{\"gate\": \"matrix\", \"m\": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]],"
+        " \"m\": 5, \"name\": \"a\", \"name\": 7, \"wires\": [0]}]}}";
+    const ir::Job job = ir::job_from_qdj(doc);
+    // json::Value::find's rule: the first member with a key wins.
+    const ir::json::Value dom = ir::json::parse(doc);
+    EXPECT_EQ(job.shots, dom.find("shots")->integer);
+    EXPECT_EQ(job.shots, 7);
+    EXPECT_EQ(job.engine, "state");
+    EXPECT_EQ(job.circuit.dims().dims(), (std::vector<int>{2, 3}));
+    ASSERT_EQ(job.circuit.num_ops(), 2u);
+    EXPECT_EQ(job.circuit.ops()[0].gate.name(), "X");
+    EXPECT_EQ(job.circuit.ops()[0].wires, (std::vector<int>{0}));
+    EXPECT_EQ(job.circuit.ops()[1].gate.name(), "a");
+    EXPECT_TRUE(bitwise_equal(job.circuit.ops()[1].gate.matrix(),
+                              gates::X().matrix()));
+}
+
+TEST(IrDecoder, MutantsDecodeOrThrowAQdjId)
+{
+    ir::Job raw;
+    raw.name = "raw";
+    for (const NamedCircuit& entry : build_corpus()) {
+        if (entry.name == "library/raw-matrix") {
+            raw.circuit = entry.circuit;
+        }
+    }
+    ASSERT_EQ(raw.circuit.num_ops(), 1u);
+    const std::vector<std::string> docs = {
+        read_file(corpus_files().front()), ir::to_qdj(raw)};
+    ASSERT_NE(docs[1].find("\"m\""), std::string::npos);
+    long decoded = 0;
+    long rejected = 0;
+    const auto check = [&](const std::string& mutant) {
+        try {
+            (void)ir::job_from_qdj(mutant);
+            ++decoded;
+        } catch (const ir::ParseError& e) {
+            ++rejected;
+            EXPECT_EQ(e.error().id.rfind("qdj.", 0), 0u)
+                << e.error().id << " for:\n" << mutant;
+        }
+    };
+    for (const std::string& doc : docs) {
+        for (std::size_t i = 0; i < doc.size(); ++i) {
+            std::string deleted = doc;
+            deleted.erase(i, 1);
+            check(deleted);
+            for (const char c : {'"', '{', ']', ',', '0', 'x'}) {
+                if (doc[i] != c) {
+                    std::string replaced = doc;
+                    replaced[i] = c;
+                    check(replaced);
+                }
+            }
+        }
+    }
+    // Both outcomes occur: deleting a space decodes, a quote does not.
+    EXPECT_GT(decoded, 0);
+    EXPECT_GT(rejected, 0);
+}
+
+TEST(IrDecoder, RepeatedGatesShareOnePayload)
+{
+    Matrix m = Matrix::identity(2);
+    m(0, 1) = Complex(0.25, 0);
+    const Gate raw = gates::from_matrix("raw", {2}, m);
+    Circuit c(WireDims({3, 3, 2}));
+    c.append(gates::H3(), {0});
+    c.append(gates::Xplus1().controlled(3, 1), {0, 1});
+    c.append(gates::H3(), {1});
+    c.append(raw, {2});
+    c.append(gates::Xplus1().controlled(3, 1), {1, 0});
+    c.append(gates::H3(), {0});
+    c.append(gates::from_matrix("raw", {2}, m), {2});
+    c.append(gates::P(0.5), {2});
+    const Circuit d = ir::circuit_from_qdj(ir::to_qdj(c));
+    expect_identical(c, d, "shared");
+    const auto& ops = d.ops();
+    // Same spec text on same operand dims: one payload.
+    EXPECT_TRUE(ops[0].gate.same_payload(ops[2].gate));
+    EXPECT_TRUE(ops[0].gate.same_payload(ops[5].gate));
+    EXPECT_TRUE(ops[1].gate.same_payload(ops[4].gate));
+    EXPECT_TRUE(ops[3].gate.same_payload(ops[6].gate));
+    // Different gates keep their own.
+    EXPECT_FALSE(ops[0].gate.same_payload(ops[1].gate));
+    EXPECT_FALSE(ops[3].gate.same_payload(ops[7].gate));
+    // Copies share the digest cache too.
+    EXPECT_EQ(ops[0].gate.digest(), gates::H3().digest());
+    EXPECT_NE(ops[0].gate.digest(), ops[3].gate.digest());
+}
+
+TEST(IrDecoder, ReusedNonUnitaryMatrixIsOneFinding)
+{
+    // Decoded ops that repeat a raw matrix share its payload, and verify
+    // reports a gate's unitarity once per payload: one finding, however
+    // many ops use it (as for one Gate appended N times in process).
+    Circuit c(WireDims::uniform(2, 2));
+    const Gate lossy =
+        gates::from_matrix("lossy", {2}, Matrix{{1, 0}, {0, Real(0.5)}});
+    for (int i = 0; i < 5; ++i) {
+        c.append(lossy, {i % 2});
+    }
+    const Circuit d = ir::circuit_from_qdj(ir::to_qdj(c));
+    EXPECT_EQ(verify::analyze(c).count_rule("circuit.non-unitary"), 1u);
+    EXPECT_EQ(verify::analyze(d).count_rule("circuit.non-unitary"), 1u);
+
+    // Distinct matrices are distinct findings.
+    c.append(gates::from_matrix("lossy", {2},
+                                Matrix{{1, 0}, {0, Real(0.25)}}),
+             {0});
+    const Circuit e = ir::circuit_from_qdj(ir::to_qdj(c));
+    EXPECT_EQ(verify::analyze(e).count_rule("circuit.non-unitary"), 2u);
+}
+
+TEST(IrEncoder, ManyDistinctMatricesUnderOneName)
+{
+    // The encoder's gate memo must tell apart thousands of gates that
+    // share a name (as decoded raw matrices without a "name" do) and
+    // still reuse the text of each repeated one.
+    constexpr int kDistinct = 3000;
+    std::vector<Gate> distinct;
+    for (int k = 0; k < kDistinct; ++k) {
+        Matrix m = Matrix::identity(2);
+        m(0, 1) = Complex(static_cast<Real>(k) / kDistinct, 0);
+        distinct.push_back(gates::from_matrix("m", {2}, std::move(m)));
+    }
+    Circuit c(WireDims::uniform(2, 2));
+    for (int k = 0; k < kDistinct; ++k) {
+        c.append(distinct[k], {k % 2});
+    }
+    for (int k = kDistinct - 1; k >= 0; --k) {
+        // Equal content in a separate payload: matched by content.
+        c.append(gates::from_matrix("m", {2}, distinct[k].matrix()),
+                 {k % 2});
+    }
+    // The same matrix under another name keeps its own text.
+    c.append(gates::from_matrix("other", {2}, distinct[7].matrix()), {1});
+
+    const std::string text = ir::to_qdj(c);
+    const Circuit d = ir::circuit_from_qdj(text);
+    expect_identical(c, d, "one name");
+    EXPECT_EQ(text, ir::to_qdj(d));
+    const auto& ops = d.ops();
+    for (int k = 0; k < kDistinct; ++k) {
+        EXPECT_TRUE(
+            ops[k].gate.same_payload(ops[2 * kDistinct - 1 - k].gate))
+            << k;
+    }
+    EXPECT_FALSE(ops[0].gate.same_payload(ops[1].gate));
+    EXPECT_EQ(ops.back().gate.name(), "other");
+    EXPECT_FALSE(ops.back().gate.same_payload(ops[7].gate));
+}
+
+TEST(IrDecoder, HexFloatFastPathMatchesStrtodAndPrintf)
+{
+    std::mt19937_64 rng(20190531);
+    std::vector<double> values = {
+        0.0, -0.0, 1.0, -1.5, 0.1, 1.0 / 3,
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::lowest(),
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::min() / 3};
+    for (int i = 0; i < 5000; ++i) {
+        double v = std::bit_cast<double>(rng());
+        if (!std::isfinite(v)) {
+            v = 0.5;
+        }
+        values.push_back(v);
+        values.push_back(std::ldexp(v, -1000));  // subnormals
+    }
+    const auto strtod_reads = [](const std::string& s, double& out) {
+        char* end = nullptr;
+        out = std::strtod(s.c_str(), &end);
+        return !s.empty() && end == s.c_str() + s.size();
+    };
+    std::vector<std::string> texts = {
+        "0x1p", "0x", "0x-1p0", "-0x+1p0", "0X1P0", "0x.8p1", "0x1.p0",
+        " 0x1p0", "+0x1p0", "+1", ".5", "5.", "1e", "1e999", "1e-400",
+        "inf", "-nan", "0x1.00000000000008p0", "0x1.000000000000080001p0",
+        "0x1.fffffffffffff8p1023", "0x1p-1075", "0x1.8p-1075", "1-2"};
+    char buf[64];
+    for (const double v : values) {
+        std::snprintf(buf, sizeof(buf), "%a", v);
+        texts.emplace_back(buf);
+        std::snprintf(buf, sizeof(buf), "%.17g", v);
+        texts.emplace_back(buf);
+        std::snprintf(buf, sizeof(buf), "%.3e", v);
+        texts.emplace_back(buf);
+    }
+    for (int i = 0; i < 2000; ++i) {
+        // Long hex mantissas exercise rounding past 53 bits.
+        std::string s = "0x1.";
+        for (int k = 0; k < 20; ++k) {
+            s += "0123456789abcdef"[rng() % 16];
+        }
+        s += 'p';
+        s += std::to_string(static_cast<int>(rng() % 2200) - 1100);
+        texts.push_back(s);
+    }
+    for (const std::string& s : texts) {
+        double want = 0;
+        double got = 0;
+        const bool reads = strtod_reads(s, want);
+        ASSERT_EQ(ir::json::parse_real(s, got), reads) << s;
+        if (reads) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                      std::bit_cast<std::uint64_t>(want))
+                << s;
+        }
+    }
+
+    // The encoder writes every entry exactly as "%a" does.
+    Circuit c(WireDims::uniform(1, 2));
+    for (std::size_t i = 0; i + 4 <= values.size(); i += 4) {
+        Matrix m(2, 2);
+        m(0, 0) = Complex(values[i], values[i + 1]);
+        m(1, 1) = Complex(values[i + 2], values[i + 3]);
+        m(0, 1) = Complex(0.0, 0.5);  // never a library gate
+        c.append(gates::from_matrix("m", {2}, std::move(m)), {0});
+    }
+    const std::string text = ir::to_qdj(c);
+    std::size_t at = 0;
+    for (std::size_t i = 0; i + 4 <= values.size(); i += 4) {
+        for (std::size_t k = i; k < i + 4; ++k) {
+            std::snprintf(buf, sizeof(buf), "\"%a\"", values[k]);
+            at = text.find(buf, at);
+            ASSERT_NE(at, std::string::npos) << buf;
+        }
+    }
+    expect_identical(c, ir::circuit_from_qdj(text), "hex floats");
 }
 
 }  // namespace

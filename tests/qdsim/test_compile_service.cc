@@ -1,14 +1,17 @@
 /**
  * @file test_compile_service.cc
- * CompileService behavior: cache keying, sharing, LRU eviction, the
- * verify admission gate, obs counter traffic, and bitwise parity between
- * service-compiled artifacts and direct compilations on all three
- * engines.
+ * CompileService behavior: cache keying and its content tie-break,
+ * sharing (across threads too), LRU eviction, the verify admission gate,
+ * obs counter traffic, and bitwise parity between service-compiled
+ * artifacts and direct compilations on all three engines.
  */
 #include "qdsim/exec/compile_service.h"
 
+#include <bit>
 #include <cstring>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -149,6 +152,86 @@ TEST(CompileService, ArtifactRecordsItsKeyAndPayload)
     const auto dens = service.compile(circuit, model,
                                       exec::EngineKind::kDensity, fusion);
     EXPECT_NE(dens->density, nullptr);
+}
+
+TEST(CompileService, DecodedCircuitHitsTheInProcessArtifact)
+{
+    exec::CompileService service;
+    ScopedObs obs;
+    const Circuit circuit = qutrit_workload();
+    const auto first = service.compile(circuit);
+    // Fresh payloads from the decoder, one per distinct gate: the same
+    // content, so the same key and an equal tie-break comparison.
+    const Circuit decoded = ir::circuit_from_qdj(ir::to_qdj(circuit));
+    ASSERT_FALSE(decoded.ops()[0].gate.same_payload(circuit.ops()[0].gate));
+    EXPECT_TRUE(ir::same_content(first->circuit, decoded));
+    EXPECT_EQ(service.compile(decoded).get(), first.get());
+    EXPECT_EQ(obs::counters_snapshot()[obs::Counter::kServiceHits], 1u);
+}
+
+TEST(CompileService, TieBreakSeparatesNearMisses)
+{
+    exec::CompileService service;
+    const Circuit base = qutrit_workload();
+    const auto artifact = service.compile(base);
+
+    // One flipped bit in one matrix entry, a swapped wire pair, and an
+    // extra idle wire: each is its own artifact, and the comparison the
+    // service breaks hash ties with tells each apart from the cached
+    // circuit.
+    Matrix m = base.ops()[0].gate.matrix();
+    m(0, 0) = Complex(std::bit_cast<double>(
+                          std::bit_cast<std::uint64_t>(m(0, 0).real()) ^ 1),
+                      m(0, 0).imag());
+    Circuit flipped(base.dims());
+    flipped.append(gates::from_matrix("H3", {3}, m), {0});
+    Circuit swapped(base.dims());
+    Circuit widened(WireDims::uniform(3, 3));
+    for (std::size_t i = 0; i < base.num_ops(); ++i) {
+        const Operation& op = base.ops()[i];
+        if (i != 0) {
+            flipped.append(op.gate, op.wires);
+        }
+        swapped.append(op.gate, op.wires.size() == 2
+                                    ? std::vector<int>{op.wires[1],
+                                                       op.wires[0]}
+                                    : op.wires);
+        widened.append(op.gate, op.wires);
+    }
+    for (const Circuit* other : {&flipped, &swapped, &widened}) {
+        EXPECT_FALSE(ir::same_content(artifact->circuit, *other));
+        EXPECT_NE(ir::circuit_hash(*other), artifact->circuit_hash);
+        EXPECT_NE(service.compile(*other).get(), artifact.get());
+    }
+    EXPECT_EQ(service.size(), 4u);
+    EXPECT_EQ(service.compile(base).get(), artifact.get());
+}
+
+TEST(CompileService, ConcurrentSubmissionsOfSharedGates)
+{
+    // Four threads hash and compile one decoded circuit whose ops share
+    // gate payloads: the lazily cached digests are written and read
+    // across threads (the daemon's pattern, run under TSan in CI).
+    exec::CompileService service;
+    const Circuit decoded =
+        ir::circuit_from_qdj(ir::to_qdj(qutrit_workload(3)));
+    std::vector<std::uint64_t> hashes(4);
+    std::vector<std::shared_ptr<const exec::CompiledArtifact>> artifacts(4);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < hashes.size(); ++t) {
+        threads.emplace_back([&, t] {
+            hashes[t] = ir::circuit_hash(decoded);
+            artifacts[t] = service.compile(decoded);
+        });
+    }
+    for (std::thread& t : threads) {
+        t.join();
+    }
+    for (std::size_t t = 1; t < hashes.size(); ++t) {
+        EXPECT_EQ(hashes[t], hashes[0]);
+        EXPECT_EQ(artifacts[t].get(), service.compile(decoded).get());
+    }
+    EXPECT_EQ(service.size(), 1u);
 }
 
 TEST(CompileService, LruEvictionPastCapacity)

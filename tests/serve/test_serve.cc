@@ -7,7 +7,8 @@
  * Protocol: valid submissions round-trip bitwise (the daemon's result
  * equals a direct run_noisy_trials with the same options); malformed
  * frames get stable serve.* / qdj.* error ids and NEVER crash or close
- * the stream — including every byte-prefix of a valid frame.
+ * the stream — including every byte-prefix of a valid frame, and a line
+ * past the frame cap, on the stdin loop and the socket alike.
  *
  * Daemon: N concurrent clients replaying the same jobs get results
  * bitwise identical to the facade, sharing warm artifacts; per-client
@@ -281,6 +282,47 @@ TEST(ServeStdinLoop, EveryPrefixOfAValidFrameNeverCrashes)
     }
 }
 
+/** One line just past the frame cap (no newline). */
+std::string
+oversized_line()
+{
+    std::string line = "{\"type\": \"submit\", \"id\": \"big\", \"qdj\": \"";
+    line.resize(serve::kMaxFrameBytes + 1, 'x');
+    return line;
+}
+
+TEST(ServeStdinLoop, OversizedFrameIsRejectedAndTheStreamGoesOn)
+{
+    serve::ServeStats st;
+    const auto frames = stdin_frames(
+        oversized_line() + "\n" + submit_frame("after", state_job()) + "\n",
+        {}, &st);
+    ASSERT_EQ(frames.size(), 3u);  // error + result + bye
+    EXPECT_EQ(member(frames[0], "error_id").string, "serve.frame");
+    EXPECT_EQ(member(frames[1], "id").string, "after");
+    EXPECT_EQ(member(member(frames[1], "result"), "status").string, "ok");
+    EXPECT_EQ(st.jobs_rejected, 1u);
+    EXPECT_EQ(st.jobs_ok, 1u);
+
+    // A line of exactly the cap is read (and rejected only as JSON).
+    std::string at_cap(serve::kMaxFrameBytes, ' ');
+    at_cap.back() = 'x';
+    const auto capped = stdin_frames(at_cap + "\n", {});
+    ASSERT_EQ(capped.size(), 2u);
+    EXPECT_EQ(member(capped[0], "error_id").string, "serve.frame");
+    EXPECT_NE(member(capped[0], "message").string.find("invalid"),
+              std::string::npos);
+
+    // The last line needs no '\n', and an over-cap line may end the input.
+    const auto tail = stdin_frames(
+        "\n" + submit_frame("last", state_job()), {});
+    ASSERT_EQ(tail.size(), 2u);
+    EXPECT_EQ(member(tail[0], "id").string, "last");
+    const auto cut = stdin_frames(oversized_line() + "yy", {});
+    ASSERT_EQ(cut.size(), 2u);
+    EXPECT_EQ(member(cut[0], "error_id").string, "serve.frame");
+}
+
 TEST(ServeStdinLoop, ShotQuotaRejects)
 {
     serve::DaemonOptions options;
@@ -464,6 +506,32 @@ TEST(ServeDaemon, BoundedQueueRejects)
     ASSERT_TRUE(result.has_value());
     EXPECT_EQ(member(ir::json::parse(*result), "type").string, "result");
     daemon.wait();
+}
+
+TEST(ServeDaemon, OversizedFrameIsRejectedAndTheConnectionStays)
+{
+    serve::Daemon daemon;
+    daemon.listen(test_socket_path());
+    serve::Client client;
+    ASSERT_TRUE(client.connect(daemon.socket_path()));
+    // Over the cap with no newline in sight: rejected as soon as the cap
+    // passes, before the line ends.
+    ASSERT_TRUE(client.send_line(oversized_line() + std::string(70000, 'y')));
+    ASSERT_TRUE(client.send_line(submit_frame("after", state_job())));
+
+    const auto err = client.recv_line();
+    ASSERT_TRUE(err.has_value());
+    const ir::json::Value frame = ir::json::parse(*err);
+    EXPECT_EQ(member(frame, "type").string, "error");
+    EXPECT_EQ(member(frame, "error_id").string, "serve.frame");
+    const auto result = client.recv_line();
+    ASSERT_TRUE(result.has_value());
+    const ir::json::Value done = ir::json::parse(*result);
+    EXPECT_EQ(member(done, "id").string, "after");
+    EXPECT_EQ(member(member(done, "result"), "status").string, "ok");
+    daemon.wait();
+    EXPECT_EQ(daemon.stats().jobs_rejected, 1u);
+    EXPECT_EQ(daemon.stats().jobs_ok, 1u);
 }
 
 TEST(ServeDaemon, DrainCompletesAdmittedJobsAndRefusesNew)
