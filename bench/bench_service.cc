@@ -22,6 +22,13 @@
  * each gate, each the median of kTextReps runs. They are recorded for
  * CI artifacts, not gated.
  *
+ * sweep_compile_ms is a cold sweep through the circuit tier: the same
+ * width-8 QUBIT circuit compiled for the trajectory engine under the four
+ * superconducting models (kAlways admission) on a cleared service, the
+ * median of kSweepReps sweeps. The first model builds the circuit's entry
+ * and the other three bind to it. It runs outside the instrumented
+ * section and is recorded, not gated.
+ *
  * Knobs: QD_SERVICE_CONTROLS (default 7), QD_SERVICE_COLD (default 5),
  * QD_SERVICE_WARM (default 512).
  */
@@ -43,6 +50,8 @@ using namespace qd;
 
 /** Runs per .qdj text-layer timing (each reported as the median). */
 constexpr int kTextReps = 41;
+/** Cold four-model sweeps timed (reported as the median). */
+constexpr int kSweepReps = 5;
 
 double
 now_ms()
@@ -163,6 +172,22 @@ main(int argc, char** argv)
                 mb / (encode_ms / 1e3));
     std::printf("  hash   %8.1f us\n\n", hash_ms * 1e3);
 
+    // 5. A cold sweep of one circuit over the four SC models.
+    const std::vector<noise::NoiseModel> sweep_models =
+        noise::superconducting_models();
+    const double sweep_ms = median_ms(kSweepReps, [&] {
+        service.clear();
+        const double s = now_ms();
+        for (const noise::NoiseModel& m : sweep_models) {
+            (void)service.compile(large.circuit, m,
+                                  exec::EngineKind::kTrajectory, {},
+                                  exec::Admission::kAlways);
+        }
+        return now_ms() - s;
+    });
+    std::printf("cold sweep (width-8 QUBIT, %zu SC models): %.3f ms\n\n",
+                sweep_models.size(), sweep_ms);
+
     bench::JsonWriter jw;
     jw.str("workload", "qutrit_gen_toffoli_trajectory_job")
         .integer("n_controls", n_controls)
@@ -176,6 +201,7 @@ main(int argc, char** argv)
         .num("decode_mb_per_s", mb / (decode_ms / 1e3), "%.2f")
         .num("encode_mb_per_s", mb / (encode_ms / 1e3), "%.2f")
         .num("hash_us", hash_ms * 1e3, "%.3f")
+        .num("sweep_compile_ms", sweep_ms)
         .report(rep);
     jw.write("BENCH_service.json");
     return 0;

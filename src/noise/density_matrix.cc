@@ -524,7 +524,6 @@ struct DensityCompilation::Impl {
     };
 
     NoiseModel model;              ///< the model the program was built from
-    exec::PlanCache cache;         ///< plans shared by every compile below
     /** The gates, compiled as the trajectory engine compiles its noisy
      *  loop: fused between error fences, or per op under idle noise. Also
      *  the program of the noiseless reference pass. */
@@ -532,10 +531,12 @@ struct DensityCompilation::Impl {
     std::vector<CompiledNoise> noise;
     std::vector<Step> steps;
 
-    Impl(const Circuit& circuit, const NoiseModel& noise_model,
-         const exec::FusionOptions& fusion)
-        : model(noise_model), cache(circuit.dims())
+    Impl(const exec::CircuitEntry& entry, const NoiseModel& noise_model)
+        : model(noise_model)
     {
+        const Circuit& circuit = entry.circuit();
+        const exec::FusionOptions& fusion = entry.fusion();
+        exec::PlanCache& cache = entry.plans();
         const WireDims& dims = circuit.dims();
         auto push_noise = [&](CompiledNoise compiled) {
             noise.push_back(std::move(compiled));
@@ -628,7 +629,11 @@ struct DensityCompilation::Impl {
 DensityCompilation::DensityCompilation(const Circuit& circuit,
                                        const NoiseModel& model,
                                        const exec::FusionOptions& fusion)
-    : impl_(std::make_unique<Impl>(circuit, model, fusion)) {}
+    : DensityCompilation(exec::CircuitEntry(circuit, fusion), model) {}
+
+DensityCompilation::DensityCompilation(const exec::CircuitEntry& entry,
+                                       const NoiseModel& model)
+    : impl_(std::make_unique<Impl>(entry, model)) {}
 
 DensityCompilation::~DensityCompilation() = default;
 

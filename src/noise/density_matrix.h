@@ -37,6 +37,10 @@
 #include "qdsim/exec/fusion.h"
 #include "qdsim/state_vector.h"
 
+namespace qd::exec {
+class CircuitEntry;
+}  // namespace qd::exec
+
 namespace qd::noise {
 
 /**
@@ -212,12 +216,14 @@ class DensityMatrix {
  * as the trajectory engine builds its noisy loop; the noiseless reference
  * is one state-vector pass through it), every gate-error, damping and
  * dephasing channel lowered to its closed form (CompiledNoise), all
- * against one shared plan cache, and the flattened moment-by-moment step
- * program the evolution replays. Immutable after construction and safe
- * to share across threads — the CompileService caches these across
- * requests so repeated submissions of the same (circuit, model, fusion)
- * skip compilation entirely. Construction does NOT verify; admission is
- * the CompileService's job (or verify::enforce_noisy for direct callers).
+ * against the circuit entry's shared plan cache (exec::CircuitEntry, so
+ * the other models and engines of the circuit reuse the plans), and the
+ * flattened moment-by-moment step program the evolution replays.
+ * Immutable after construction and safe to share across threads — the
+ * CompileService caches these across requests so repeated submissions of
+ * the same (circuit, model, fusion) skip compilation entirely.
+ * Construction does NOT verify; admission is the CompileService's job
+ * (or verify::enforce_noisy for direct callers).
  *
  * @throws std::invalid_argument when a gate-error site's Pauli
  *         probabilities sum past 1 or a damping probability leaves
@@ -225,8 +231,13 @@ class DensityMatrix {
  */
 class DensityCompilation {
  public:
+    /** Builds a private circuit entry for (circuit, fusion) and binds to
+     *  it as the constructor below does. */
     DensityCompilation(const Circuit& circuit, const NoiseModel& model,
                        const exec::FusionOptions& fusion = {});
+    /** Builds the step program over `entry`'s circuit and plan cache. */
+    DensityCompilation(const exec::CircuitEntry& entry,
+                       const NoiseModel& model);
     ~DensityCompilation();
     DensityCompilation(const DensityCompilation&) = delete;
     DensityCompilation& operator=(const DensityCompilation&) = delete;

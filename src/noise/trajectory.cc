@@ -87,8 +87,9 @@ default_lane_count(Index register_size, int trials, int workers)
 /**
  * Precomputed per-circuit state shared by all trajectories (the payload
  * behind TrajectoryCompilation, cached across requests by the
- * CompileService), over one shared plan cache:
- *  - `ideal`, the fully fused circuit, for the noiseless reference pass;
+ * CompileService), bound to the circuit's entry and its plan cache:
+ *  - `ideal`, the entry's fully fused circuit, for the noiseless
+ *    reference pass;
  *  - the noisy program `noisy()`: the ideal program when there is no idle
  *    noise; otherwise the circuit's ops in ASAP-moment order with each
  *    wire's no-jump damping step K0(wire, tau) inserted before the wire's
@@ -103,13 +104,15 @@ default_lane_count(Index register_size, int trials, int workers)
  */
 struct TrajectoryCompilation::Impl {
     /**
-     * One precompiled error lottery: with probability `total` a uniformly
-     * chosen unitary from `unitaries` fires. Compiled once per circuit so
-     * every trajectory shot replays against the same plans.
+     * One error lottery: with probability `total` a uniformly chosen
+     * unitary from `unitaries` fires on `wires`. Few draws fire (3 in
+     * 10,000 on the Figure 11 sweep), so a unitary is compiled when a
+     * lane fires it (compile_error), not here.
      */
     struct ErrorDraw {
         Real total = 0;
-        std::vector<exec::CompiledOp> unitaries;
+        std::vector<int> wires;
+        std::vector<Gate> unitaries;
     };
 
     /** The no-jump damping operator K0 of one wire dimension over one
@@ -133,9 +136,11 @@ struct TrajectoryCompilation::Impl {
         const ErrorDraw* draw = nullptr;
     };
 
-    NoiseModel model;             ///< the model every trial draws from
-    exec::PlanCache cache;        ///< plans shared by every compile below
-    exec::CompiledCircuit ideal;  ///< fully fused: ideal reference passes
+    /** The circuit, its fused ideal and the plans every compile below
+     *  shares. */
+    std::shared_ptr<const exec::CircuitEntry> entry;
+    NoiseModel model;  ///< the model every trial draws from
+    const exec::CompiledCircuit& ideal;  ///< the entry's fused circuit
     /** The fused noisy program under damping without dephasing. */
     exec::CompiledCircuit fused;
     /** Every step compiled alone (empty when `ideal` already is). */
@@ -157,11 +162,14 @@ struct TrajectoryCompilation::Impl {
     Impl(const Impl&) = delete;
     Impl& operator=(const Impl&) = delete;
 
-    Impl(const Circuit& circuit, const NoiseModel& noise_model,
-         const exec::FusionOptions& fusion)
-        : model(noise_model),
-          cache(circuit.dims()),
-          ideal(circuit, fusion, {}, &cache) {
+    Impl(std::shared_ptr<const exec::CircuitEntry> circuit_entry,
+         const NoiseModel& noise_model)
+        : entry(std::move(circuit_entry)),
+          model(noise_model),
+          ideal(*entry->ideal()) {
+        const Circuit& circuit = entry->circuit();
+        const exec::FusionOptions& fusion = entry->fusion();
+        exec::PlanCache& cache = entry->plans();
         exec::FusionOptions off = fusion;
         off.enabled = false;
         // source[s]: the circuit op step s realises (kNoSource for K0).
@@ -217,6 +225,12 @@ struct TrajectoryCompilation::Impl {
     /** Step s compiled alone, as replays run it. */
     const exec::CompiledOp& replay(std::size_t s) const {
         return replay_->ops()[s];
+    }
+    /** Unitary `pick` of `draw`, compiled over the shared plans. */
+    exec::CompiledOp compile_error(const ErrorDraw& draw,
+                                   std::size_t pick) const {
+        return exec::compile_op(ideal.dims(), draw.unitaries[pick],
+                                draw.wires, &entry->plans());
     }
 
   private:
@@ -304,18 +318,15 @@ struct TrajectoryCompilation::Impl {
     }
 
     /**
-     * Precompiles every depolarizing error unitary a trajectory can draw,
-     * sharing apply plans with the compiled programs (an error on a gate's
-     * wires reuses that gate's offset tables via the shared cache), and
-     * lists the lotteries in step order. Placement comes from
+     * Builds every depolarizing error lottery a trajectory can draw and
+     * lists them in step order. Placement comes from
      * enumerate_error_sites — the same policy the exact density-matrix
      * engine compiles against, so the two stay comparable. Draws are
      * memoised by (wires, per-channel probability), so a circuit with
-     * many gates on the same wire pair compiles its channel once.
+     * many gates on the same wire pair builds its channel once.
      */
     void build_sites(const Circuit& circuit,
                      const std::vector<std::uint32_t>& source) {
-        const WireDims& dims = circuit.dims();
         const auto per_op = enumerate_error_sites(circuit, model);
         for (std::size_t s = 0; s < source.size(); ++s) {
             if (source[s] == kNoSource) {
@@ -325,7 +336,7 @@ struct TrajectoryCompilation::Impl {
                 const auto key = std::make_pair(site.wires, site.per_channel);
                 auto it = error_memo_.find(key);
                 if (it == error_memo_.end()) {
-                    const MixedUnitaryChannel ch =
+                    MixedUnitaryChannel ch =
                         site.dims.size() == 1
                             ? depolarizing1(site.dims[0], site.per_channel)
                             : depolarizing2(site.dims[0], site.dims[1],
@@ -333,11 +344,11 @@ struct TrajectoryCompilation::Impl {
                     ErrorDraw draw;
                     draw.total = static_cast<Real>(ch.probs.size()) *
                                  site.per_channel;
+                    draw.wires = site.wires;
                     draw.unitaries.reserve(ch.unitaries.size());
-                    for (const Matrix& u : ch.unitaries) {
-                        draw.unitaries.push_back(exec::compile_op(
-                            dims, Gate("err", site.dims, u), site.wires,
-                            &cache));
+                    for (Matrix& u : ch.unitaries) {
+                        draw.unitaries.emplace_back("err", site.dims,
+                                                    std::move(u));
                     }
                     it = error_memo_.emplace(key, std::move(draw)).first;
                 }
@@ -358,7 +369,13 @@ struct TrajectoryCompilation::Impl {
 TrajectoryCompilation::TrajectoryCompilation(
     const Circuit& circuit, const NoiseModel& model,
     const exec::FusionOptions& fusion)
-    : impl_(std::make_unique<Impl>(circuit, model, fusion)) {}
+    : TrajectoryCompilation(
+          std::make_shared<const exec::CircuitEntry>(circuit, fusion),
+          model) {}
+
+TrajectoryCompilation::TrajectoryCompilation(
+    std::shared_ptr<const exec::CircuitEntry> entry, const NoiseModel& model)
+    : impl_(std::make_unique<Impl>(std::move(entry), model)) {}
 
 TrajectoryCompilation::~TrajectoryCompilation() = default;
 
@@ -372,6 +389,12 @@ const WireDims&
 TrajectoryCompilation::dims() const
 {
     return impl_->ideal.dims();
+}
+
+const exec::CompiledCircuit&
+TrajectoryCompilation::ideal() const
+{
+    return impl_->ideal;
 }
 
 namespace {
@@ -391,12 +414,13 @@ using EngineContext = TrajectoryCompilation::Impl;
 // width.
 // --------------------------------------------------------------------------
 
-/** A presampled gate error: `unitary` runs right after step `step`, which
- *  noisy op `block` realises. */
+/** A presampled gate error: unitary `pick` of `draw` runs right after
+ *  step `step`, which noisy op `block` realises. */
 struct Fire {
     std::uint32_t block = 0;
     std::uint32_t step = 0;
-    const exec::CompiledOp* unitary = nullptr;
+    const EngineContext::ErrorDraw* draw = nullptr;
+    std::size_t pick = 0;
 };
 
 /** One lane's noise state. */
@@ -422,8 +446,8 @@ presample(const EngineContext& ctx, Rng& rng)
         obs::count(obs::Counter::kTrajGateErrorsFired);
         const std::size_t pick = static_cast<std::size_t>(
             rng.uniform_int(site.draw->unitaries.size()));
-        noise.fires.push_back(Fire{ctx.block_of[site.step], site.step,
-                                   &site.draw->unitaries[pick]});
+        noise.fires.push_back(
+            Fire{ctx.block_of[site.step], site.step, site.draw, pick});
     }
     // Sites are listed in step order; a fused op may realise later steps
     // before earlier ones of another op. Stable: a step's errors keep
@@ -511,7 +535,9 @@ replay_op(const EngineContext& ctx, std::size_t k, StateVector& lane,
         for (; noise.next < noise.fires.size() &&
                noise.fires[noise.next].step == s;
              ++noise.next) {
-            exec::apply_op(*noise.fires[noise.next].unitary, lane, scratch);
+            const Fire& fire = noise.fires[noise.next];
+            exec::apply_op(ctx.compile_error(*fire.draw, fire.pick), lane,
+                           scratch);
         }
     }
     if (crossed) {

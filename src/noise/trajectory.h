@@ -33,15 +33,19 @@
  *    its phases, read from two small per-lane tables (see
  *    exec::BatchedStateVector::apply_product_diag_lanes).
  *
- * Execution: the compilation holds two programs over one shared plan
- * cache (qdsim/exec/) — the fully fused ideal circuit for the reference
- * pass, and the noisy program: the circuit in ASAP-moment order with the
- * K0 steps inserted as single-wire diagonal ops, fused with the job's
- * FusionOptions (the stage-2 look-ahead only on registers of 2^13
- * amplitudes or more, where it pays back its compile time; without
- * damping it is the ideal program; under dephasing it stays per op so
- * the kicks land between moments). Every shot runs as
- * a lane of an exec::BatchedStateVector: one pass of each noisy op
+ * Execution: the compilation binds two programs to the circuit's entry
+ * in the compile service (exec::CircuitEntry), whose plan cache they
+ * share — the fully fused ideal circuit for the reference pass, which is
+ * the entry's own fused circuit, shared with every other noise model and
+ * engine of the circuit, and the noisy program: the circuit in
+ * ASAP-moment order with the K0 steps inserted as single-wire diagonal
+ * ops, fused with the job's FusionOptions (the stage-2 look-ahead only on
+ * registers of 2^13 amplitudes or more, where it pays back its compile
+ * time; without damping it is the ideal program; under dephasing it stays
+ * per op so the kicks land between moments). The gate-error lotteries
+ * keep their unitaries as Gates: a unitary is compiled, against the same
+ * plans, only when a lane fires it, since most never fire. Every shot
+ * runs as a lane of an exec::BatchedStateVector: one pass of each noisy op
  * advances the whole shot group. A lane leaves the group only for its own
  * events: before an op in which it fires an error, or in which its norm
  * may cross r (a precompiled lower bound on the share of the norm each op
@@ -66,6 +70,11 @@
 #include "qdsim/exec/fusion.h"
 #include "qdsim/rng.h"
 #include "qdsim/state_vector.h"
+
+namespace qd::exec {
+class CircuitEntry;
+class CompiledCircuit;
+}  // namespace qd::exec
 
 namespace qd::noise {
 
@@ -124,25 +133,34 @@ struct TrajectoryResult {
 
 /**
  * Everything the trajectory engine derives from (circuit, model, fusion)
- * before the first shot runs: the fully fused ideal reference compilation,
- * the noisy program (with its damping steps, its per-source-op compile for
- * replays and its per-op norm bounds), the precompiled gate-error draws,
- * and the dephasing kick points. Immutable after construction and safe to
- * share across threads — the CompileService caches these across requests
- * so repeated submissions of the same (circuit, model, fusion) skip
- * compilation entirely. Construction does NOT verify; admission is the
- * CompileService's job (or verify::enforce_noisy for direct callers).
+ * before the first shot runs: the fully fused ideal reference compilation
+ * (the circuit entry's), the noisy program (with its damping steps, its
+ * per-source-op compile for replays and its per-op norm bounds), the
+ * gate-error lotteries, and the dephasing kick points. Immutable after
+ * construction and safe to share across threads — the CompileService
+ * caches these across requests so repeated submissions of the same
+ * (circuit, model, fusion) skip compilation entirely. Construction does
+ * NOT verify; admission is the CompileService's job (or
+ * verify::enforce_noisy for direct callers).
  */
 class TrajectoryCompilation {
  public:
+    /** Builds a private circuit entry for (circuit, fusion) and binds to
+     *  it as the constructor below does. */
     TrajectoryCompilation(const Circuit& circuit, const NoiseModel& model,
                           const exec::FusionOptions& fusion = {});
+    /** Binds the model's programs to `entry`: the ideal reference is the
+     *  entry's fused circuit, and every plan comes from its cache. */
+    TrajectoryCompilation(std::shared_ptr<const exec::CircuitEntry> entry,
+                          const NoiseModel& model);
     ~TrajectoryCompilation();
     TrajectoryCompilation(const TrajectoryCompilation&) = delete;
     TrajectoryCompilation& operator=(const TrajectoryCompilation&) = delete;
 
     const NoiseModel& model() const;
     const WireDims& dims() const;
+    /** The fused ideal reference: the entry's fused circuit. */
+    const exec::CompiledCircuit& ideal() const;
 
     struct Impl;
     const Impl& impl() const { return *impl_; }

@@ -1,11 +1,13 @@
 #include "qdsim/exec/compile_service.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "noise/density_matrix.h"
 #include "noise/error_placement.h"
 #include "noise/noise_model.h"
 #include "noise/trajectory.h"
+#include "qdsim/hash.h"
 #include "qdsim/ir/ir.h"
 #include "qdsim/obs/counters.h"
 #include "qdsim/verify/noise_audit.h"
@@ -13,21 +15,6 @@
 namespace qd::exec {
 
 namespace {
-
-void
-mix(std::uint64_t& h, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xFF;
-        h *= 1099511628211ULL;
-    }
-}
-
-void
-mix_real(std::uint64_t& h, Real v)
-{
-    mix(h, std::bit_cast<std::uint64_t>(v));
-}
 
 /** True once the artifact has passed the given admission strength. */
 std::atomic<bool>&
@@ -37,23 +24,36 @@ verified_flag(const CompiledArtifact& artifact, Admission admission)
                                            : artifact.verified_default;
 }
 
-/** Verifies a cached artifact at a strength it has not passed yet. */
-void
-run_admission_on(const CompiledArtifact& artifact,
-                 const noise::NoiseModel* model, Admission admission)
+/** The admission report of `entry`'s circuit under `model` (null: the
+ *  state engine): the kept circuit report, fenced at the model's error
+ *  sites, then the noise audit. */
+verify::Report
+report_of(const CircuitEntry& entry, const noise::NoiseModel* model,
+          Admission admission)
 {
-    const verify::Report report =
-        model != nullptr
-            ? CompileService::admission_report(artifact.circuit, *model,
-                                               admission, artifact.fusion)
-            : CompileService::admission_report(artifact.circuit, admission,
-                                               artifact.fusion);
+    if (model == nullptr) {
+        return entry.report({}, admission);
+    }
+    // Fence exactly as the density engine fences, so the fusion audit
+    // sees the partition it will actually produce.
+    verify::Report report = entry.report(
+        noise::error_fences(
+            noise::enumerate_error_sites(entry.circuit(), *model)),
+        admission);
+    report.merge(verify::analyze_noise(*model, entry.circuit().dims()));
+    return report;
+}
+
+/** Throws the admission report if it holds an error. */
+void
+admit(const CircuitEntry& entry, const noise::NoiseModel* model,
+      Admission admission)
+{
+    const verify::Report report = report_of(entry, model, admission);
     if (report.has_errors()) {
         obs::count(obs::Counter::kServiceRejects);
         throw verify::VerificationError(report);
     }
-    verified_flag(artifact, admission).store(true,
-                                             std::memory_order_release);
 }
 
 }  // namespace
@@ -61,21 +61,90 @@ run_admission_on(const CompiledArtifact& artifact,
 std::uint64_t
 noise_model_hash(const noise::NoiseModel& model)
 {
-    std::uint64_t h = 1469598103934665603ULL;
-    mix_real(h, model.p1);
-    mix_real(h, model.p2);
-    mix(h, static_cast<std::uint64_t>(model.convention));
-    mix_real(h, model.t1);
-    mix(h, model.decay_rates.size());
+    Hasher h;
+    h.add(std::bit_cast<std::uint64_t>(model.p1));
+    h.add(std::bit_cast<std::uint64_t>(model.p2));
+    h.add(static_cast<std::uint64_t>(model.convention));
+    h.add(std::bit_cast<std::uint64_t>(model.t1));
+    h.add(model.decay_rates.size());
     for (const Real r : model.decay_rates) {
-        mix_real(h, r);
+        h.add(std::bit_cast<std::uint64_t>(r));
     }
-    mix_real(h, model.dt_1q);
-    mix_real(h, model.dt_2q);
-    mix_real(h, model.dephasing_sigma);
+    h.add(std::bit_cast<std::uint64_t>(model.dt_1q));
+    h.add(std::bit_cast<std::uint64_t>(model.dt_2q));
+    h.add(std::bit_cast<std::uint64_t>(model.dephasing_sigma));
     // 0 means "no model" in the cache key; remap the (vanishingly
     // unlikely) collision instead of aliasing an ideal compile.
-    return h == 0 ? 1 : h;
+    const std::uint64_t hash = h.finish();
+    return hash == 0 ? 1 : hash;
+}
+
+/** One kept circuit report and the (fences, admission) it answers. */
+struct CircuitEntry::KeptReport {
+    Admission admission = Admission::kDefault;
+    std::uint64_t fence_hash = 0;
+    std::vector<std::uint8_t> fences;
+    std::once_flag once;
+    verify::Report report;
+};
+
+CircuitEntry::CircuitEntry(const Circuit& circuit,
+                           const FusionOptions& fusion)
+    : circuit_(circuit), fusion_(fusion), plans_(circuit.dims()) {}
+
+CircuitEntry::~CircuitEntry() = default;
+
+const std::shared_ptr<const CompiledCircuit>&
+CircuitEntry::ideal() const
+{
+    std::call_once(ideal_once_, [this] {
+        ideal_ = std::make_shared<const CompiledCircuit>(
+            circuit_, fusion_, std::span<const std::uint8_t>{}, &plans_);
+    });
+    return ideal_;
+}
+
+const verify::Report&
+CircuitEntry::report(std::span<const std::uint8_t> fences,
+                     Admission admission) const
+{
+    Hasher h;
+    h.add_bytes(fences.data(), fences.size());
+    const std::uint64_t fence_hash = h.finish();
+    KeptReport* kept = nullptr;
+    {
+        const std::lock_guard<std::mutex> lock(reports_mu_);
+        for (const auto& r : reports_) {
+            if (r->admission == admission && r->fence_hash == fence_hash &&
+                std::ranges::equal(r->fences, fences)) {
+                kept = r.get();
+                break;
+            }
+        }
+        if (kept == nullptr) {
+            auto fresh = std::make_unique<KeptReport>();
+            fresh->admission = admission;
+            fresh->fence_hash = fence_hash;
+            fresh->fences.assign(fences.begin(), fences.end());
+            kept = fresh.get();
+            reports_.push_back(std::move(fresh));
+        }
+    }
+    // Outside the lock: reports under other keys build concurrently, and
+    // callers of this key wait for the first.
+    std::call_once(kept->once, [&] {
+        kept->report = verify::analyze(
+            circuit_, CompileService::admission_options(admission, fusion_,
+                                                        kept->fences));
+    });
+    return kept->report;
+}
+
+std::size_t
+CircuitEntry::num_reports() const
+{
+    const std::lock_guard<std::mutex> lock(reports_mu_);
+    return reports_.size();
 }
 
 verify::Options
@@ -106,7 +175,7 @@ verify::Report
 CompileService::admission_report(const Circuit& circuit, Admission admission,
                                  const FusionOptions& fusion)
 {
-    return verify::analyze(circuit, admission_options(admission, fusion));
+    return report_of(CircuitEntry(circuit, fusion), nullptr, admission);
 }
 
 verify::Report
@@ -115,15 +184,7 @@ CompileService::admission_report(const Circuit& circuit,
                                  Admission admission,
                                  const FusionOptions& fusion)
 {
-    // Fence exactly as the noisy engines fence, so the fusion audit sees
-    // the partition the compile below will actually produce.
-    std::vector<std::uint8_t> fences =
-        noise::error_fences(noise::enumerate_error_sites(circuit, model));
-    verify::Report report = verify::analyze(
-        circuit,
-        admission_options(admission, fusion, std::move(fences)));
-    report.merge(verify::analyze_noise(model, circuit.dims()));
-    return report;
+    return report_of(CircuitEntry(circuit, fusion), &model, admission);
 }
 
 CompileService::CompileService(std::size_t capacity)
@@ -165,6 +226,7 @@ CompileService::clear()
 {
     const std::lock_guard<std::mutex> lock(mu_);
     cache_.clear();
+    circuits_.clear();
 }
 
 CompileService&
@@ -174,6 +236,46 @@ CompileService::global()
     // statics, so the cache must survive until process exit.
     static CompileService* instance = new CompileService();
     return *instance;
+}
+
+std::shared_ptr<const CircuitEntry>
+CompileService::circuit_entry(const Circuit& circuit,
+                              std::uint64_t circuit_hash,
+                              const FusionOptions& fusion)
+{
+    const std::pair<std::uint64_t, Index> key{circuit_hash,
+                                              fusion.plan_salt()};
+    std::shared_ptr<const CircuitEntry> entry;
+    {
+        const std::lock_guard<std::mutex> lock(mu_);
+        const auto it = circuits_.find(key);
+        if (it != circuits_.end()) {
+            entry = it->second.lock();
+        }
+    }
+    // The tie-break runs outside the lock; a colliding entry is a miss.
+    if (entry && ir::same_content(entry->circuit(), circuit)) {
+        obs::count(obs::Counter::kServiceCircuitHits);
+        return entry;
+    }
+    auto built = std::make_shared<const CircuitEntry>(circuit, fusion);
+    {
+        const std::lock_guard<std::mutex> lock(mu_);
+        std::weak_ptr<const CircuitEntry>& slot = circuits_[key];
+        if (const auto current = slot.lock();
+            current && current != entry &&
+            ir::same_content(current->circuit(), circuit)) {
+            // Another thread bound the same circuit first; share its entry.
+            obs::count(obs::Counter::kServiceCircuitHits);
+            return current;
+        }
+        slot = built;
+        std::erase_if(circuits_, [](const auto& kv) {
+            return kv.second.expired();
+        });
+    }
+    obs::count(obs::Counter::kServiceCircuitMisses);
+    return built;
 }
 
 std::shared_ptr<const CompiledArtifact>
@@ -202,7 +304,7 @@ CompileService::compile_impl(const Circuit& circuit,
         }
     }
     // The tie-break runs outside the lock; a colliding entry is a miss.
-    if (artifact && !ir::same_content(artifact->circuit, circuit)) {
+    if (artifact && !ir::same_content(artifact->entry->circuit(), circuit)) {
         artifact.reset();
     }
     if (artifact) {
@@ -212,21 +314,20 @@ CompileService::compile_impl(const Circuit& circuit,
         obs::count(obs::Counter::kServiceHits);
         if (verify_now && !verified_flag(*artifact, admission).load(
                               std::memory_order_acquire)) {
-            run_admission_on(*artifact, model, admission);
+            // Verifies the cached artifact at a strength it has not
+            // passed yet.
+            admit(*artifact->entry, model, admission);
+            verified_flag(*artifact, admission)
+                .store(true, std::memory_order_release);
         }
         return artifact;
     }
 
     obs::count(obs::Counter::kServiceMisses);
+    const std::shared_ptr<const CircuitEntry> entry =
+        circuit_entry(circuit, key.circuit_hash, fusion);
     if (verify_now) {
-        const verify::Report report =
-            model != nullptr
-                ? admission_report(circuit, *model, admission, fusion)
-                : admission_report(circuit, admission, fusion);
-        if (report.has_errors()) {
-            obs::count(obs::Counter::kServiceRejects);
-            throw verify::VerificationError(report);
-        }
+        admit(*entry, model, admission);
     }
 
     // Compile outside the lock: concurrent submissions of different
@@ -236,20 +337,19 @@ CompileService::compile_impl(const Circuit& circuit,
     built->circuit_hash = key.circuit_hash;
     built->noise_hash = key.noise_hash;
     built->plan_salt = key.plan_salt;
-    built->circuit = circuit;
-    built->fusion = fusion;
+    built->entry = entry;
     switch (engine) {
     case EngineKind::kState:
-        built->state = std::make_shared<const CompiledCircuit>(circuit,
-                                                               fusion);
+        built->state = entry->ideal();
         break;
     case EngineKind::kTrajectory:
-        built->trajectory = std::make_shared<const noise::TrajectoryCompilation>(
-            circuit, *model, fusion);
+        built->trajectory =
+            std::make_shared<const noise::TrajectoryCompilation>(entry,
+                                                                 *model);
         break;
     case EngineKind::kDensity:
-        built->density = std::make_shared<const noise::DensityCompilation>(
-            circuit, *model, fusion);
+        built->density =
+            std::make_shared<const noise::DensityCompilation>(*entry, *model);
         break;
     }
     if (verify_now) {
@@ -265,7 +365,8 @@ CompileService::compile_impl(const Circuit& circuit,
         const std::lock_guard<std::mutex> lock(mu_);
         auto [it, inserted] = cache_.try_emplace(key);
         if (!inserted &&
-            ir::same_content(it->second.artifact->circuit, circuit)) {
+            ir::same_content(it->second.artifact->entry->circuit(),
+                             circuit)) {
             // Another thread compiled the same circuit first; share theirs.
             it->second.last_use = ++tick_;
             return it->second.artifact;

@@ -42,6 +42,8 @@ counter_name(Counter c) noexcept
         "service_misses",
         "service_evictions",
         "service_rejects",
+        "service_circuit_hits",
+        "service_circuit_misses",
         "traj_shots",
         "traj_batches",
         "traj_gate_error_draws",

@@ -86,6 +86,10 @@ enum class Counter : unsigned {
     kServiceMisses,      ///< artifact-cache misses (fresh compile)
     kServiceEvictions,   ///< LRU evictions past the configured capacity
     kServiceRejects,     ///< admissions rejected by the verify gate
+    /** Circuit-tier lookups on an artifact miss: the circuit's entry
+     *  (fused ideal, plans, admission reports) was live and reused. */
+    kServiceCircuitHits,
+    kServiceCircuitMisses,  ///< circuit-tier lookups that built an entry
     // Trajectory noise events (noise/trajectory.cc). Every count but
     // kTrajBatches is a per-lane sum, invariant under the batch width.
     kTrajShots,             ///< trajectories run (one per lane)

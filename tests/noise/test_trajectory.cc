@@ -850,6 +850,40 @@ TEST(Trajectory, CrossingsAndFiresShareFusedBlocks) {
 }
 #endif
 
+TEST(Trajectory, FiredErrorsStayInvariantAndMatchDensityMatrix) {
+    // Gate errors hot enough that a trial of the 3-qutrit gen-Toffoli
+    // (three two-qutrit gates, each firing with probability 80 p2 = 0.88)
+    // fires several: each fired unitary is compiled when it fires, and
+    // the results must not depend on batch width or thread count.
+    const Circuit c =
+        ctor::build_gen_toffoli(ctor::Method::kQutrit, 2).circuit;
+    NoiseModel m = noiseless();
+    m.p2 = 1.1e-2;
+    const TrajectoryCompilation compiled(c, m);
+    TrajectoryOptions opts;
+    opts.trials = 24;
+    opts.seed = 17;
+    opts.keep_per_trial = true;
+    const TrajectoryResult ref = per_shot_reference(c, m, opts);
+    for (const int b : {1, 3, 8}) {
+        for (const int threads : {1, 4}) {
+            TrajectoryOptions bo = opts;
+            bo.batch = b;
+            bo.threads = threads;
+            EXPECT_EQ(run_noisy_trials(compiled, bo).per_trial, ref.per_trial)
+                << "batch " << b << " threads " << threads;
+        }
+    }
+#if QD_OBS_BUILD
+    const auto s = trial_counters(compiled, opts);
+    EXPECT_GE(s[obs::Counter::kTrajGateErrorsFired],
+              2u * static_cast<std::uint64_t>(opts.trials));
+#endif
+    Rng rng(23);
+    expect_matches_exact(c, m, haar_random_qubit_subspace_state(c.dims(), rng),
+                         400, 29);
+}
+
 TEST(Trajectory, PerChannelConventionPenalisesQutrits) {
     // gate_error_total must expose the paper's (1-80p2)/(1-15p2) penalty
     // only in the per-channel convention.

@@ -2,20 +2,26 @@
  * @file test_compile_service.cc
  * CompileService behavior: cache keying and its content tie-break,
  * sharing (across threads too), LRU eviction, the verify admission gate,
- * obs counter traffic, and bitwise parity between service-compiled
- * artifacts and direct compilations on all three engines.
+ * obs counter traffic, the circuit tier (one entry per circuit across
+ * noise models and engines, its lifetime and its kept reports), and
+ * bitwise parity between service-compiled artifacts and direct
+ * compilations on all three engines.
  */
 #include "qdsim/exec/compile_service.h"
 
 #include <bit>
 #include <cstring>
+#include <map>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "constructions/gen_toffoli.h"
 #include "noise/density_matrix.h"
+#include "noise/error_placement.h"
 #include "noise/models.h"
 #include "noise/trajectory.h"
 #include "qdsim/circuit.h"
@@ -38,6 +44,24 @@ qutrit_workload(int layers = 2)
         c.append(gates::Xplus1().controlled(3, 1), {0, 1});
     }
     return c;
+}
+
+/** `base` with one bit flipped in the first op's matrix, (0, 0) entry. */
+Circuit
+flip_first_matrix_bit(const Circuit& base)
+{
+    Matrix m = base.ops()[0].gate.matrix();
+    m(0, 0) = Complex(std::bit_cast<double>(
+                          std::bit_cast<std::uint64_t>(m(0, 0).real()) ^ 1),
+                      m(0, 0).imag());
+    Circuit flipped(base.dims());
+    flipped.append(gates::from_matrix(base.ops()[0].gate.name(),
+                                      base.ops()[0].gate.dims(), m),
+                   base.ops()[0].wires);
+    for (std::size_t i = 1; i < base.num_ops(); ++i) {
+        flipped.append(base.ops()[i].gate, base.ops()[i].wires);
+    }
+    return flipped;
 }
 
 Circuit
@@ -119,10 +143,28 @@ TEST(CompileService, KeyingSeparatesEnginePlanAndNoise)
             .get(),
         traj.get());
 
-    // Any numeric field participates in the hash.
-    noise::NoiseModel hotter = sc;
-    hotter.p2 *= 2;
-    EXPECT_NE(exec::noise_model_hash(hotter), exec::noise_model_hash(sc));
+    // Each numeric field alone moves the hash.
+    std::vector<noise::NoiseModel> moved(9, sc);
+    moved[0].p1 *= 2;
+    moved[1].p2 *= 2;
+    moved[2].convention =
+        sc.convention == noise::GateErrorConvention::kPerChannel
+            ? noise::GateErrorConvention::kTotal
+            : noise::GateErrorConvention::kPerChannel;
+    moved[3].t1 *= 2;
+    moved[4].decay_rates.push_back(1e3);
+    moved[5].decay_rates = moved[4].decay_rates;
+    moved[5].decay_rates[0] *= 2;
+    moved[6].dt_1q *= 2;
+    moved[7].dt_2q *= 2;
+    moved[8].dephasing_sigma += 1;
+    for (std::size_t i = 0; i < moved.size(); ++i) {
+        EXPECT_NE(exec::noise_model_hash(moved[i]),
+                  exec::noise_model_hash(sc))
+            << "field " << i;
+    }
+    EXPECT_NE(exec::noise_model_hash(moved[5]),
+              exec::noise_model_hash(moved[4]));
 }
 
 TEST(CompileService, ArtifactRecordsItsKeyAndPayload)
@@ -164,7 +206,7 @@ TEST(CompileService, DecodedCircuitHitsTheInProcessArtifact)
     // content, so the same key and an equal tie-break comparison.
     const Circuit decoded = ir::circuit_from_qdj(ir::to_qdj(circuit));
     ASSERT_FALSE(decoded.ops()[0].gate.same_payload(circuit.ops()[0].gate));
-    EXPECT_TRUE(ir::same_content(first->circuit, decoded));
+    EXPECT_TRUE(ir::same_content(first->entry->circuit(), decoded));
     EXPECT_EQ(service.compile(decoded).get(), first.get());
     EXPECT_EQ(obs::counters_snapshot()[obs::Counter::kServiceHits], 1u);
 }
@@ -179,19 +221,11 @@ TEST(CompileService, TieBreakSeparatesNearMisses)
     // extra idle wire: each is its own artifact, and the comparison the
     // service breaks hash ties with tells each apart from the cached
     // circuit.
-    Matrix m = base.ops()[0].gate.matrix();
-    m(0, 0) = Complex(std::bit_cast<double>(
-                          std::bit_cast<std::uint64_t>(m(0, 0).real()) ^ 1),
-                      m(0, 0).imag());
-    Circuit flipped(base.dims());
-    flipped.append(gates::from_matrix("H3", {3}, m), {0});
+    Circuit flipped = flip_first_matrix_bit(base);
     Circuit swapped(base.dims());
     Circuit widened(WireDims::uniform(3, 3));
     for (std::size_t i = 0; i < base.num_ops(); ++i) {
         const Operation& op = base.ops()[i];
-        if (i != 0) {
-            flipped.append(op.gate, op.wires);
-        }
         swapped.append(op.gate, op.wires.size() == 2
                                     ? std::vector<int>{op.wires[1],
                                                        op.wires[0]}
@@ -199,7 +233,7 @@ TEST(CompileService, TieBreakSeparatesNearMisses)
         widened.append(op.gate, op.wires);
     }
     for (const Circuit* other : {&flipped, &swapped, &widened}) {
-        EXPECT_FALSE(ir::same_content(artifact->circuit, *other));
+        EXPECT_FALSE(ir::same_content(artifact->entry->circuit(), *other));
         EXPECT_NE(ir::circuit_hash(*other), artifact->circuit_hash);
         EXPECT_NE(service.compile(*other).get(), artifact.get());
     }
@@ -241,12 +275,12 @@ TEST(CompileService, LruEvictionPastCapacity)
     EXPECT_EQ(service.capacity(), 2u);
     const auto a = service.compile(qutrit_workload(1));
     const auto b = service.compile(qutrit_workload(2));
-    (void)service.compile(a->circuit);  // touch a: b is now LRU
+    (void)service.compile(a->entry->circuit());  // touch a: b is now LRU
     const auto c = service.compile(qutrit_workload(3));
     EXPECT_EQ(service.size(), 2u);
     // a survived (recently used), b was evicted.
-    EXPECT_EQ(service.compile(a->circuit).get(), a.get());
-    EXPECT_NE(service.compile(b->circuit).get(), b.get());
+    EXPECT_EQ(service.compile(a->entry->circuit()).get(), a.get());
+    EXPECT_NE(service.compile(b->entry->circuit()).get(), b.get());
     const auto snap = obs::counters_snapshot();
     EXPECT_GE(snap[obs::Counter::kServiceEvictions], 1u);
     // Evicted artifacts stay valid for outstanding holders.
@@ -335,6 +369,218 @@ TEST(CompileService, GlobalInstanceIsShared)
     EXPECT_GE(g.size(), 1u);
     g.clear();
     EXPECT_EQ(g.size(), 0u);
+}
+
+// ------------------------------------------------------- circuit tier ---
+
+TEST(CompileServiceTier, Figure11BarsShareOneEntryPerCircuit)
+{
+    // The 16 bars of paper Figure 11 at width 4, each decoded afresh as a
+    // served sweep submits them, through one service.
+    using ctor::Method;
+    struct Bar {
+        Method method;
+        noise::NoiseModel model;
+    };
+    std::vector<Bar> bars;
+    for (const Method m : {Method::kQubitNoAncilla,
+                           Method::kQubitDirtyAncilla, Method::kQutrit}) {
+        for (const noise::NoiseModel& model :
+             noise::superconducting_models()) {
+            bars.push_back({m, model});
+        }
+    }
+    bars.push_back({Method::kQubitNoAncilla, noise::ti_qubit()});
+    bars.push_back({Method::kQubitDirtyAncilla, noise::ti_qubit()});
+    bars.push_back({Method::kQutrit, noise::bare_qutrit()});
+    bars.push_back({Method::kQutrit, noise::dressed_qutrit()});
+
+    exec::CompileService service;
+    ScopedObs obs;
+    std::map<Method, Circuit> circuits;
+    std::map<Method, const exec::CompiledCircuit*> ideal_of;
+    noise::TrajectoryOptions options;
+    options.trials = 8;
+    options.seed = 11;
+    options.threads = 2;
+    options.keep_per_trial = true;
+    for (const Bar& bar : bars) {
+        const Circuit& built =
+            circuits.try_emplace(bar.method,
+                                 ctor::build_gen_toffoli(bar.method, 3)
+                                     .circuit)
+                .first->second;
+        const std::string label =
+            ctor::method_label(bar.method) + "/" + bar.model.name;
+        const auto artifact = service.compile(
+            ir::circuit_from_qdj(ir::to_qdj(built)), bar.model,
+            exec::EngineKind::kTrajectory, {}, exec::Admission::kAlways);
+        const noise::TrajectoryCompilation standalone(built, bar.model);
+        EXPECT_EQ(
+            noise::run_noisy_trials(*artifact->trajectory, options).per_trial,
+            noise::run_noisy_trials(standalone, options).per_trial)
+            << label;
+        // Every bar of one construction runs the entry's fused circuit.
+        const exec::CompiledCircuit* ideal = &artifact->trajectory->ideal();
+        EXPECT_EQ(ideal, artifact->entry->ideal().get()) << label;
+        EXPECT_EQ(ideal_of.try_emplace(bar.method, ideal).first->second,
+                  ideal)
+            << label;
+    }
+    // ...which is also the circuit's state artifact.
+    for (const auto& [method, circuit] : circuits) {
+        EXPECT_EQ(service.compile(circuit)->state.get(), ideal_of.at(method))
+            << ctor::method_label(method);
+    }
+    const auto snap = obs::counters_snapshot();
+    EXPECT_EQ(snap[obs::Counter::kServiceMisses], bars.size() + 3);
+    EXPECT_EQ(snap[obs::Counter::kServiceCircuitMisses], 3u);
+    EXPECT_EQ(snap[obs::Counter::kServiceCircuitHits], bars.size());
+}
+
+TEST(CompileServiceTier, NearMissCircuitGetsItsOwnEntry)
+{
+    exec::CompileService service;
+    const Circuit base = qutrit_workload();
+    const Circuit flipped = flip_first_matrix_bit(base);
+    const auto a =
+        service.compile(base, noise::sc(), exec::EngineKind::kTrajectory);
+    const auto b =
+        service.compile(flipped, noise::sc(), exec::EngineKind::kTrajectory);
+    EXPECT_NE(a->entry.get(), b->entry.get());
+    EXPECT_TRUE(ir::same_content(b->entry->circuit(), flipped));
+    // Another model of either circuit binds to that circuit's entry.
+    EXPECT_EQ(service.compile(base, noise::sc_t1(),
+                              exec::EngineKind::kTrajectory)
+                  ->entry.get(),
+              a->entry.get());
+    EXPECT_EQ(service.compile(flipped, noise::sc_t1(),
+                              exec::EngineKind::kDensity)
+                  ->entry.get(),
+              b->entry.get());
+}
+
+TEST(CompileServiceTier, ClearAndEvictionReleaseEntries)
+{
+    exec::CompileService service(1);
+    std::weak_ptr<const exec::CircuitEntry> cleared;
+    cleared = service.compile(qutrit_workload(1), noise::sc(),
+                              exec::EngineKind::kTrajectory)
+                  ->entry;
+    EXPECT_FALSE(cleared.expired());  // the cached artifact holds it
+    service.clear();
+    EXPECT_TRUE(cleared.expired());
+
+    std::weak_ptr<const exec::CircuitEntry> evicted =
+        service.compile(qutrit_workload(2))->entry;
+    EXPECT_FALSE(evicted.expired());
+    // Capacity 1: this evicts the last artifact that holds the entry.
+    (void)service.compile(qutrit_workload(3));
+    EXPECT_TRUE(evicted.expired());
+
+    // A caller's artifact keeps its entry alive past clear(), but the
+    // cleared service compiles cold all the same.
+    const auto held = service.compile(qutrit_workload(2));
+    service.clear();
+    EXPECT_NE(service.compile(qutrit_workload(2))->entry.get(),
+              held->entry.get());
+}
+
+TEST(CompileServiceTier, ReportsAreKeptPerFencePatternAndLevel)
+{
+    exec::CompileService service;
+    const Circuit circuit = qutrit_workload();
+    noise::NoiseModel no_p1 = noise::sc();
+    no_p1.p1 = 0;
+    const auto fences = [&](const noise::NoiseModel& m) {
+        return noise::error_fences(noise::enumerate_error_sites(circuit, m));
+    };
+    ASSERT_EQ(fences(noise::sc()), fences(noise::sc_t1()));
+    ASSERT_NE(fences(noise::sc()), fences(no_p1));
+
+    const auto first =
+        service.compile(circuit, noise::sc(), exec::EngineKind::kTrajectory,
+                        {}, exec::Admission::kAlways);
+    const exec::CircuitEntry& entry = *first->entry;
+    EXPECT_EQ(entry.num_reports(), 1u);
+    // The same error sites: the kept report serves.
+    (void)service.compile(circuit, noise::sc_t1(),
+                          exec::EngineKind::kTrajectory, {},
+                          exec::Admission::kAlways);
+    EXPECT_EQ(entry.num_reports(), 1u);
+    // p1 = 0 drops the one-qutrit sites: another fence pattern.
+    (void)service.compile(circuit, no_p1, exec::EngineKind::kTrajectory, {},
+                          exec::Admission::kAlways);
+    EXPECT_EQ(entry.num_reports(), 2u);
+    // Another admission level analyzes afresh too.
+    verify::set_strict(true);
+    (void)service.compile(circuit, noise::sc(), exec::EngineKind::kDensity);
+    verify::clear_strict();
+    EXPECT_EQ(entry.num_reports(), 3u);
+    const verify::Report* kept =
+        &entry.report(fences(noise::sc()), exec::Admission::kAlways);
+    EXPECT_EQ(&entry.report(fences(noise::sc_t1()), exec::Admission::kAlways),
+              kept);
+    EXPECT_NE(&entry.report(fences(no_p1), exec::Admission::kAlways), kept);
+    EXPECT_NE(&entry.report(fences(noise::sc()), exec::Admission::kDefault),
+              kept);
+    EXPECT_EQ(entry.num_reports(), 3u);
+
+    // A non-unitary gate passes trusted admission, so its entry lives;
+    // untrusted admission then rejects it under every model with the
+    // report the static admission_report gives.
+    const Circuit bad = non_unitary_circuit();
+    const auto trusted = service.compile(bad, {}, exec::Admission::kNever);
+    std::vector<noise::NoiseModel> models = noise::superconducting_models();
+    models.push_back(noise::ti_qubit());
+    models.push_back(no_p1);
+    for (const noise::NoiseModel& m : models) {
+        try {
+            (void)service.compile(bad, m, exec::EngineKind::kTrajectory, {},
+                                  exec::Admission::kAlways);
+            ADD_FAILURE() << m.name << " admitted a non-unitary gate";
+        } catch (const verify::VerificationError& e) {
+            EXPECT_TRUE(e.report().has_rule("circuit.non-unitary"));
+            EXPECT_EQ(e.report().to_json(),
+                      exec::CompileService::admission_report(
+                          bad, m, exec::Admission::kAlways)
+                          .to_json())
+                << m.name;
+        }
+    }
+    EXPECT_EQ(trusted->entry->num_reports(), 2u);
+}
+
+TEST(CompileServiceTier, ConcurrentModelsShareOneEntry)
+{
+    // Four threads compile the four SC models of one decoded circuit at
+    // once (run under TSan in CI): the losers of the race to build the
+    // entry adopt the winner's.
+    exec::CompileService service;
+    const Circuit decoded =
+        ir::circuit_from_qdj(ir::to_qdj(qutrit_workload(3)));
+    const std::vector<noise::NoiseModel> models =
+        noise::superconducting_models();
+    std::vector<std::shared_ptr<const exec::CompiledArtifact>> artifacts(
+        models.size());
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < models.size(); ++t) {
+        threads.emplace_back([&, t] {
+            artifacts[t] =
+                service.compile(decoded, models[t],
+                                exec::EngineKind::kTrajectory, {},
+                                exec::Admission::kAlways);
+        });
+    }
+    for (std::thread& t : threads) {
+        t.join();
+    }
+    EXPECT_EQ(service.size(), models.size());
+    for (const auto& artifact : artifacts) {
+        EXPECT_EQ(artifact->entry.get(), artifacts[0]->entry.get());
+        EXPECT_EQ(&artifact->trajectory->ideal(),
+                  artifacts[0]->entry->ideal().get());
+    }
 }
 
 // ------------------------------------------------ service/direct parity ---

@@ -8,6 +8,9 @@
  * illegal input is rejected with a stable error id instead of
  * executing, and repeated submissions of the same job hit the
  * cross-request artifact cache (reported via the obs service counters).
+ * Jobs that share a circuit under different noise models share its
+ * circuit-tier entry: the summary's obs_service_circuit_hits counts the
+ * artifact misses that reused one.
  *
  * Usage:
  *   qd_run [--json FILE] [--repeat N] JOB.qdj...
@@ -225,6 +228,9 @@ main(int argc, char** argv)
     const auto hits = rep.counters[Counter::kServiceHits];
     const auto misses = rep.counters[Counter::kServiceMisses];
     const auto rejects = rep.counters[Counter::kServiceRejects];
+    const auto circuit_hits = rep.counters[Counter::kServiceCircuitHits];
+    const auto circuit_misses =
+        rep.counters[Counter::kServiceCircuitMisses];
     std::printf(
         "qd_run: %d ok, %d rejected, %d failed; service hits=%llu "
         "misses=%llu\n",
@@ -251,10 +257,14 @@ main(int argc, char** argv)
         std::fprintf(f,
                      "  \"obs_service_hits\": %llu,\n"
                      "  \"obs_service_misses\": %llu,\n"
-                     "  \"obs_service_rejects\": %llu\n}\n",
+                     "  \"obs_service_rejects\": %llu,\n"
+                     "  \"obs_service_circuit_hits\": %llu,\n"
+                     "  \"obs_service_circuit_misses\": %llu\n}\n",
                      static_cast<unsigned long long>(hits),
                      static_cast<unsigned long long>(misses),
-                     static_cast<unsigned long long>(rejects));
+                     static_cast<unsigned long long>(rejects),
+                     static_cast<unsigned long long>(circuit_hits),
+                     static_cast<unsigned long long>(circuit_misses));
         if (std::fclose(f) != 0) {
             return 2;
         }
