@@ -3,9 +3,9 @@
  * Shared helpers for the benchmark binaries: environment-variable knobs,
  * paper-reference annotations, the common BENCH_*.json writer (which
  * stamps every result with its thread count, core count, build type,
- * compiler, git revision and CPU), and the instrumented-section
- * scaffolding every gated bench
- * uses for its `--trace <file>` flag and obs_* report metrics.
+ * compiler, git revision, CPU and lane-kernel build), and the
+ * instrumented-section scaffolding every gated bench uses for its
+ * `--trace <file>` flag and obs_* report metrics.
  */
 #ifndef BENCH_BENCH_UTIL_H
 #define BENCH_BENCH_UTIL_H
@@ -24,6 +24,7 @@
 #include <omp.h>
 #endif
 
+#include "qdsim/exec/batched_kernels.h"
 #include "qdsim/exec/compile_service.h"
 #include "qdsim/obs/counters.h"
 #include "qdsim/obs/report.h"
@@ -170,7 +171,8 @@ class JsonWriter {
     /** Writes the object, followed by the conditions it was measured
      *  under (`threads`: OpenMP's default team size, 1 without OpenMP;
      *  `hardware_concurrency`; `build_type`; `compiler`; `git_rev`;
-     *  `cpu`), and logs "wrote <path>"; false on I/O failure. */
+     *  `cpu`; `kernel_isa`, the lane-kernel build that ran), and logs
+     *  "wrote <path>"; false on I/O failure. */
     bool write(const char* path) const
     {
         std::FILE* out = std::fopen(path, "w");
@@ -189,7 +191,8 @@ class JsonWriter {
             .str("build_type", QD_BENCH_BUILD_TYPE)
             .str("compiler", QD_BENCH_COMPILER)
             .str("git_rev", git_rev())
-            .str("cpu", cpu_model());
+            .str("cpu", cpu_model())
+            .str("kernel_isa", exec::kernel_isa());
         const auto& fields = stamped.fields_;
         std::fputs("{\n", out);
         for (std::size_t i = 0; i < fields.size(); ++i) {

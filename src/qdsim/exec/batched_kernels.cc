@@ -1,10 +1,24 @@
-#include "qdsim/exec/batched_kernels.h"
+/**
+ * @file batched_kernels.cc
+ * The lane kernels: the batched kernel zoo and BatchedStateVector's lane
+ * loops. This file is compiled twice (lane_kernels.h): QD_LANE_ISA names
+ * the build, baseline unless CMake's -mavx2 copy sets it to avx2, and
+ * every name defined here lives in qd::exec::QD_LANE_ISA, so the two
+ * builds share no symbol of their own.
+ */
+#include "qdsim/exec/lane_kernels.h"
 
 #include "qdsim/exec/simd.h"
 
 #include <cstdint>
 
-namespace qd::exec {
+#ifndef QD_LANE_ISA
+#define QD_LANE_ISA baseline
+#endif
+#define QD_LANE_STR2(x) #x
+#define QD_LANE_STR(x) QD_LANE_STR2(x)
+
+namespace qd::exec::QD_LANE_ISA {
 
 namespace {
 
@@ -62,7 +76,8 @@ walk_blocks(const ApplyPlan& plan, const std::size_t B,
         const std::int64_t nruns = static_cast<std::int64_t>(plan.outer / run);
 #pragma omp parallel num_threads(team)
         {
-            std::vector<Complex> buf(need);
+            std::vector<Complex> own;
+            Complex* const buf = grow_buffer(own, need);
 #pragma omp for schedule(static)
             for (std::int64_t i = 0; i < nruns; ++i) {
                 const Index u = static_cast<Index>(i);
@@ -70,16 +85,13 @@ walk_blocks(const ApplyPlan& plan, const std::size_t B,
                     run == 1 ? plan.base_of(u)
                              : plan.base_hi[u / nlo] +
                                    plan.base_lo[u % nlo * run];
-                block(base, width, buf.data());
+                block(base, width, buf);
             }
         }
         return;
     }
 #endif
-    if (scratch.tmp.size() < need) {
-        scratch.tmp.resize(need);
-    }
-    Complex* buf = scratch.tmp.data();
+    Complex* const buf = grow_buffer(scratch.tmp, need);
     for (const Index hi : plan.base_hi) {
         for (Index k = 0; k < nlo; ++k) {
             block(hi + plan.base_lo[k * run], width, buf);
@@ -426,53 +438,149 @@ run_block_matvec_b(const CompiledOp& op, Complex* amps, const std::size_t B,
     if (const int team = lane_team(nouter, B, scratch); team > 1) {
 #pragma omp parallel num_threads(team)
         {
-            std::vector<Complex> in(need);
+            std::vector<Complex> own;
+            Complex* const in = grow_buffer(own, need);
 #pragma omp for schedule(static)
             for (std::int64_t o = 0; o < nouter; ++o) {
                 matvec_block_b(amps,
                                plan.base_of(static_cast<Index>(o)) +
                                    extra_offset,
-                               off, nb, m, B, in.data());
+                               off, nb, m, B, in);
             }
         }
         return;
     }
 #endif
-    if (scratch.in.size() < need) {
-        scratch.in.resize(need);
-    }
+    Complex* const in = grow_buffer(scratch.in, need);
     for (std::int64_t o = 0; o < nouter; ++o) {
         matvec_block_b(amps,
                        plan.base_of(static_cast<Index>(o)) + extra_offset,
-                       off, nb, m, B, scratch.in.data());
+                       off, nb, m, B, in);
     }
 }
 
-}  // namespace
-
-void
-apply_op_batched(const CompiledOp& op, BatchedStateVector& psi,
-                 BatchedScratch& scratch)
+/**
+ * Squared norm of one lane, accumulated in amplitude-index order (the
+ * StateVector::norm order, and the order norm_sq_lanes uses per lane).
+ */
+Real
+norm_sq_lane(const Complex* amps, std::size_t n, const std::size_t B,
+             std::size_t lane)
 {
-    apply_op_batched(op, psi.data(), psi.lanes(), scratch);
+    Real acc = 0;
+    const Real* p = as_reals(amps) + 2 * lane;
+    for (std::size_t i = 0; i < n; ++i, p += 2 * B) {
+        acc += p[0] * p[0] + p[1] * p[1];
+    }
+    return acc;
+}
+
+/**
+ * ns[b] = sum over the n amplitudes of lane b of re^2 + im^2, accumulated
+ * in amplitude-index order, so each sum equals norm_sq_lane bitwise. Lanes
+ * are processed in tiles of four with register accumulators: a single
+ * flat loop would re-load and re-store ns[b] per amplitude because the
+ * compiler cannot prove the accumulator array does not alias the
+ * amplitudes.
+ */
+void
+norm_sq_lanes(const Complex* amps, std::size_t n, const std::size_t B,
+              Real* ns)
+{
+    const Real* d = as_reals(amps);
+    std::size_t b = 0;
+    for (; b + 4 <= B; b += 4) {
+        Real a0 = 0, a1 = 0, a2 = 0, a3 = 0;
+        const Real* p = d + 2 * b;
+        for (std::size_t i = 0; i < n; ++i, p += 2 * B) {
+            a0 += p[0] * p[0] + p[1] * p[1];
+            a1 += p[2] * p[2] + p[3] * p[3];
+            a2 += p[4] * p[4] + p[5] * p[5];
+            a3 += p[6] * p[6] + p[7] * p[7];
+        }
+        ns[b] = a0;
+        ns[b + 1] = a1;
+        ns[b + 2] = a2;
+        ns[b + 3] = a3;
+    }
+    for (; b < B; ++b) {
+        Real acc = 0;
+        const Real* p = d + 2 * b;
+        for (std::size_t i = 0; i < n; ++i, p += 2 * B) {
+            acc += p[0] * p[0] + p[1] * p[1];
+        }
+        ns[b] = acc;
+    }
+}
+
+/**
+ * fid[b] = |<a_b|o_b>|^2, lane pairs with register accumulators; per lane
+ * the sum runs in amplitude-index order and (conj(a) * o).re ==
+ * ar*or + ai*oi bitwise, matching StateVector::inner.
+ */
+void
+fidelity_lanes(const Complex* a, const Complex* o, std::size_t n,
+               const std::size_t B, Real* fid)
+{
+    const Real* base_a = as_reals(a);
+    const Real* base_o = as_reals(o);
+    std::size_t b = 0;
+    for (; b + 2 <= B; b += 2) {
+        Real r0 = 0, i0 = 0, r1 = 0, i1 = 0;
+        const Real* __restrict pa = base_a + 2 * b;
+        const Real* __restrict po = base_o + 2 * b;
+        for (std::size_t i = 0; i < n; ++i, pa += 2 * B, po += 2 * B) {
+            r0 += pa[0] * po[0] + pa[1] * po[1];
+            i0 += pa[0] * po[1] - pa[1] * po[0];
+            r1 += pa[2] * po[2] + pa[3] * po[3];
+            i1 += pa[2] * po[3] - pa[3] * po[2];
+        }
+        fid[b] = r0 * r0 + i0 * i0;
+        fid[b + 1] = r1 * r1 + i1 * i1;
+    }
+    for (; b < B; ++b) {
+        Real re = 0, im = 0;
+        const Real* __restrict pa = base_a + 2 * b;
+        const Real* __restrict po = base_o + 2 * b;
+        for (std::size_t i = 0; i < n; ++i, pa += 2 * B, po += 2 * B) {
+            re += pa[0] * po[0] + pa[1] * po[1];
+            im += pa[0] * po[1] - pa[1] * po[0];
+        }
+        fid[b] = re * re + im * im;
+    }
+}
+
+/** The dephasing kick's one pass: each lane's amplitude h * nlo + l is
+ *  scaled by its factor hi[h] * lo[l], formed first, with no serial
+ *  dependence between amplitudes. */
+void
+product_diag_lanes(Complex* amps, const Complex* hi, std::size_t nhi,
+                   const Complex* lo, std::size_t nlo, const std::size_t B)
+{
+    const Real* lr = as_reals(lo);
+    Real* d = as_reals(amps);
+    for (std::size_t h = 0; h < nhi; ++h) {
+        const Real* hr = as_reals(hi) + 2 * h * B;
+        for (std::size_t l = 0; l < nlo; ++l, d += 2 * B) {
+            const Real* f = lr + 2 * l * B;
+            QD_SIMD
+            for (std::size_t b = 0; b < B; ++b) {
+                const Real fr = hr[2 * b] * f[2 * b] -
+                                hr[2 * b + 1] * f[2 * b + 1];
+                const Real fi = hr[2 * b] * f[2 * b + 1] +
+                                hr[2 * b + 1] * f[2 * b];
+                const Real ar = d[2 * b], ai = d[2 * b + 1];
+                d[2 * b] = ar * fr - ai * fi;
+                d[2 * b + 1] = ar * fi + ai * fr;
+            }
+        }
+    }
 }
 
 void
-apply_op_batched(const CompiledOp& op, Complex* amps, int lanes,
-                 BatchedScratch& scratch)
+apply_op_lanes(const CompiledOp& op, Complex* amps, const std::size_t B,
+               BatchedScratch& scratch)
 {
-    const std::size_t B = static_cast<std::size_t>(lanes);
-    // Counter hook sits OUTSIDE the kernels' OpenMP regions. The class
-    // counter advances by the lane count so per-class totals across the
-    // two zoos are invariant under the batch width (each lane is bitwise
-    // one single-shot application).
-    if (obs::enabled()) {
-        obs::count_unchecked(kernel_counter(op.kind, /*batched=*/true), B);
-        obs::count_unchecked(obs::Counter::kBatDispatches);
-        obs::count_unchecked(
-            obs::Counter::kEstimatedFlops,
-            op_flop_estimate(op, op.dim) * static_cast<std::uint64_t>(B));
-    }
     switch (op.kind) {
         case KernelKind::kPermutation:
             run_permutation_b(op, amps, B, scratch);
@@ -510,13 +618,11 @@ apply_op_batched(const CompiledOp& op, Complex* amps, int lanes,
     }
 }
 
-void
-run_batched(const CompiledCircuit& compiled, BatchedStateVector& psi,
-            BatchedScratch& scratch)
-{
-    for (const CompiledOp& op : compiled.ops()) {
-        apply_op_batched(op, psi, scratch);
-    }
-}
+}  // namespace
 
-}  // namespace qd::exec
+extern const LaneKernels kLaneKernels = {
+    QD_LANE_STR(QD_LANE_ISA), &apply_op_lanes,  &norm_sq_lane,
+    &norm_sq_lanes,           &fidelity_lanes, &product_diag_lanes,
+};
+
+}  // namespace qd::exec::QD_LANE_ISA

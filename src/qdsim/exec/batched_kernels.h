@@ -19,6 +19,15 @@
  * same state (property-tested in tests/qdsim/test_batched.cc). That is
  * what lets the trajectory engine mix batched passes with per-lane
  * single-shot fallbacks for divergent events.
+ *
+ * The kernels are built twice, as the rest of the library and with -mavx2
+ * alone, and apply_op_batched runs the AVX2 build once the CPU reports
+ * AVX2 (lane_kernels.h); kernel_isa() names the build that runs. The AVX2
+ * build only handles more lanes per instruction, so it is bitwise equal
+ * to the baseline. It must never contain a fused multiply-add: with -mfma
+ * or AVX-512, GCC 12 fuses the lanes' complex multiplies into vfmaddsub
+ * even under -ffp-contract=off, and lanes would stop matching the
+ * single-shot zoo, which stays on the baseline build.
  */
 #ifndef QDSIM_EXEC_BATCHED_KERNELS_H
 #define QDSIM_EXEC_BATCHED_KERNELS_H
@@ -42,8 +51,9 @@ struct BatchedScratch {
     int threads = 0;
 };
 
-/** Executes a compiled operation on every lane in place. `psi` must be
- *  over the dims the op was compiled for. */
+/** Executes a compiled operation on every lane in place.
+ *  @throws std::invalid_argument, before any lane changes, unless `psi`
+ *          has the size of the register the op was compiled for. */
 void apply_op_batched(const CompiledOp& op, BatchedStateVector& psi,
                       BatchedScratch& scratch);
 
@@ -57,6 +67,9 @@ void apply_op_batched(const CompiledOp& op, Complex* amps, int lanes,
 /** Applies all operations of a compiled circuit to every lane in order. */
 void run_batched(const CompiledCircuit& compiled, BatchedStateVector& psi,
                  BatchedScratch& scratch);
+
+/** The lane-kernel build this process runs: "avx2" or "baseline". */
+const char* kernel_isa() noexcept;
 
 }  // namespace qd::exec
 

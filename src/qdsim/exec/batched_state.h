@@ -17,6 +17,14 @@
  * per-lane events (damping jumps, gate errors) are handled by extracting
  * the lane to a StateVector, running the single-shot kernels on it, and
  * writing the lane back.
+ *
+ * The members check their arguments here and run their lane loops
+ * (norm_sq_lane(s), fidelity_lanes and the apply_product_diag_lanes pass)
+ * in batched_kernels.cc, which is built twice: the AVX2 build runs once
+ * the CPU reports AVX2, the baseline otherwise (lane_kernels.h). The AVX2
+ * build is compiled with -mavx2 alone and holds no fused multiply-add
+ * (GCC 12 fuses complex multiplies with -mfma even under
+ * -ffp-contract=off), so both builds give the same bits.
  */
 #ifndef QDSIM_EXEC_BATCHED_STATE_H
 #define QDSIM_EXEC_BATCHED_STATE_H

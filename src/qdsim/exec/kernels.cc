@@ -592,6 +592,10 @@ kernel_team(std::int64_t outer, int threads) noexcept
 void
 apply_op(const CompiledOp& op, StateVector& psi, ExecScratch& scratch)
 {
+    if (op.dim != psi.size()) {
+        throw std::invalid_argument(
+            "apply_op: op compiled for another register");
+    }
     // Hook sits outside the kernels' OpenMP regions; counts land in the
     // calling thread's block (see obs/counters.h).
     if (obs::enabled()) {

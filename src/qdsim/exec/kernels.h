@@ -146,8 +146,9 @@ CompiledOp compile_op(const WireDims& dims, const Gate& gate,
                       std::span<const int> wires, PlanCache* cache = nullptr,
                       Index plan_salt = 0);
 
-/** Executes a compiled operation in place. `psi` must be over the dims the
- *  op was compiled for. */
+/** Executes a compiled operation in place.
+ *  @throws std::invalid_argument, before the state changes, unless `psi`
+ *          has the size of the register the op was compiled for. */
 void apply_op(const CompiledOp& op, StateVector& psi, ExecScratch& scratch);
 
 /** Dispatch counter for one application of `kind`: the single-shot zoo

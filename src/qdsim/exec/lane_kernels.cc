@@ -1,0 +1,108 @@
+/**
+ * @file lane_kernels.cc
+ * The dispatching layer of the lane kernels: apply_op_batched's argument
+ * check and obs hooks, outside every OpenMP region, and the once-per-
+ * process pick between the two builds of batched_kernels.cc
+ * (lane_kernels.h).
+ */
+#include "qdsim/exec/lane_kernels.h"
+
+#include <stdexcept>
+
+namespace qd::exec {
+
+// CMake defines QD_HAVE_AVX2_LANES where it compiled the -mavx2 build.
+#ifdef QD_HAVE_AVX2_LANES
+namespace avx2 {
+extern const LaneKernels kLaneKernels;
+}  // namespace avx2
+#endif
+
+namespace {
+
+const LaneKernels&
+pick_lane_kernels() noexcept
+{
+#ifdef QD_HAVE_AVX2_LANES
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2")) {
+        return avx2::kLaneKernels;
+    }
+#endif
+    return baseline::kLaneKernels;
+}
+
+}  // namespace
+
+const LaneKernels*
+avx2_lane_kernels() noexcept
+{
+#ifdef QD_HAVE_AVX2_LANES
+    return &avx2::kLaneKernels;
+#else
+    return nullptr;
+#endif
+}
+
+const LaneKernels&
+lane_kernels() noexcept
+{
+    static const LaneKernels& picked = pick_lane_kernels();
+    return picked;
+}
+
+Complex*
+grow_buffer(std::vector<Complex>& buf, std::size_t n)
+{
+    if (buf.size() < n) {
+        buf.resize(n);
+    }
+    return buf.data();
+}
+
+const char*
+kernel_isa() noexcept
+{
+    return lane_kernels().isa;
+}
+
+void
+apply_op_batched(const CompiledOp& op, BatchedStateVector& psi,
+                 BatchedScratch& scratch)
+{
+    if (op.dim != psi.size()) {
+        throw std::invalid_argument(
+            "apply_op_batched: op compiled for another register");
+    }
+    apply_op_batched(op, psi.data(), psi.lanes(), scratch);
+}
+
+void
+apply_op_batched(const CompiledOp& op, Complex* amps, int lanes,
+                 BatchedScratch& scratch)
+{
+    const std::size_t B = static_cast<std::size_t>(lanes);
+    // Counter hook sits OUTSIDE the kernels' OpenMP regions. The class
+    // counter advances by the lane count so per-class totals across the
+    // two zoos are invariant under the batch width (each lane is bitwise
+    // one single-shot application).
+    if (obs::enabled()) {
+        obs::count_unchecked(kernel_counter(op.kind, /*batched=*/true), B);
+        obs::count_unchecked(obs::Counter::kBatDispatches);
+        obs::count_unchecked(
+            obs::Counter::kEstimatedFlops,
+            op_flop_estimate(op, op.dim) * static_cast<std::uint64_t>(B));
+    }
+    lane_kernels().apply_op(op, amps, B, scratch);
+}
+
+void
+run_batched(const CompiledCircuit& compiled, BatchedStateVector& psi,
+            BatchedScratch& scratch)
+{
+    for (const CompiledOp& op : compiled.ops()) {
+        apply_op_batched(op, psi, scratch);
+    }
+}
+
+}  // namespace qd::exec

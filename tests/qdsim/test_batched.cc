@@ -4,18 +4,22 @@
  * that lane's state, and every per-lane primitive must compute a lane
  * from that lane alone — those exact equivalences are what let the
  * trajectory engine mix batched passes with per-lane single-shot replays
- * and stay reproducible regardless of batch width.
+ * and stay reproducible regardless of batch width. The BatchedIsa cases
+ * run the same layouts through the baseline and the AVX2 build of the
+ * lane kernels directly and require the same bits from both.
  */
 #include "qdsim/exec/batched_kernels.h"
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <optional>
 
 #include <gtest/gtest.h>
 
 #include "qdsim/exec/batched_state.h"
+#include "qdsim/exec/lane_kernels.h"
 #include "qdsim/gate_library.h"
 #include "qdsim/random_state.h"
 #include "qdsim/simulator.h"
@@ -97,34 +101,33 @@ check_batched_matches_single(const WireDims& dims, const Gate& gate,
     expect_lanes_bitwise_equal(batch, ref, exec::kernel_name(op.kind));
 }
 
-TEST(Batched, EveryKernelKindMatchesSingleShotBitwise) {
-    Rng rng(301);
+/** Calls check(dims, gate, wires, lanes, kind) on every layout the batched
+ *  kernels walk differently, drawing random gates from `rng` in a fixed
+ *  order. */
+template <class Check>
+void
+for_each_kernel_layout(Rng& rng, Check&& check)
+{
     const WireDims q3 = WireDims::uniform(4, 3);
     // Permutation, diagonal, unrolled d3, controlled, dense.
-    check_batched_matches_single(q3, gates::Xplus1().controlled(3, 2),
-                                 {1, 3}, 5, rng, KernelKind::kPermutation);
-    check_batched_matches_single(q3, gates::Z3(), {2}, 5, rng,
-                                 KernelKind::kDiagonal);
+    check(q3, gates::Xplus1().controlled(3, 2), {1, 3}, 5,
+          KernelKind::kPermutation);
+    check(q3, gates::Z3(), {2}, 5, KernelKind::kDiagonal);
     // Monomial: generalized permutation with phases (Z ⊗ X+1 product,
     // the shape of X^j Z^k error terms and phase∘permutation fusions).
-    check_batched_matches_single(
-        q3,
-        Gate("Z3xX+1", {3, 3},
-             gates::Z3().matrix().kron(gates::Xplus1().matrix())),
-        {1, 3}, 5, rng, KernelKind::kMonomial);
-    check_batched_matches_single(q3, gates::H3(), {1}, 5, rng,
-                                 KernelKind::kSingleWireD3);
-    check_batched_matches_single(q3, gates::fourier(3).controlled(3, 2),
-                                 {0, 2}, 5, rng, KernelKind::kControlled);
-    check_batched_matches_single(
-        q3, Gate("rand", {3, 3}, random_matrix(9, rng)), {3, 1}, 5, rng,
-        KernelKind::kDense);
+    check(q3,
+          Gate("Z3xX+1", {3, 3},
+               gates::Z3().matrix().kron(gates::Xplus1().matrix())),
+          {1, 3}, 5, KernelKind::kMonomial);
+    check(q3, gates::H3(), {1}, 5, KernelKind::kSingleWireD3);
+    check(q3, gates::fourier(3).controlled(3, 2), {0, 2}, 5,
+          KernelKind::kControlled);
+    check(q3, Gate("rand", {3, 3}, random_matrix(9, rng)), {3, 1}, 5,
+          KernelKind::kDense);
 
     const WireDims q2 = WireDims::uniform(3, 2);
-    check_batched_matches_single(q2, gates::H(), {1}, 4, rng,
-                                 KernelKind::kSingleWireD2);
-    check_batched_matches_single(q2, gates::CCX(), {2, 0, 1}, 4, rng,
-                                 KernelKind::kPermutation);
+    check(q2, gates::H(), {1}, 4, KernelKind::kSingleWireD2);
+    check(q2, gates::CCX(), {2, 0, 1}, 4, KernelKind::kPermutation);
 
     // The layouts the kernels walk differently: controlled ops with one 2-
     // or 3-level target (unrolled) and a 4-level one (generic), and block
@@ -162,51 +165,64 @@ TEST(Batched, EveryKernelKindMatchesSingleShotBitwise) {
     };
     for (const Case& c : cases) {
         for (const int lanes : {1, 2, 3, 8}) {
-            check_batched_matches_single(c.dims, c.gate, c.wires, lanes, rng,
-                                         c.kind);
+            check(c.dims, c.gate, c.wires, lanes, c.kind);
         }
     }
 
     // 3^9 amplitudes x 8 lanes: past the OpenMP threshold, so the run walk
     // splits its runs across a team.
     const WireDims big = WireDims::uniform(9, 3);
-    check_batched_matches_single(big, gates::Z3(), {4}, 8, rng,
-                                 KernelKind::kDiagonal);
-    check_batched_matches_single(big, zx, {6, 3}, 8, rng,
-                                 KernelKind::kMonomial);
-    check_batched_matches_single(big, gates::fourier(3).controlled(3, 2),
-                                 {1, 5}, 8, rng, KernelKind::kControlled);
-    check_batched_matches_single(big, gates::Xplus1().controlled(3, 1),
-                                 {2, 7}, 8, rng, KernelKind::kPermutation);
+    check(big, gates::Z3(), {4}, 8, KernelKind::kDiagonal);
+    check(big, zx, {6, 3}, 8, KernelKind::kMonomial);
+    check(big, gates::fourier(3).controlled(3, 2), {1, 5}, 8,
+          KernelKind::kControlled);
+    check(big, gates::Xplus1().controlled(3, 1), {2, 7}, 8,
+          KernelKind::kPermutation);
+}
+
+TEST(Batched, EveryKernelKindMatchesSingleShotBitwise) {
+    Rng rng(301);
+    for_each_kernel_layout(rng, [&](const WireDims& dims, const Gate& gate,
+                                    const std::vector<int>& wires, int lanes,
+                                    KernelKind kind) {
+        check_batched_matches_single(dims, gate, wires, lanes, rng, kind);
+    });
+}
+
+/** The mixed-radix registers of the random-circuit checks. */
+std::vector<WireDims>
+mixed_radix_registers()
+{
+    return {WireDims({3, 3, 3}), WireDims({2, 3, 2}), WireDims({3, 2, 2, 3})};
+}
+
+/** A circuit on `dims` mixing every kernel shape, including non-unitary
+ *  (Kraus-like) dense operators. */
+Circuit
+random_mixed_circuit(const WireDims& dims, Rng& rng)
+{
+    Circuit c(dims);
+    for (int w = 0; w < dims.num_wires(); ++w) {
+        c.append(dims.dim(w) == 3 ? gates::H3() : gates::H(), {w});
+    }
+    c.append(Gate("k", {dims.dim(0)},
+                  random_matrix(static_cast<std::size_t>(dims.dim(0)), rng)),
+             {0});
+    c.append(Gate("d2", {dims.dim(1), dims.dim(2)},
+                  random_matrix(static_cast<std::size_t>(dims.dim(1)) *
+                                    static_cast<std::size_t>(dims.dim(2)),
+                                rng)),
+             {1, 2});
+    c.append((dims.dim(1) == 3 ? gates::Xplus1() : gates::X())
+                 .controlled(dims.dim(0), 1),
+             {0, 1});
+    return c;
 }
 
 TEST(Batched, RandomCircuitsMatchSingleShotOnMixedRadix) {
     Rng rng(302);
-    const std::vector<std::vector<int>> registers = {
-        {3, 3, 3}, {2, 3, 2}, {3, 2, 2, 3}};
-    for (const auto& reg : registers) {
-        const WireDims dims(reg);
-        // A circuit mixing every kernel shape, including non-unitary
-        // (Kraus-like) dense operators.
-        Circuit c(dims);
-        for (int w = 0; w < dims.num_wires(); ++w) {
-            c.append(dims.dim(w) == 3 ? gates::H3() : gates::H(), {w});
-        }
-        c.append(Gate("k", {dims.dim(0)},
-                      random_matrix(static_cast<std::size_t>(dims.dim(0)),
-                                    rng)),
-                 {0});
-        c.append(
-            Gate("d2", {dims.dim(1), dims.dim(2)},
-                 random_matrix(static_cast<std::size_t>(dims.dim(1)) *
-                                   static_cast<std::size_t>(dims.dim(2)),
-                               rng)),
-            {1, 2});
-        c.append((dims.dim(1) == 3 ? gates::Xplus1() : gates::X())
-                     .controlled(dims.dim(0), 1),
-                 {0, 1});
-
-        const exec::CompiledCircuit compiled(c);
+    for (const WireDims& dims : mixed_radix_registers()) {
+        const exec::CompiledCircuit compiled(random_mixed_circuit(dims, rng));
         for (const int lanes : {1, 2, 3, 8}) {
             BatchedStateVector batch(dims, lanes);
             std::vector<StateVector> ref = random_lanes(batch, rng);
@@ -341,6 +357,178 @@ TEST(Batched, ExtractInsertRoundTripAndValidation) {
                  std::invalid_argument);
     batch.extract_lane(2, out);
     EXPECT_EQ(out.fidelity(s), 1.0);
+}
+
+/** EXPECT two batches to hold the same bits in every amplitude. */
+void
+expect_batches_bitwise_equal(const BatchedStateVector& got,
+                             const BatchedStateVector& want, const char* what)
+{
+    ASSERT_EQ(got.lanes(), want.lanes()) << what;
+    ASSERT_EQ(got.size(), want.size()) << what;
+    const std::size_t n = static_cast<std::size_t>(got.size()) *
+                          static_cast<std::size_t>(got.lanes());
+    for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(std::memcmp(&got.data()[i], &want.data()[i],
+                              sizeof(Complex)),
+                  0)
+            << what << ": lane " << i % static_cast<std::size_t>(got.lanes())
+            << " index " << i / static_cast<std::size_t>(got.lanes());
+    }
+}
+
+TEST(Batched, ApplyRejectsOpsCompiledForAnotherRegister) {
+    // A diagonal compiled on a larger register would write past the lanes,
+    // one from a smaller register would scale the wrong amplitudes.
+    Rng rng(305);
+    const WireDims dims = WireDims::uniform(3, 3);
+    for (const WireDims& other :
+         {WireDims::uniform(4, 3), WireDims::uniform(2, 3)}) {
+        const CompiledOp op =
+            exec::compile_op(other, gates::Z3(), std::vector<int>{1});
+        BatchedStateVector batch(dims, 2);
+        random_lanes(batch, rng);
+        const BatchedStateVector before = batch;
+        BatchedScratch scratch;
+        EXPECT_THROW(exec::apply_op_batched(op, batch, scratch),
+                     std::invalid_argument);
+        expect_batches_bitwise_equal(batch, before, "rejected op");
+    }
+}
+
+/** The AVX2 build when this process can run it, else null. */
+const exec::LaneKernels*
+runnable_avx2_build()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    if (__builtin_cpu_supports("avx2")) {
+        return exec::avx2_lane_kernels();
+    }
+#endif
+    return nullptr;
+}
+
+TEST(BatchedIsa, DispatcherPicksAvx2ExactlyWhenBuiltAndSupported) {
+    const exec::LaneKernels& baseline = exec::baseline::kLaneKernels;
+    EXPECT_STREQ(baseline.isa, "baseline");
+    if (const exec::LaneKernels* avx2 = exec::avx2_lane_kernels()) {
+        EXPECT_STREQ(avx2->isa, "avx2");
+    }
+    const exec::LaneKernels* avx2 = runnable_avx2_build();
+    EXPECT_EQ(&exec::lane_kernels(), avx2 != nullptr ? avx2 : &baseline);
+    EXPECT_STREQ(exec::kernel_isa(), avx2 != nullptr ? "avx2" : "baseline");
+}
+
+/** Runs every op of `ops` over a copy of `batch` through each build and
+ *  expects the same bits from both. */
+void
+expect_builds_agree(const exec::LaneKernels& avx2,
+                    const std::vector<CompiledOp>& ops,
+                    const BatchedStateVector& batch, const char* what)
+{
+    BatchedStateVector base = batch;
+    BatchedStateVector wide = batch;
+    BatchedScratch base_scratch, wide_scratch;
+    const std::size_t lanes = static_cast<std::size_t>(batch.lanes());
+    for (const CompiledOp& op : ops) {
+        exec::baseline::kLaneKernels.apply_op(op, base.data(), lanes,
+                                              base_scratch);
+        avx2.apply_op(op, wide.data(), lanes, wide_scratch);
+    }
+    expect_batches_bitwise_equal(wide, base, what);
+}
+
+TEST(BatchedIsa, EveryKernelLayoutMatchesBaselineBitwise) {
+    const exec::LaneKernels* avx2 = runnable_avx2_build();
+    if (avx2 == nullptr) {
+        GTEST_SKIP() << "no AVX2 build of the lane kernels, or no AVX2 CPU";
+    }
+    Rng rng(306);
+    for_each_kernel_layout(rng, [&](const WireDims& dims, const Gate& gate,
+                                    const std::vector<int>& wires, int lanes,
+                                    KernelKind kind) {
+        const CompiledOp op = exec::compile_op(dims, gate, wires);
+        ASSERT_EQ(op.kind, kind) << gate.name();
+        BatchedStateVector batch(dims, lanes);
+        random_lanes(batch, rng);
+        expect_builds_agree(*avx2, {op}, batch, exec::kernel_name(kind));
+    });
+}
+
+TEST(BatchedIsa, RandomCircuitsMatchBaselineBitwise) {
+    const exec::LaneKernels* avx2 = runnable_avx2_build();
+    if (avx2 == nullptr) {
+        GTEST_SKIP() << "no AVX2 build of the lane kernels, or no AVX2 CPU";
+    }
+    Rng rng(307);
+    for (const WireDims& dims : mixed_radix_registers()) {
+        const exec::CompiledCircuit compiled(random_mixed_circuit(dims, rng));
+        for (const int lanes : {1, 2, 3, 8}) {
+            BatchedStateVector batch(dims, lanes);
+            random_lanes(batch, rng);
+            expect_builds_agree(*avx2, compiled.ops(), batch,
+                                "random circuit");
+        }
+    }
+}
+
+TEST(BatchedIsa, LaneLoopsMatchBaselineBitwise) {
+    const exec::LaneKernels* avx2 = runnable_avx2_build();
+    if (avx2 == nullptr) {
+        GTEST_SKIP() << "no AVX2 build of the lane kernels, or no AVX2 CPU";
+    }
+    const exec::LaneKernels& base = exec::baseline::kLaneKernels;
+    Rng rng(308);
+    // Lane counts around the norm loop's tiles of four and the fidelity
+    // loop's pairs, on a one-wire, a mixed-radix and a 3^7 register.
+    for (const WireDims& dims :
+         {WireDims({3}), WireDims({2, 4, 3}), WireDims::uniform(7, 3)}) {
+        for (const int lanes : {1, 2, 3, 4, 5, 8, 11}) {
+            const std::size_t B = static_cast<std::size_t>(lanes);
+            const std::size_t n = static_cast<std::size_t>(dims.size());
+            BatchedStateVector a(dims, lanes), o(dims, lanes);
+            random_lanes(a, rng);
+            random_lanes(o, rng);
+
+            std::vector<Real> want(B), got(B);
+            auto expect_same_bits = [&](const char* what) {
+                EXPECT_EQ(
+                    std::memcmp(got.data(), want.data(), B * sizeof(Real)), 0)
+                    << what << ", lanes " << lanes;
+            };
+            for (std::size_t b = 0; b < B; ++b) {
+                want[b] = base.norm_sq_lane(a.data(), n, B, b);
+                got[b] = avx2->norm_sq_lane(a.data(), n, B, b);
+            }
+            expect_same_bits("norm_sq_lane");
+            base.norm_sq_lanes(a.data(), n, B, want.data());
+            avx2->norm_sq_lanes(a.data(), n, B, got.data());
+            expect_same_bits("norm_sq_lanes");
+            base.fidelity_lanes(a.data(), o.data(), n, B, want.data());
+            avx2->fidelity_lanes(a.data(), o.data(), n, B, got.data());
+            expect_same_bits("fidelity_lanes");
+
+            // The kick's pass over per-lane unit-modulus tables, split as
+            // the member splits: the last wire is the low group.
+            const std::size_t nlo = static_cast<std::size_t>(
+                dims.dim(dims.num_wires() - 1));
+            const std::size_t nhi = n / nlo;
+            std::vector<Complex> hi(nhi * B), lo(nlo * B);
+            for (Complex& f : hi) {
+                f = std::polar(1.0, rng.uniform() * 6.28);
+            }
+            for (Complex& f : lo) {
+                f = std::polar(1.0, rng.uniform() * 6.28);
+            }
+            BatchedStateVector base_kick = a, wide_kick = a;
+            base.product_diag_lanes(base_kick.data(), hi.data(), nhi,
+                                    lo.data(), nlo, B);
+            avx2->product_diag_lanes(wide_kick.data(), hi.data(), nhi,
+                                     lo.data(), nlo, B);
+            expect_batches_bitwise_equal(wide_kick, base_kick,
+                                         "product_diag_lanes");
+        }
+    }
 }
 
 }  // namespace

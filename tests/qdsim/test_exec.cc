@@ -353,6 +353,25 @@ TEST(Exec, PlanRejectsRegistersPastTheSplitTables) {
     EXPECT_NO_THROW(exec::make_apply_plan(dims, std::vector<int>{0, 1}));
 }
 
+TEST(Exec, ApplyRejectsOpsCompiledForAnotherRegister) {
+    // A diagonal compiled on a larger register would write past the state,
+    // one from a smaller register would scale the wrong amplitudes.
+    Rng rng(41);
+    const WireDims dims = WireDims::uniform(3, 3);
+    for (const WireDims& other :
+         {WireDims::uniform(4, 3), WireDims::uniform(2, 3)}) {
+        const CompiledOp op =
+            exec::compile_op(other, gates::Z3(), std::vector<int>{1});
+        StateVector psi = haar_random_state(dims, rng);
+        const StateVector before = psi;
+        exec::ExecScratch scratch;
+        EXPECT_THROW(exec::apply_op(op, psi, scratch), std::invalid_argument);
+        for (Index i = 0; i < dims.size(); ++i) {
+            ASSERT_EQ(psi[i], before[i]) << "index " << i;
+        }
+    }
+}
+
 TEST(Exec, CompileRejectsInvalidSites) {
     const WireDims dims = WireDims::uniform(3, 3);
     EXPECT_THROW(

@@ -30,7 +30,8 @@
  * serve::RunResult::to_json() — new fields schema/message/warm/repeat
  * and the compile_seconds/exec_seconds timing split; the v1 fields
  * (file/name/engine/status/error_id/value/std_error/seconds) and the
- * top-level summary keys are unchanged.
+ * top-level summary keys are unchanged. The summary also names the
+ * lane-kernel build that ran ("kernel_isa": "avx2" or "baseline").
  *
  * Exit status: 0 when every job ran, 1 on any rejection or execution
  * failure, 2 on bad usage or unreadable input.
@@ -43,6 +44,7 @@
 #include <string_view>
 #include <vector>
 
+#include "qdsim/exec/batched_kernels.h"
 #include "qdsim/gate_library.h"
 #include "qdsim/ir/ir.h"
 #include "qdsim/obs/report.h"
@@ -259,12 +261,14 @@ main(int argc, char** argv)
                      "  \"obs_service_misses\": %llu,\n"
                      "  \"obs_service_rejects\": %llu,\n"
                      "  \"obs_service_circuit_hits\": %llu,\n"
-                     "  \"obs_service_circuit_misses\": %llu\n}\n",
+                     "  \"obs_service_circuit_misses\": %llu,\n"
+                     "  \"kernel_isa\": \"%s\"\n}\n",
                      static_cast<unsigned long long>(hits),
                      static_cast<unsigned long long>(misses),
                      static_cast<unsigned long long>(rejects),
                      static_cast<unsigned long long>(circuit_hits),
-                     static_cast<unsigned long long>(circuit_misses));
+                     static_cast<unsigned long long>(circuit_misses),
+                     qd::exec::kernel_isa());
         if (std::fclose(f) != 0) {
             return 2;
         }
