@@ -78,7 +78,7 @@ main(int argc, char** argv)
     const double tc0 = now_ms();
     const exec::CompiledCircuit compiled(circuit);
     const double compile_ms = now_ms() - tc0;
-    exec::ExecScratch scratch;
+    exec::BatchedScratch scratch;
     const double t1 = now_ms();
     for (int r = 0; r < reps; ++r) {
         sink = init;

@@ -68,7 +68,7 @@ measure(const Circuit& circuit, int reps)
 
     Rng rng(2019);
     const StateVector init = haar_random_state(circuit.dims(), rng);
-    exec::ExecScratch scratch;
+    exec::BatchedScratch scratch;
     StateVector sink = init;
 
     Measurement m;
@@ -161,7 +161,7 @@ main(int argc, char** argv)
     bench::ObsSection obs_section(bench::trace_flag(argc, argv));
     {
         Rng rng(2019);
-        exec::ExecScratch scratch;
+        exec::BatchedScratch scratch;
         const exec::CompiledCircuit fused(toff.circuit,
                                           exec::FusionOptions{});
         StateVector probe = haar_random_state(toff.circuit.dims(), rng);

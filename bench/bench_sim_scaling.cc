@@ -81,7 +81,7 @@ BM_QutritToffoliCompiledSimulation(benchmark::State& state)
     Rng rng(3);
     const StateVector init =
         haar_random_qubit_subspace_state(built.circuit.dims(), rng);
-    exec::ExecScratch scratch;
+    exec::BatchedScratch scratch;
     for (auto _ : state) {
         StateVector out = init;
         compiled.run(out, scratch);

@@ -407,11 +407,11 @@ using EngineContext = TrajectoryCompilation::Impl;
 // One engine: B trajectory lanes advance through one pass per noisy op
 // (run_single_trajectory is B = 1). A lane leaves the group only around an
 // op holding one of its own events — a presampled gate error that fired,
-// or a damping-threshold crossing — and replays that op's source steps on
-// the single-shot kernels from a checkpoint. Every decision reads only the
-// lane's own stream and norms, and every lane primitive computes a lane
-// from that lane alone, so a lane's result does not depend on the batch
-// width.
+// or a damping-threshold crossing — and replays that op's source steps
+// from a checkpoint as one-lane passes of the same kernels, through the
+// same scratch. Every decision reads only the lane's own stream and
+// norms, and every lane primitive computes a lane from that lane alone,
+// so a lane's result does not depend on the batch width.
 // --------------------------------------------------------------------------
 
 /** A presampled gate error: unitary `pick` of `draw` runs right after
@@ -491,7 +491,7 @@ apply_jump(StateVector& psi, int wire, int level)
  */
 bool
 damping_step(const EngineContext& ctx, std::size_t s, StateVector& lane,
-             LaneNoise& noise, Rng& rng, exec::ExecScratch& scratch)
+             LaneNoise& noise, Rng& rng, exec::BatchedScratch& scratch)
 {
     const EngineContext::Step& step = ctx.steps[s];
     const std::vector<Real>& lambda = step.damping->lambda;
@@ -521,7 +521,7 @@ damping_step(const EngineContext& ctx, std::size_t s, StateVector& lane,
  *  fired error runs right after its step. */
 void
 replay_op(const EngineContext& ctx, std::size_t k, StateVector& lane,
-          LaneNoise& noise, Rng& rng, exec::ExecScratch& scratch)
+          LaneNoise& noise, Rng& rng, exec::BatchedScratch& scratch)
 {
     obs::count(obs::Counter::kTrajLaneExtracts);
     bool crossed = false;
@@ -591,7 +591,7 @@ apply_idle_dephasing_batched(
 std::vector<Real>
 run_lanes(const EngineContext& ctx, exec::BatchedStateVector& psi,
           const exec::BatchedStateVector& ideal, std::vector<Rng>& rngs,
-          exec::BatchedScratch& bscratch, exec::ExecScratch& scratch)
+          exec::BatchedScratch& scratch)
 {
     const int lanes = psi.lanes();
     const std::size_t B = static_cast<std::size_t>(lanes);
@@ -631,7 +631,7 @@ run_lanes(const EngineContext& ctx, exec::BatchedStateVector& psi,
                 psi.extract_lane(static_cast<int>(j), *checkpoint[j]);
             }
         }
-        exec::apply_op_batched(ops[k], psi, bscratch);
+        exec::apply_op_batched(ops[k], psi, scratch);
         for (std::size_t j = 0; j < B; ++j) {
             LaneNoise& n = noise[j];
             if (event[j] == kStays) {
@@ -671,8 +671,7 @@ void
 run_trajectory_batch(const EngineContext& ctx,
                      const TrajectoryOptions& options, const Rng& root,
                      int start, int lanes, std::vector<Real>& fidelities,
-                     exec::BatchedScratch& bscratch,
-                     exec::ExecScratch& scratch)
+                     exec::BatchedScratch& scratch)
 {
     const WireDims& dims = ctx.ideal.dims();
     obs::count(obs::Counter::kTrajBatches);
@@ -693,10 +692,9 @@ run_trajectory_batch(const EngineContext& ctx,
         psi.set_lane(j, initial);
     }
     exec::BatchedStateVector ideal = psi;
-    exec::run_batched(ctx.ideal, ideal, bscratch);
+    exec::run_batched(ctx.ideal, ideal, scratch);
 
-    const std::vector<Real> fid =
-        run_lanes(ctx, psi, ideal, rngs, bscratch, scratch);
+    const std::vector<Real> fid = run_lanes(ctx, psi, ideal, rngs, scratch);
     std::copy(fid.begin(), fid.end(),
               fidelities.begin() + static_cast<std::ptrdiff_t>(start));
 }
@@ -726,10 +724,8 @@ run_single_trajectory(const TrajectoryCompilation& compiled,
     psi.set_lane(0, initial);
     ideal.set_lane(0, ideal_out);
     std::vector<Rng> rngs{rng};
-    exec::BatchedScratch bscratch;
-    exec::ExecScratch scratch;
-    const Real fidelity =
-        run_lanes(ctx, psi, ideal, rngs, bscratch, scratch)[0];
+    exec::BatchedScratch scratch;
+    const Real fidelity = run_lanes(ctx, psi, ideal, rngs, scratch)[0];
     rng = rngs[0];  // the caller's stream advances as the shot drew
     return fidelity;
 }
@@ -800,10 +796,10 @@ run_noisy_trials(const TrajectoryCompilation& compiled,
     const Rng root(options.seed);
 
     auto worker = [&]() {
-        exec::ExecScratch scratch;  // reused across this worker's trials
-        exec::BatchedScratch bscratch;
+        // Reused across this worker's groups and the replays between
+        // their passes, which run on this thread.
+        exec::BatchedScratch scratch;
         scratch.threads = team;
-        bscratch.threads = team;
         for (;;) {
             const int g = next.fetch_add(1);
             if (g >= num_batches) {
@@ -812,7 +808,7 @@ run_noisy_trials(const TrajectoryCompilation& compiled,
             const int start = g * batch;
             run_trajectory_batch(ctx, options, root, start,
                                  std::min(batch, trials - start), fidelities,
-                                 bscratch, scratch);
+                                 scratch);
         }
     };
 

@@ -51,9 +51,9 @@
  * may cross r (a precompiled lower bound on the share of the norm each op
  * keeps says when, from the lane's last measured norm), the lane is
  * copied out as a checkpoint; if it fired, or its norm after the pass is
- * below r, it replays that op source op by source op on the single-shot
- * kernels (jumping where r is crossed, each error unitary right after its
- * source op) and rejoins. Each trial keeps its
+ * below r, it replays that op source op by source op as one-lane passes
+ * of the same kernels (jumping where r is crossed, each error unitary
+ * right after its source op) and rejoins. Each trial keeps its
  * own RNG stream (root.child(t)) and every decision reads only the lane's
  * own stream and norms, so results are BITWISE independent of the batch
  * width and thread count.

@@ -1,7 +1,8 @@
 /**
  * @file batched_kernels.cc
- * The lane kernels: the batched kernel zoo and BatchedStateVector's lane
- * loops. This file is compiled twice (lane_kernels.h): QD_LANE_ISA names
+ * The lane kernels: the one kernel set (one-lane passes for single states,
+ * B-lane passes for shot groups) and BatchedStateVector's lane loops.
+ * This file is compiled twice (lane_kernels.h): QD_LANE_ISA names
  * the build, baseline unless CMake's -mavx2 copy sets it to avx2, and
  * every name defined here lives in qd::exec::QD_LANE_ISA, so the two
  * builds share no symbol of their own.
@@ -23,10 +24,10 @@ namespace qd::exec::QD_LANE_ISA {
 namespace {
 
 // Inner lane loops run on re/im doubles (std::complex array-oriented
-// access): the expression trees match the single-shot complex arithmetic
-// exactly — (a*b).re == a.re*b.re - a.im*b.im bitwise at runtime — so
-// lanes stay bit-identical to unbatched shots while the loops vectorise
-// and skip libstdc++'s complex-multiply NaN-recovery branches.
+// access): the expression trees match std::complex arithmetic exactly —
+// (a*b).re == a.re*b.re - a.im*b.im bitwise at runtime — and do the same
+// operations per lane at every lane count, while the loops vectorise and
+// skip libstdc++'s complex-multiply NaN-recovery branches.
 inline Real*
 as_reals(Complex* p)
 {
@@ -141,7 +142,7 @@ run_monomial_b(const CompiledOp& op, Complex* amps, const std::size_t B,
     const std::uint32_t* lens = op.cycle_lengths.data();
     const std::size_t ncycles = op.cycle_lengths.size();
     // dst[l] = src[l] * phase, lane loop on raw re/im doubles (matches the
-    // single-shot complex multiply bitwise; see the note at the top).
+    // std::complex multiply bitwise; see the note at the top).
     auto move_scaled = [](Complex* dst, const Complex* src, Complex f,
                           std::size_t width) {
         const Real fr = f.real(), fi = f.imag();
@@ -315,7 +316,7 @@ run_single_d3_b(const CompiledOp& op, Complex* amps, Index total,
  * once, so each output row can accumulate in registers and store straight
  * back to the state — no zero-fill or scatter pass. Per lane the
  * accumulation runs 0 + row[0]*in[0] + row[1]*in[1] + ... in column
- * order, matching the single-shot kernels bitwise.
+ * order at every lane count, so a lane equals its one-lane pass bitwise.
  */
 void
 matvec_block_b(Complex* amps, Index base, const Index* off, Index nb,
@@ -382,7 +383,7 @@ matvec_block_b(Complex* amps, Index base, const Index* off, Index nb,
  * hoisted into locals once per op, and each lane's N target amplitudes
  * load straight into registers, with no gather buffer. Per lane the
  * accumulation is matvec_block_b's, 0 + row[0]*in[0] + row[1]*in[1] + ...,
- * so lanes stay bitwise equal to the single-shot kernel.
+ * so a lane equals its one-lane pass bitwise.
  */
 template <std::size_t N>
 void

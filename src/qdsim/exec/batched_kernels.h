@@ -1,6 +1,6 @@
 /**
  * @file batched_kernels.h
- * Batched variants of the specialized gate-application kernels.
+ * The lane kernels: the one kernel set, run over B lanes per pass.
  *
  * `apply_op_batched` executes one CompiledOp over every lane of a
  * BatchedStateVector in a single pass: the plan's offset tables and the
@@ -9,25 +9,29 @@
  * `QD_SIMD` inner loops. Where the plan's outer blocks come in runs of
  * consecutive bases (ApplyPlan::run), the permutation, diagonal, monomial
  * and small controlled kernels take a run as one block of run x B lanes,
- * so the lane loops stream at one or two lanes too. Outer blocks go
- * parallel via OpenMP once outer blocks x lanes reach the single-shot
- * kernels' threshold, with at most BatchedScratch::threads threads.
+ * so the lane loops stream at one or two lanes too. kControlled with one
+ * 2- or 3-level target runs an unrolled kernel that holds the inner matrix
+ * in locals; wider targets and kDense keep the gather matvec, block by
+ * block. Outer blocks go parallel via OpenMP once outer blocks x lanes
+ * reach kernel_team's threshold, with at most BatchedScratch::threads
+ * threads.
  *
- * Per lane, every kernel performs the same floating-point operations in
- * the same order as its single-shot counterpart in kernels.cc, so lane b
- * of a batched pass is bitwise identical to an unbatched apply_op on the
- * same state (property-tested in tests/qdsim/test_batched.cc). That is
- * what lets the trajectory engine mix batched passes with per-lane
- * single-shot fallbacks for divergent events.
+ * These are the only kernels: exec::apply_op runs one StateVector as a
+ * one-lane pass of the same code (kernels.h). Every kernel computes a lane
+ * from that lane's values alone, in a fixed order, so lane b of a B-lane
+ * pass is bitwise equal to the one-lane pass on that lane, and each class
+ * matches StateVector::apply, the dense reference, up to rounding
+ * (property-tested in tests/qdsim/test_batched.cc). That lane invariance
+ * is what lets the trajectory engine replay one lane between batched
+ * passes and rejoin it.
  *
  * The kernels are built twice, as the rest of the library and with -mavx2
- * alone, and apply_op_batched runs the AVX2 build once the CPU reports
+ * alone, and both entry points run the AVX2 build once the CPU reports
  * AVX2 (lane_kernels.h); kernel_isa() names the build that runs. The AVX2
  * build only handles more lanes per instruction, so it is bitwise equal
  * to the baseline. It must never contain a fused multiply-add: with -mfma
  * or AVX-512, GCC 12 fuses the lanes' complex multiplies into vfmaddsub
- * even under -ffp-contract=off, and lanes would stop matching the
- * single-shot zoo, which stays on the baseline build.
+ * even under -ffp-contract=off, and the two builds would stop agreeing.
  */
 #ifndef QDSIM_EXEC_BATCHED_KERNELS_H
 #define QDSIM_EXEC_BATCHED_KERNELS_H
@@ -37,19 +41,6 @@
 #include "qdsim/exec/kernels.h"
 
 namespace qd::exec {
-
-/** Reusable lane-major buffers, one per executing thread, grown on demand
- *  like ExecScratch: `in` gathers operand blocks for the matvec kernels
- *  (outputs store straight back to the state, so there is no scatter
- *  buffer), `tmp` holds one lane row during permutation cycle walks.
- *  `threads` is the OpenMP team size this thread's kernels may open on
- *  large registers: 0 = the OpenMP default, 1 = always serial. A caller
- *  running several batches side by side gives each one its share of the
- *  thread budget here, so the teams never add up past it. */
-struct BatchedScratch {
-    std::vector<Complex> in, tmp;
-    int threads = 0;
-};
 
 /** Executes a compiled operation on every lane in place.
  *  @throws std::invalid_argument, before any lane changes, unless `psi`

@@ -13,10 +13,12 @@
  *
  * Every per-lane primitive computes a lane from that lane's values alone,
  * in a fixed order, so a lane's amplitudes and norms stay BITWISE
- * identical whatever the batch width and thread scheduling. Divergent
- * per-lane events (damping jumps, gate errors) are handled by extracting
- * the lane to a StateVector, running the single-shot kernels on it, and
- * writing the lane back.
+ * identical whatever the batch width and thread scheduling. The kernels
+ * keep the same property (batched_kernels.h): a lane of a B-lane pass
+ * equals a one-lane pass over that lane alone. Divergent per-lane events
+ * (damping jumps, gate errors) are handled by extracting the lane to a
+ * StateVector, running it through exec::apply_op (a one-lane pass of the
+ * same kernels), and writing the lane back.
  *
  * The members check their arguments here and run their lane loops
  * (norm_sq_lane(s), fidelity_lanes and the apply_product_diag_lanes pass)

@@ -82,7 +82,7 @@ CompiledCircuit::CompiledCircuit(const Circuit& circuit,
 }
 
 void
-CompiledCircuit::run(StateVector& psi, ExecScratch& scratch) const
+CompiledCircuit::run(StateVector& psi, BatchedScratch& scratch) const
 {
     if (!(psi.dims() == dims_)) {
         throw std::invalid_argument(
@@ -98,7 +98,7 @@ CompiledCircuit::run(StateVector& psi, ExecScratch& scratch) const
 void
 CompiledCircuit::run(StateVector& psi) const
 {
-    ExecScratch scratch;
+    BatchedScratch scratch;
     run(psi, scratch);
 }
 

@@ -25,7 +25,7 @@ namespace qd::exec {
  * fusion, each compiled op lists the circuit operations it realises in
  * `CompiledOp::source_ops` (every circuit op appears in exactly one
  * compiled op). Thread-safe to execute concurrently as long as each
- * thread uses its own ExecScratch and state.
+ * thread uses its own BatchedScratch and state.
  */
 class CompiledCircuit {
   public:
@@ -63,7 +63,7 @@ class CompiledCircuit {
 
     /** Applies all operations to `psi` in order, reusing `scratch` between
      *  gates. `psi` must be over dims(). */
-    void run(StateVector& psi, ExecScratch& scratch) const;
+    void run(StateVector& psi, BatchedScratch& scratch) const;
 
     /** Convenience overload with a call-local scratch. */
     void run(StateVector& psi) const;

@@ -85,281 +85,6 @@ build_monomial_cycles(const std::vector<Index>& perm,
     }
 }
 
-void
-run_permutation(const CompiledOp& op, Complex* amps,
-                [[maybe_unused]] const ExecScratch& scratch)
-{
-    const ApplyPlan& plan = *op.plan;
-    const std::int64_t nouter =
-        static_cast<std::int64_t>(plan.outer_count());
-    const Index* cyc = op.cycle_offsets.data();
-    const std::uint32_t* lens = op.cycle_lengths.data();
-    const std::size_t ncycles = op.cycle_lengths.size();
-    auto do_block = [&](Index base) {
-        const Index* c = cyc;
-        for (std::size_t j = 0; j < ncycles; ++j) {
-            const std::uint32_t len = lens[j];
-            Complex tmp = amps[base + c[len - 1]];
-            for (std::uint32_t i = len - 1; i >= 1; --i) {
-                amps[base + c[i]] = amps[base + c[i - 1]];
-            }
-            amps[base + c[0]] = tmp;
-            c += len;
-        }
-    };
-#ifdef _OPENMP
-    if (const int team = kernel_team(nouter, scratch.threads); team > 1) {
-#pragma omp parallel for num_threads(team) schedule(static)
-        for (std::int64_t o = 0; o < nouter; ++o) {
-            do_block(plan.base_of(static_cast<Index>(o)));
-        }
-        return;
-    }
-#endif
-    for (std::int64_t o = 0; o < nouter; ++o) {
-        do_block(plan.base_of(static_cast<Index>(o)));
-    }
-}
-
-void
-run_monomial(const CompiledOp& op, Complex* amps,
-             [[maybe_unused]] const ExecScratch& scratch)
-{
-    const ApplyPlan& plan = *op.plan;
-    const std::int64_t nouter =
-        static_cast<std::int64_t>(plan.outer_count());
-    const Index* cyc = op.cycle_offsets.data();
-    const Complex* ph = op.cycle_phases.data();
-    const std::uint32_t* lens = op.cycle_lengths.data();
-    const std::size_t ncycles = op.cycle_lengths.size();
-    auto do_block = [&](Index base) {
-        const Index* c = cyc;
-        const Complex* v = ph;
-        for (std::size_t j = 0; j < ncycles; ++j) {
-            const std::uint32_t len = lens[j];
-            if (len == 1) {
-                amps[base + c[0]] *= v[0];
-            } else {
-                const Complex tmp = amps[base + c[len - 1]] * v[len - 1];
-                for (std::uint32_t i = len - 1; i >= 1; --i) {
-                    amps[base + c[i]] = amps[base + c[i - 1]] * v[i - 1];
-                }
-                amps[base + c[0]] = tmp;
-            }
-            c += len;
-            v += len;
-        }
-    };
-#ifdef _OPENMP
-    if (const int team = kernel_team(nouter, scratch.threads); team > 1) {
-#pragma omp parallel for num_threads(team) schedule(static)
-        for (std::int64_t o = 0; o < nouter; ++o) {
-            do_block(plan.base_of(static_cast<Index>(o)));
-        }
-        return;
-    }
-#endif
-    for (std::int64_t o = 0; o < nouter; ++o) {
-        do_block(plan.base_of(static_cast<Index>(o)));
-    }
-}
-
-void
-run_diagonal(const CompiledOp& op, Complex* amps,
-             [[maybe_unused]] const ExecScratch& scratch)
-{
-    const ApplyPlan& plan = *op.plan;
-    const Index* off = plan.local_offset.data();
-    const Complex* diag = op.diag.data();
-    const Index block = plan.block;
-    const std::int64_t nouter =
-        static_cast<std::int64_t>(plan.outer_count());
-    auto do_block = [&](Index base) {
-        for (Index b = 0; b < block; ++b) {
-            amps[base + off[b]] *= diag[b];
-        }
-    };
-#ifdef _OPENMP
-    if (const int team = kernel_team(nouter, scratch.threads); team > 1) {
-#pragma omp parallel for num_threads(team) schedule(static)
-        for (std::int64_t o = 0; o < nouter; ++o) {
-            do_block(plan.base_of(static_cast<Index>(o)));
-        }
-        return;
-    }
-#endif
-    for (std::int64_t o = 0; o < nouter; ++o) {
-        do_block(plan.base_of(static_cast<Index>(o)));
-    }
-}
-
-void
-run_single_d2(const CompiledOp& op, Complex* amps, Index total,
-              [[maybe_unused]] const ExecScratch& scratch)
-{
-    const Complex u00 = op.u[0], u01 = op.u[1];
-    const Complex u10 = op.u[2], u11 = op.u[3];
-    const Index stride = op.stride1, period = op.period1;
-    const std::int64_t nchunks = static_cast<std::int64_t>(total / period);
-    auto do_chunk = [&](Index start) {
-        Complex* p = amps + start;
-        for (Index i = 0; i < stride; ++i) {
-            const Complex a0 = p[i];
-            const Complex a1 = p[i + stride];
-            p[i] = u00 * a0 + u01 * a1;
-            p[i + stride] = u10 * a0 + u11 * a1;
-        }
-    };
-#ifdef _OPENMP
-    if (const int team = kernel_team(nchunks, scratch.threads); team > 1) {
-#pragma omp parallel for num_threads(team) schedule(static)
-        for (std::int64_t c = 0; c < nchunks; ++c) {
-            do_chunk(static_cast<Index>(c) * period);
-        }
-        return;
-    }
-#endif
-    for (std::int64_t c = 0; c < nchunks; ++c) {
-        do_chunk(static_cast<Index>(c) * period);
-    }
-}
-
-void
-run_single_d3(const CompiledOp& op, Complex* amps, Index total,
-              [[maybe_unused]] const ExecScratch& scratch)
-{
-    const Complex u00 = op.u[0], u01 = op.u[1], u02 = op.u[2];
-    const Complex u10 = op.u[3], u11 = op.u[4], u12 = op.u[5];
-    const Complex u20 = op.u[6], u21 = op.u[7], u22 = op.u[8];
-    const Index stride = op.stride1, period = op.period1;
-    const std::int64_t nchunks = static_cast<std::int64_t>(total / period);
-    auto do_chunk = [&](Index start) {
-        Complex* p = amps + start;
-        for (Index i = 0; i < stride; ++i) {
-            const Complex a0 = p[i];
-            const Complex a1 = p[i + stride];
-            const Complex a2 = p[i + 2 * stride];
-            p[i] = u00 * a0 + u01 * a1 + u02 * a2;
-            p[i + stride] = u10 * a0 + u11 * a1 + u12 * a2;
-            p[i + 2 * stride] = u20 * a0 + u21 * a1 + u22 * a2;
-        }
-    };
-#ifdef _OPENMP
-    if (const int team = kernel_team(nchunks, scratch.threads); team > 1) {
-#pragma omp parallel for num_threads(team) schedule(static)
-        for (std::int64_t c = 0; c < nchunks; ++c) {
-            do_chunk(static_cast<Index>(c) * period);
-        }
-        return;
-    }
-#endif
-    for (std::int64_t c = 0; c < nchunks; ++c) {
-        do_chunk(static_cast<Index>(c) * period);
-    }
-}
-
-void
-run_controlled(const CompiledOp& op, Complex* amps, ExecScratch& scratch)
-{
-    const ApplyPlan& plan = *op.plan;
-    const std::int64_t nouter =
-        static_cast<std::int64_t>(plan.outer_count());
-    const Index* off = op.inner_offset.data();
-    const Index nb = static_cast<Index>(op.inner_offset.size());
-    const Complex* m = op.inner.data().data();
-    const Index ctrl = op.ctrl_offset;
-    auto do_block = [&](Index base, Complex* in, Complex* out) {
-        const Index cbase = base + ctrl;
-        for (Index b = 0; b < nb; ++b) {
-            in[b] = amps[cbase + off[b]];
-        }
-        for (Index r = 0; r < nb; ++r) {
-            const Complex* row = m + r * nb;
-            Complex acc(0, 0);
-            for (Index c = 0; c < nb; ++c) {
-                acc += row[c] * in[c];
-            }
-            out[r] = acc;
-        }
-        for (Index b = 0; b < nb; ++b) {
-            amps[cbase + off[b]] = out[b];
-        }
-    };
-#ifdef _OPENMP
-    if (const int team = kernel_team(nouter, scratch.threads); team > 1) {
-#pragma omp parallel num_threads(team)
-        {
-            std::vector<Complex> in(static_cast<std::size_t>(nb));
-            std::vector<Complex> out(static_cast<std::size_t>(nb));
-#pragma omp for schedule(static)
-            for (std::int64_t o = 0; o < nouter; ++o) {
-                do_block(plan.base_of(static_cast<Index>(o)), in.data(),
-                         out.data());
-            }
-        }
-        return;
-    }
-#endif
-    if (scratch.in.size() < static_cast<std::size_t>(nb)) {
-        scratch.in.resize(static_cast<std::size_t>(nb));
-        scratch.out.resize(static_cast<std::size_t>(nb));
-    }
-    for (std::int64_t o = 0; o < nouter; ++o) {
-        do_block(plan.base_of(static_cast<Index>(o)), scratch.in.data(),
-                 scratch.out.data());
-    }
-}
-
-void
-run_dense(const CompiledOp& op, Complex* amps, ExecScratch& scratch)
-{
-    const ApplyPlan& plan = *op.plan;
-    const std::int64_t nouter =
-        static_cast<std::int64_t>(plan.outer_count());
-    const Index* off = plan.local_offset.data();
-    const Index block = plan.block;
-    const Complex* m = op.gate.matrix().data().data();
-    auto do_block = [&](Index base, Complex* in, Complex* out) {
-        for (Index b = 0; b < block; ++b) {
-            in[b] = amps[base + off[b]];
-        }
-        for (Index r = 0; r < block; ++r) {
-            const Complex* row = m + r * block;
-            Complex acc(0, 0);
-            for (Index c = 0; c < block; ++c) {
-                acc += row[c] * in[c];
-            }
-            out[r] = acc;
-        }
-        for (Index b = 0; b < block; ++b) {
-            amps[base + off[b]] = out[b];
-        }
-    };
-#ifdef _OPENMP
-    if (const int team = kernel_team(nouter, scratch.threads); team > 1) {
-#pragma omp parallel num_threads(team)
-        {
-            std::vector<Complex> in(static_cast<std::size_t>(block));
-            std::vector<Complex> out(static_cast<std::size_t>(block));
-#pragma omp for schedule(static)
-            for (std::int64_t o = 0; o < nouter; ++o) {
-                do_block(plan.base_of(static_cast<Index>(o)), in.data(),
-                         out.data());
-            }
-        }
-        return;
-    }
-#endif
-    if (scratch.in.size() < static_cast<std::size_t>(block)) {
-        scratch.in.resize(static_cast<std::size_t>(block));
-        scratch.out.resize(static_cast<std::size_t>(block));
-    }
-    for (std::int64_t o = 0; o < nouter; ++o) {
-        do_block(plan.base_of(static_cast<Index>(o)), scratch.in.data(),
-                 scratch.out.data());
-    }
-}
-
 }  // namespace
 
 bool
@@ -587,46 +312,6 @@ kernel_team(std::int64_t outer, int threads) noexcept
     (void)threads;
 #endif
     return 1;
-}
-
-void
-apply_op(const CompiledOp& op, StateVector& psi, ExecScratch& scratch)
-{
-    if (op.dim != psi.size()) {
-        throw std::invalid_argument(
-            "apply_op: op compiled for another register");
-    }
-    // Hook sits outside the kernels' OpenMP regions; counts land in the
-    // calling thread's block (see obs/counters.h).
-    if (obs::enabled()) {
-        obs::count_unchecked(kernel_counter(op.kind, /*batched=*/false));
-        obs::count_unchecked(obs::Counter::kEstimatedFlops,
-                             op_flop_estimate(op, psi.size()));
-    }
-    Complex* amps = psi.amplitudes().data();
-    switch (op.kind) {
-        case KernelKind::kPermutation:
-            run_permutation(op, amps, scratch);
-            return;
-        case KernelKind::kDiagonal:
-            run_diagonal(op, amps, scratch);
-            return;
-        case KernelKind::kMonomial:
-            run_monomial(op, amps, scratch);
-            return;
-        case KernelKind::kSingleWireD2:
-            run_single_d2(op, amps, psi.size(), scratch);
-            return;
-        case KernelKind::kSingleWireD3:
-            run_single_d3(op, amps, psi.size(), scratch);
-            return;
-        case KernelKind::kControlled:
-            run_controlled(op, amps, scratch);
-            return;
-        case KernelKind::kDense:
-            run_dense(op, amps, scratch);
-            return;
-    }
 }
 
 }  // namespace qd::exec

@@ -1,6 +1,6 @@
 /**
  * @file kernels.h
- * Specialized gate-application kernels and the per-operation dispatcher.
+ * Gate compilation for the kernel set, and its single-state entry point.
  *
  * `compile_op` inspects the gate's cached structure (permutation action,
  * diagonality, controlled-subspace split — all derived once at Gate
@@ -19,23 +19,20 @@
  *    control operands hold their activation values, applying the inner
  *    dense operator there.
  *  - kDense: generic gather/multiply/scatter against precomputed offsets —
- *    the fallback, and the shape every other kernel is property-tested
- *    against (via StateVector::apply, the reference implementation).
+ *    the fallback.
  *
- * All kernels are allocation-free and div/mod-free in their inner loops;
- * the dense/permutation/diagonal/controlled outer loops go parallel via
- * OpenMP when the register is large enough (blocks are disjoint by
- * construction).
+ * One kernel set runs every class: the lane kernels of batched_kernels.cc
+ * (batched_kernels.h), which advance B lane-interleaved states per pass.
+ * `apply_op` runs one StateVector through them as a one-lane pass on the
+ * state's own storage, since at one lane the lane-major layout is the
+ * plain one. Lane b of a B-lane pass is therefore bitwise equal to
+ * `apply_op` on that lane's state, and every class matches
+ * StateVector::apply, the dense reference implementation, up to rounding
+ * (tests/qdsim/test_exec.cc, tests/qdsim/test_batched.cc).
  *
- * The batched zoo (batched_kernels.h) runs the same classes over B lanes
- * with the same per-lane arithmetic. Two of its paths have no single-shot
- * twin. The permutation, diagonal, monomial and small controlled passes
- * walk the outer blocks in runs of consecutive bases (ApplyPlan::run): the
- * rows of a run are adjacent, so a run is one block of run x B lanes and a
- * short lane count still streams. kControlled with one 2- or 3-level
- * target runs an unrolled kernel that holds the inner matrix in locals and
- * loads each lane's target amplitudes straight into registers; wider
- * targets and kDense keep the gather matvec, block by block.
+ * The kernels are allocation-free and div/mod-free in their inner loops;
+ * their outer loops go parallel via OpenMP once outer blocks x lanes reach
+ * one threshold (kernel_team), and blocks are disjoint by construction.
  */
 #ifndef QDSIM_EXEC_KERNELS_H
 #define QDSIM_EXEC_KERNELS_H
@@ -65,20 +62,24 @@ enum class KernelKind : std::uint8_t {
 /** Human-readable kernel name (bench/test logging). */
 const char* kernel_name(KernelKind kind);
 
-/** Reusable gather/scatter buffers; one per executing thread. Kernels never
- *  allocate once the scratch has grown to the circuit's largest block.
- *  `threads` caps the OpenMP team this thread's kernels open on large
- *  registers: 0 = the OpenMP default, 1 = always serial (see
- *  BatchedScratch::threads). */
-struct ExecScratch {
-    std::vector<Complex> in, out;
+/** Reusable lane-major buffers, one per executing thread, grown on demand
+ *  so the kernels stop allocating once they have seen the circuit's
+ *  largest block: `in` gathers operand blocks for the matvec kernels
+ *  (outputs store straight back to the state, so there is no scatter
+ *  buffer), `tmp` holds one lane row during permutation cycle walks.
+ *  `threads` is the OpenMP team size this thread's kernels may open on
+ *  large registers: 0 = the OpenMP default, 1 = always serial. A caller
+ *  running several batches side by side gives each one its share of the
+ *  thread budget here, so the teams never add up past it. */
+struct BatchedScratch {
+    std::vector<Complex> in, tmp;
     int threads = 0;
 };
 
 /**
  * One operation compiled against a fixed register: the chosen kernel plus
  * the precomputed data it consumes. Immutable after compile_op; safe to
- * share across threads (each thread brings its own ExecScratch).
+ * share across threads (each thread brings its own BatchedScratch).
  */
 struct CompiledOp {
     KernelKind kind = KernelKind::kDense;
@@ -146,14 +147,16 @@ CompiledOp compile_op(const WireDims& dims, const Gate& gate,
                       std::span<const int> wires, PlanCache* cache = nullptr,
                       Index plan_salt = 0);
 
-/** Executes a compiled operation in place.
+/** Executes a compiled operation in place: one pass of the lane kernels
+ *  at one lane (lane_kernels.cc). Counts `kernel.ss.<class>`, never
+ *  `kernel.bat.*`.
  *  @throws std::invalid_argument, before the state changes, unless `psi`
  *          has the size of the register the op was compiled for. */
-void apply_op(const CompiledOp& op, StateVector& psi, ExecScratch& scratch);
+void apply_op(const CompiledOp& op, StateVector& psi, BatchedScratch& scratch);
 
-/** Dispatch counter for one application of `kind`: the single-shot zoo
- *  counter, or the batched-zoo counter when `batched` (advanced by the
- *  lane count there). The d=2/d=3 unrolled kernels share one
+/** Dispatch counter for one application of `kind`: the one-state
+ *  counter (apply_op), or the batched counter when `batched` (advanced by
+ *  the lane count there). The d=2/d=3 unrolled kernels share one
  *  "single_wire" class. */
 obs::Counter kernel_counter(KernelKind kind, bool batched) noexcept;
 
@@ -163,11 +166,11 @@ obs::Counter kernel_counter(KernelKind kind, bool batched) noexcept;
 std::uint64_t op_flop_estimate(const CompiledOp& op, Index total) noexcept;
 
 /** OpenMP team size for a kernel's outer loop over `outer` disjoint
- *  blocks, in both kernel zoos (the batched zoo passes lane-blocks,
- *  outer blocks x lanes): 1 below the parallel threshold (there a
- *  trajectory's parallelism is across shots, not inside one gate), else
- *  `threads` (a scratch's share of the budget; 0 = the OpenMP default).
- *  Blocks are disjoint, so results are bitwise independent of it. */
+ *  lane-blocks (outer blocks x lanes): 1 below the parallel threshold
+ *  (there a trajectory's parallelism is across shots, not inside one
+ *  gate), else `threads` (a scratch's share of the budget; 0 = the OpenMP
+ *  default). Blocks are disjoint, so results are bitwise independent of
+ *  it. */
 int kernel_team(std::int64_t outer, int threads) noexcept;
 
 }  // namespace qd::exec

@@ -1,9 +1,9 @@
 /**
  * @file lane_kernels.cc
- * The dispatching layer of the lane kernels: apply_op_batched's argument
- * check and obs hooks, outside every OpenMP region, and the once-per-
- * process pick between the two builds of batched_kernels.cc
- * (lane_kernels.h).
+ * The dispatching layer of the one kernel set: the argument checks and
+ * obs hooks of apply_op (one state, a one-lane pass) and apply_op_batched
+ * (B lanes), outside every OpenMP region, and the once-per-process pick
+ * between the two builds of batched_kernels.cc (lane_kernels.h).
  */
 #include "qdsim/exec/lane_kernels.h"
 
@@ -67,6 +67,25 @@ kernel_isa() noexcept
 }
 
 void
+apply_op(const CompiledOp& op, StateVector& psi, BatchedScratch& scratch)
+{
+    if (op.dim != psi.size()) {
+        throw std::invalid_argument(
+            "apply_op: op compiled for another register");
+    }
+    // Hook sits outside the kernels' OpenMP regions; counts land in the
+    // calling thread's block (see obs/counters.h). One state counts as
+    // kernel.ss.<class>, never as a batched dispatch.
+    if (obs::enabled()) {
+        obs::count_unchecked(kernel_counter(op.kind, /*batched=*/false));
+        obs::count_unchecked(obs::Counter::kEstimatedFlops,
+                             op_flop_estimate(op, psi.size()));
+    }
+    // At one lane the lane-major layout is the StateVector's own.
+    lane_kernels().apply_op(op, psi.amplitudes().data(), 1, scratch);
+}
+
+void
 apply_op_batched(const CompiledOp& op, BatchedStateVector& psi,
                  BatchedScratch& scratch)
 {
@@ -83,9 +102,9 @@ apply_op_batched(const CompiledOp& op, Complex* amps, int lanes,
 {
     const std::size_t B = static_cast<std::size_t>(lanes);
     // Counter hook sits OUTSIDE the kernels' OpenMP regions. The class
-    // counter advances by the lane count so per-class totals across the
-    // two zoos are invariant under the batch width (each lane is bitwise
-    // one single-shot application).
+    // counter advances by the lane count so per-class totals over
+    // kernel.ss and kernel.bat are invariant under the batch width (each
+    // lane is bitwise one apply_op).
     if (obs::enabled()) {
         obs::count_unchecked(kernel_counter(op.kind, /*batched=*/true), B);
         obs::count_unchecked(obs::Counter::kBatDispatches);

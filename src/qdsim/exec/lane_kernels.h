@@ -3,11 +3,12 @@
  * The two builds of the lane kernels and the run-time pick between them
  * (internal to the execution engine and its tests).
  *
- * batched_kernels.cc holds every hot lane loop: the batched kernel zoo and
- * the per-lane primitives of BatchedStateVector. CMake compiles it twice
- * from the one source, once as the rest of the library into namespace
- * qd::exec::baseline and, where the compiler accepts -mavx2, once more
- * with -mavx2 alone into qd::exec::avx2. lane_kernels() hands out the AVX2
+ * batched_kernels.cc holds every hot lane loop: the one kernel set, which
+ * runs a single state as a one-lane pass and a shot group as a B-lane
+ * pass, and the per-lane primitives of BatchedStateVector. CMake compiles
+ * it twice from the one source, once as the rest of the library into
+ * namespace qd::exec::baseline and, where the compiler accepts -mavx2,
+ * once more with -mavx2 alone into qd::exec::avx2. lane_kernels() hands out the AVX2
  * build when it was compiled and the CPU reports AVX2, and the baseline
  * otherwise; nothing else chooses.
  *
@@ -17,12 +18,12 @@
  * only while the AVX2 build contains no fused multiply-add. Never build it
  * with -mfma, -march= or AVX-512: with them GCC 12 turns the lanes'
  * complex multiplies into vfmaddsub / vfmsubadd even under
- * -ffp-contract=off, and the lanes stop matching the single-shot kernels.
- * CI disassembles the AVX2 object and fails on any FMA instruction.
+ * -ffp-contract=off, and the two builds stop agreeing. CI disassembles
+ * the AVX2 object and fails on any FMA instruction.
  *
  * The entry points below run no argument check and no obs hook: the
- * dispatching layer (apply_op_batched, the BatchedStateVector members)
- * does both once per call, outside every OpenMP region.
+ * dispatching layer (apply_op, apply_op_batched, the BatchedStateVector
+ * members) does both once per call, outside every OpenMP region.
  */
 #ifndef QDSIM_EXEC_LANE_KERNELS_H
 #define QDSIM_EXEC_LANE_KERNELS_H
@@ -39,7 +40,8 @@ namespace qd::exec {
 struct LaneKernels {
     /** "baseline" or "avx2". */
     const char* isa;
-    /** Runs `op` over every lane (apply_op_batched's kernel switch). */
+    /** Runs `op` over every lane (the kernel switch of apply_op and
+     *  apply_op_batched). */
     void (*apply_op)(const CompiledOp& op, Complex* amps, std::size_t lanes,
                      BatchedScratch& scratch);
     /** Squared norm of lane `lane` over `n` amplitudes. */

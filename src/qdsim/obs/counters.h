@@ -41,20 +41,22 @@ namespace qd::obs {
 
 /**
  * Everything the instrumentation layer tracks. Kernel-dispatch counts are
- * kept per zoo: the single-shot counters advance by 1 per apply_op, the
- * batched counters by the lane count per apply_op_batched, so the per-class
- * SUM across the two zoos is invariant under the batch width (lanes are
- * bitwise equal to unbatched shots by the batched-engine contract).
+ * kept per entry point of the one kernel set: the kSs* ("ss", single
+ * state) counters advance by 1 per exec::apply_op, a one-lane pass, and
+ * the kBat* counters by the lane count per apply_op_batched, so the
+ * per-class SUM over both is invariant under the batch width (a lane of a
+ * B-lane pass is bitwise the one-lane pass on it).
  */
 enum class Counter : unsigned {
-    // Single-shot kernel zoo (exec/kernels.cc), one per dispatch.
+    // One state through exec::apply_op (a one-lane pass of
+    // exec/batched_kernels.cc), one per dispatch.
     kSsPermutation = 0,
     kSsDiagonal,
     kSsMonomial,
     kSsSingleWire,  ///< unrolled d=2 / d=3 single-wire kernels
     kSsControlled,
     kSsDense,
-    // Batched kernel zoo (exec/batched_kernels.cc), LANES per dispatch.
+    // exec::apply_op_batched over B lanes, LANES per dispatch.
     kBatPermutation,
     kBatDiagonal,
     kBatMonomial,
@@ -98,8 +100,8 @@ enum class Counter : unsigned {
     kTrajGateErrorsFired,   ///< presampled lotteries that drew an error
     kTrajDampingJumps,      ///< amplitude-damping jumps (threshold crossings)
     kTrajRareBranches,      ///< lane replays that crossed a damping threshold
-    /** Lane replays: a lane re-ran one noisy op source op by source op on
-     *  the single-shot kernels, from its checkpoint, after a fire or a
+    /** Lane replays: a lane re-ran one noisy op source op by source op as
+     *  one-lane passes, from its checkpoint, after a fire or a
      *  threshold crossing inside the op. (A lane copied out as a
      *  checkpoint whose measured norm stayed above its threshold is not
      *  replayed and not counted.) */

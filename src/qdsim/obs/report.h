@@ -21,10 +21,11 @@ namespace qd::obs {
 struct SimReport {
     CounterSnapshot counters;
 
-    /** Kernel-class totals summed across the single-shot and batched zoos
-     *  (batched counters advance by lane count, so these totals are
-     *  invariant under the batch width). Order: permutation, diagonal,
-     *  monomial, single_wire, controlled, dense. */
+    /** Kernel-class totals summed over the one-state (kSs*) and batched
+     *  (kBat*) counters of the one kernel set (batched counters advance by
+     *  lane count, so these totals are invariant under the batch width).
+     *  Order: permutation, diagonal, monomial, single_wire, controlled,
+     *  dense. */
     std::array<std::uint64_t, 6> kernel_class_totals() const;
 
     /** hits / (hits + misses); 1.0 when the cache was never consulted. */

@@ -80,7 +80,7 @@ circuit_unitary(const exec::CompiledCircuit& compiled)
     span.arg("columns", static_cast<std::int64_t>(compiled.dims().size()));
     const Index n = compiled.dims().size();
     Matrix u(n, n);
-    exec::ExecScratch scratch;
+    exec::BatchedScratch scratch;
     StateVector psi(compiled.dims());
     for (Index col = 0; col < n; ++col) {
         // Reset the reusable state to basis column `col` in place.

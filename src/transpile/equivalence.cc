@@ -37,7 +37,7 @@ transfer_matrix(const Circuit& c,
                 const std::vector<std::vector<int>>& inputs)
 {
     const exec::CompiledCircuit compiled(c, exec::FusionOptions{});
-    exec::ExecScratch scratch;
+    exec::BatchedScratch scratch;
     Matrix t(static_cast<std::size_t>(c.dims().size()), inputs.size());
     for (std::size_t col = 0; col < inputs.size(); ++col) {
         StateVector psi(c.dims(), inputs[col]);
@@ -83,7 +83,7 @@ lift_preserves_semantics(const Circuit& original, const Circuit& lifted,
     const WireDims& big = lifted.dims();
     const exec::CompiledCircuit compiled_original(original);
     const exec::CompiledCircuit compiled_lifted(lifted);
-    exec::ExecScratch scratch;
+    exec::BatchedScratch scratch;
     for (Index in = 0; in < small.size(); ++in) {
         const std::vector<int> digits = small.unpack(in);
         StateVector ref(small, digits);

@@ -1,12 +1,14 @@
 /**
- * Property tests for the batched execution engine: every batched kernel
- * must leave each lane BITWISE identical to the single-shot path run on
- * that lane's state, and every per-lane primitive must compute a lane
- * from that lane alone — those exact equivalences are what let the
- * trajectory engine mix batched passes with per-lane single-shot replays
- * and stay reproducible regardless of batch width. The BatchedIsa cases
- * run the same layouts through the baseline and the AVX2 build of the
- * lane kernels directly and require the same bits from both.
+ * Property tests for the lane kernels, the one kernel set. Lane
+ * invariance: every kernel must leave lane b of a B-lane pass BITWISE
+ * identical to the one-lane pass (exec::apply_op, CompiledCircuit::run)
+ * on that lane's state, and every per-lane primitive must compute a lane
+ * from that lane alone — that is what lets the trajectory engine replay
+ * one lane between batched passes and stay reproducible regardless of
+ * batch width. Each kernel layout is also checked against
+ * StateVector::apply, the dense reference. The BatchedIsa cases run the
+ * same layouts through the baseline and the AVX2 build of the lane
+ * kernels directly and require the same bits from both.
  */
 #include "qdsim/exec/batched_kernels.h"
 
@@ -14,7 +16,6 @@
 #include <cmath>
 #include <cstring>
 #include <numeric>
-#include <optional>
 
 #include <gtest/gtest.h>
 
@@ -45,7 +46,7 @@ random_matrix(std::size_t n, Rng& rng)
 }
 
 /** Fills a batch with independent Haar-random lanes and returns the lane
- *  states for the single-shot reference runs. */
+ *  states for the one-lane reference runs. */
 std::vector<StateVector>
 random_lanes(BatchedStateVector& batch, Rng& rng)
 {
@@ -76,32 +77,38 @@ expect_lanes_bitwise_equal(const BatchedStateVector& batch,
     }
 }
 
-/** Applies `gate` batched and single-shot per lane; expects bitwise lane
- *  equality and (optionally) a specific kernel routing. */
+/** Applies `gate` to a batch of `lanes` lanes and to each lane alone as a
+ *  one-lane pass; expects the kernel routing `kind`, bitwise lane
+ *  equality, and each lane within 1e-10 of StateVector::apply. */
 void
-check_batched_matches_single(const WireDims& dims, const Gate& gate,
-                             const std::vector<int>& wires, int lanes,
-                             Rng& rng,
-                             std::optional<KernelKind> expect_kind = {})
+check_lane_invariant(const WireDims& dims, const Gate& gate,
+                     const std::vector<int>& wires, int lanes, Rng& rng,
+                     KernelKind kind)
 {
     const CompiledOp op = exec::compile_op(dims, gate, wires);
-    if (expect_kind.has_value()) {
-        ASSERT_EQ(op.kind, *expect_kind) << gate.name();
-    }
+    ASSERT_EQ(op.kind, kind) << gate.name();
     BatchedStateVector batch(dims, lanes);
-    std::vector<StateVector> ref = random_lanes(batch, rng);
+    std::vector<StateVector> one_lane = random_lanes(batch, rng);
+    std::vector<StateVector> dense = one_lane;
 
-    BatchedScratch bscratch;
-    exec::apply_op_batched(op, batch, bscratch);
-
-    exec::ExecScratch scratch;
-    for (StateVector& r : ref) {
+    BatchedScratch scratch;
+    exec::apply_op_batched(op, batch, scratch);
+    for (StateVector& r : one_lane) {
         exec::apply_op(op, r, scratch);
     }
-    expect_lanes_bitwise_equal(batch, ref, exec::kernel_name(op.kind));
+    expect_lanes_bitwise_equal(batch, one_lane, exec::kernel_name(kind));
+
+    for (std::size_t b = 0; b < dense.size(); ++b) {
+        dense[b].apply(gate.matrix(), wires);
+        for (Index i = 0; i < dims.size(); ++i) {
+            ASSERT_NEAR(std::abs(one_lane[b][i] - dense[b][i]), 0.0, 1e-10)
+                << exec::kernel_name(kind) << ": lane " << b << " index "
+                << i;
+        }
+    }
 }
 
-/** Calls check(dims, gate, wires, lanes, kind) on every layout the batched
+/** Calls check(dims, gate, wires, lanes, kind) on every layout the lane
  *  kernels walk differently, drawing random gates from `rng` in a fixed
  *  order. */
 template <class Check>
@@ -180,12 +187,12 @@ for_each_kernel_layout(Rng& rng, Check&& check)
           KernelKind::kPermutation);
 }
 
-TEST(Batched, EveryKernelKindMatchesSingleShotBitwise) {
+TEST(Batched, EveryKernelLayoutIsLaneInvariantBitwise) {
     Rng rng(301);
     for_each_kernel_layout(rng, [&](const WireDims& dims, const Gate& gate,
                                     const std::vector<int>& wires, int lanes,
                                     KernelKind kind) {
-        check_batched_matches_single(dims, gate, wires, lanes, rng, kind);
+        check_lane_invariant(dims, gate, wires, lanes, rng, kind);
     });
 }
 
@@ -219,20 +226,20 @@ random_mixed_circuit(const WireDims& dims, Rng& rng)
     return c;
 }
 
-TEST(Batched, RandomCircuitsMatchSingleShotOnMixedRadix) {
+TEST(Batched, RandomCircuitsAreLaneInvariantOnMixedRadix) {
+    // Lane b of a B-lane run equals CompiledCircuit::run on that lane.
     Rng rng(302);
     for (const WireDims& dims : mixed_radix_registers()) {
         const exec::CompiledCircuit compiled(random_mixed_circuit(dims, rng));
         for (const int lanes : {1, 2, 3, 8}) {
             BatchedStateVector batch(dims, lanes);
-            std::vector<StateVector> ref = random_lanes(batch, rng);
-            BatchedScratch bscratch;
-            exec::run_batched(compiled, batch, bscratch);
-            exec::ExecScratch scratch;
-            for (StateVector& r : ref) {
+            std::vector<StateVector> one_lane = random_lanes(batch, rng);
+            BatchedScratch scratch;
+            exec::run_batched(compiled, batch, scratch);
+            for (StateVector& r : one_lane) {
                 compiled.run(r, scratch);
             }
-            expect_lanes_bitwise_equal(batch, ref, "random circuit");
+            expect_lanes_bitwise_equal(batch, one_lane, "random circuit");
         }
     }
 }

@@ -1,6 +1,7 @@
 /**
  * Property tests for the compiled execution engine: every specialized
- * kernel must match the generic reference implementation
+ * kernel, run on one state through exec::apply_op (a one-lane pass of the
+ * lane kernels), must match the generic reference implementation
  * (StateVector::apply) on random mixed-radix states and random operators,
  * including the non-unitary Kraus operators the noise engine applies.
  */
@@ -8,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <thread>
 
@@ -61,7 +63,7 @@ check_against_reference(const WireDims& dims, const Gate& gate,
     StateVector b = a;
 
     const CompiledOp op = exec::compile_op(dims, gate, wires);
-    exec::ExecScratch scratch;
+    exec::BatchedScratch scratch;
     exec::apply_op(op, a, scratch);
 
     b.apply(gate.matrix(), wires);
@@ -364,10 +366,67 @@ TEST(Exec, ApplyRejectsOpsCompiledForAnotherRegister) {
             exec::compile_op(other, gates::Z3(), std::vector<int>{1});
         StateVector psi = haar_random_state(dims, rng);
         const StateVector before = psi;
-        exec::ExecScratch scratch;
+        exec::BatchedScratch scratch;
         EXPECT_THROW(exec::apply_op(op, psi, scratch), std::invalid_argument);
         for (Index i = 0; i < dims.size(); ++i) {
             ASSERT_EQ(psi[i], before[i]) << "index " << i;
+        }
+    }
+}
+
+TEST(Exec, OneStatePassesAreTeamInvariantPastTheParallelThreshold) {
+    // simulate() on 3^10 amplitudes or more runs one state through kernel
+    // teams. Each kernel class on operands whose outer-block count reaches
+    // the OpenMP threshold (kernel_team opens the full team), run serial
+    // and on a 4-thread team: the two must agree bitwise and both match
+    // the reference. The d = 2 unrolled kernel needs a qubit register.
+    Rng rng(42);
+    const WireDims q3 = WireDims::uniform(11, 3);
+    const WireDims q2 = WireDims::uniform(14, 2);
+    const Gate zx("Z3xX+1", std::vector<int>{3, 3},
+                  gates::Z3().matrix().kron(gates::Xplus1().matrix()));
+    struct Case {
+        WireDims dims;
+        Gate gate;
+        std::vector<int> wires;
+        KernelKind kind;
+    };
+    // Block bases come in runs of several (every operand above the least
+    // significant wire) or of one (an operand on it).
+    const std::vector<Case> cases = {
+        {q3, gates::Xplus1().controlled(3, 2), {3, 9},
+         KernelKind::kPermutation},
+        {q3, gates::Z3(), {5}, KernelKind::kDiagonal},
+        {q3, zx, {10, 2}, KernelKind::kMonomial},
+        {q3, gates::H3(), {9}, KernelKind::kSingleWireD3},
+        {q3, gates::fourier(3).controlled(3, 1), {0, 7},
+         KernelKind::kControlled},
+        {q3, Gate("rand", {3, 3}, random_matrix(9, rng)), {6, 1},
+         KernelKind::kDense},
+        {q2, gates::H(), {13}, KernelKind::kSingleWireD2},
+    };
+    for (const Case& c : cases) {
+        const CompiledOp op = exec::compile_op(c.dims, c.gate, c.wires);
+        ASSERT_EQ(op.kind, c.kind) << c.gate.name();
+#ifdef _OPENMP
+        const Index outer = op.plan != nullptr ? op.plan->outer_count()
+                                               : op.dim / op.period1;
+        ASSERT_EQ(exec::kernel_team(static_cast<std::int64_t>(outer), 4), 4)
+            << exec::kernel_name(op.kind) << ": " << outer << " blocks";
+#endif
+        const StateVector init = haar_random_state(c.dims, rng);
+        StateVector serial = init, team = init, ref = init;
+        exec::BatchedScratch one, four;
+        one.threads = 1;
+        four.threads = 4;
+        exec::apply_op(op, serial, one);
+        exec::apply_op(op, team, four);
+        ref.apply(c.gate.matrix(), c.wires);
+        for (Index i = 0; i < init.size(); ++i) {
+            ASSERT_EQ(std::memcmp(&serial[i], &team[i], sizeof(Complex)), 0)
+                << exec::kernel_name(op.kind) << " index " << i;
+            ASSERT_NEAR(std::abs(serial[i] - ref[i]), 0.0, 1e-10)
+                << exec::kernel_name(op.kind) << " index " << i;
         }
     }
 }

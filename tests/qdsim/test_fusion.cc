@@ -134,8 +134,8 @@ expect_valid_partition(const Circuit& circuit,
     }
 }
 
-/** Runs `circuit` fused and unfused from the same random state on the
- *  single-shot engine; returns the max amplitude deviation. */
+/** Runs `circuit` fused and unfused from the same random state, one
+ *  state at a time; returns the max amplitude deviation. */
 double
 fused_unfused_deviation(const Circuit& circuit, const FusionOptions& options,
                         Rng& rng)
@@ -218,7 +218,7 @@ TEST(Fusion, PermutationOnlyCircuitsFuseBitwise) {
 TEST(Fusion, BatchedLanesBitwiseMatchSingleShotUnderFusion) {
     // The lane-equivalence property must survive fusion: a batched pass
     // over a FUSED compilation leaves every lane bitwise identical to the
-    // single-shot fused run of that lane.
+    // one-lane fused run of that lane.
     Rng rng(404);
     const WireDims dims({3, 2, 3});
     const Circuit c = random_circuit(dims, 40, rng, false);
@@ -232,7 +232,7 @@ TEST(Fusion, BatchedLanesBitwiseMatchSingleShotUnderFusion) {
     }
     exec::BatchedScratch bscratch;
     exec::run_batched(fused, batch, bscratch);
-    exec::ExecScratch scratch;
+    exec::BatchedScratch scratch;
     StateVector got(dims);
     for (int b = 0; b < lanes; ++b) {
         fused.run(ref[static_cast<std::size_t>(b)], scratch);
@@ -808,7 +808,7 @@ TEST(Fusion, MonomialKernelMatchesReference) {
     ASSERT_EQ(op.kind, KernelKind::kMonomial);
     StateVector a = haar_random_state(dims, rng);
     StateVector b = a;
-    exec::ExecScratch scratch;
+    exec::BatchedScratch scratch;
     exec::apply_op(op, a, scratch);
     b.apply(zx, wires);
     for (Index i = 0; i < a.size(); ++i) {

@@ -138,7 +138,7 @@ TEST_F(ObsTest, SingleShotKernelClassCountsHandCounted)
 
     Rng rng(11);
     StateVector psi = haar_random_state(circuit.dims(), rng);
-    exec::ExecScratch scratch;
+    exec::BatchedScratch scratch;
 
     obs::reset_counters();
     compiled.run(psi, scratch);
@@ -369,7 +369,7 @@ TEST_F(ObsTest, ReportBitwiseIdenticalAcrossThreadCounts)
 
 /** Counters of the one-lane reference for run_trials_snapshot(circuit,
  *  trials, ...): run_single_trajectory (one lane, no shot group) once per
- *  trial on stream root.child(t), after a single-shot pass through the
+ *  trial on stream root.child(t), after a one-state pass through the
  *  fully fused ideal program, which the shot groups run batched. */
 obs::CounterSnapshot
 per_shot_snapshot(const Circuit& circuit, int trials)
@@ -395,8 +395,8 @@ TEST_F(ObsTest, InvariantCountersMatchAcrossBatchWidths)
     const auto batched = run_trials_snapshot(circuit, 24, 1, 6);
 
     // A lane is bitwise the same shot at every batch width, so every
-    // divergence event and the per-class kernel totals (single-shot zoo +
-    // batched zoo, lanes-weighted) must agree exactly.
+    // divergence event and the per-class kernel totals (kernel.ss +
+    // kernel.bat, lanes-weighted) must agree exactly.
     obs::SimReport a, b;
     a.counters = per_shot;
     b.counters = batched;
@@ -421,7 +421,7 @@ TEST_F(ObsTest, DisabledSwitchCountsNothing)
     const exec::CompiledCircuit compiled(circuit);
     Rng rng(7);
     StateVector psi = haar_random_state(circuit.dims(), rng);
-    exec::ExecScratch scratch;
+    exec::BatchedScratch scratch;
     compiled.run(psi, scratch);
 
     const obs::CounterSnapshot s = obs::counters_snapshot();
