@@ -50,7 +50,8 @@ operand_gate(const WireDims& dims, const Matrix& m,
 }
 
 /** The kSuper* class a conjugation by a `kind` op counts under:
- *  permutations count as monomial, the single-wire kernels as dense. */
+ *  permutations count as monomial, block-monomial ops as controlled, and
+ *  the single-wire kernels as dense. */
 obs::Counter
 conjugation_counter(exec::KernelKind kind)
 {
@@ -61,6 +62,7 @@ conjugation_counter(exec::KernelKind kind)
         case exec::KernelKind::kMonomial:
             return obs::Counter::kSuperMonomial;
         case exec::KernelKind::kControlled:
+        case exec::KernelKind::kBlockMonomial:
             return obs::Counter::kSuperControlled;
         case exec::KernelKind::kSingleWireD2:
         case exec::KernelKind::kSingleWireD3:

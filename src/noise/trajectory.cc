@@ -36,20 +36,6 @@ constexpr int kMaxBatchLanes = 12;
  *  width 12, the fastest widths measured there. */
 constexpr std::size_t kGroupBytes = std::size_t{4} << 20;
 
-/**
- * Smallest register on which the noisy program runs the fusion stage-2
- * look-ahead; smaller ones fuse by stage 1 alone. The look-ahead's
- * compile time grows with the program's ops, the passes it saves with
- * the register, so it pays back only on large registers. Measured on the
- * gen-Toffoli under SC with Figure 11's traffic (a cold compile, then 32
- * shots on 4 threads; compile + run, look-ahead on vs off): it loses at
- * 2^12 amplitudes (QUBIT, width 12: 392-757 vs 339-379 ms) and at 3^8
- * (QUTRIT, width 8: 20-22 vs 16-19 ms), and wins from 2^13 up
- * (QUBIT, width 13: 689-705 vs 779-793 ms; QUTRIT, width 9: 43-47 vs
- * 48-53 ms; QUTRIT, width 11: 305-388 vs 391-495 ms).
- */
-constexpr Index kLookaheadMinAmplitudes = Index{1} << 13;
-
 /** Relative slack taken off every per-op norm bound, so rounding in a
  *  pass (a relative 1e-14 or so, even for dense 27-blocks over 3^11
  *  amplitudes) can never make a lane's true norm fall below its bound
@@ -93,9 +79,10 @@ default_lane_count(Index register_size, int trials, int workers)
  *  - the noisy program `noisy()`: the ideal program when there is no idle
  *    noise; otherwise the circuit's ops in ASAP-moment order with each
  *    wire's no-jump damping step K0(wire, tau) inserted before the wire's
- *    next gate and once at the end (`steps`), fused with the job's
- *    options under damping alone (the stage-2 look-ahead from
- *    kLookaheadMinAmplitudes up) and per op under dephasing;
+ *    next gate and once at the end (`steps`, `program`), compiled on the
+ *    fused ideal's partition under damping alone (ideal_partition: one
+ *    pass per ideal block, plus one per wire that no op touches) and per
+ *    op under dephasing;
  *  - `per_op`, every step compiled alone, which replays run;
  *  - the gate-error lotteries in draw order (`sites`), each attached to
  *    the step it follows, and for each step the noisy op holding it;
@@ -141,7 +128,11 @@ struct TrajectoryCompilation::Impl {
     std::shared_ptr<const exec::CircuitEntry> entry;
     NoiseModel model;  ///< the model every trial draws from
     const exec::CompiledCircuit& ideal;  ///< the entry's fused circuit
-    /** The fused noisy program under damping without dephasing. */
+    /** The noisy program's source ops, one per step, under idle noise
+     *  (without it they are the circuit's: noisy_program()). */
+    Circuit program;
+    /** The noisy program on the ideal's partition, under damping without
+     *  dephasing. */
     exec::CompiledCircuit fused;
     /** Every step compiled alone (empty when `ideal` already is). */
     exec::CompiledCircuit per_op;
@@ -187,19 +178,15 @@ struct TrajectoryCompilation::Impl {
             noisy_ = &ideal;
             replay_ = fusion.enabled ? &per_op : &ideal;
         } else {
-            const Circuit program = build_program(circuit, source);
+            program = build_program(circuit, source);
             per_op = exec::CompiledCircuit(program, off, {}, &cache);
             replay_ = &per_op;
             noisy_ = &per_op;
             if (fusion.enabled && !model.has_dephasing()) {
                 // No fences: a lane with an event inside a fused op
                 // replays the op's source steps from a checkpoint.
-                exec::FusionOptions noisy_fusion = fusion;
-                noisy_fusion.cost_model =
-                    fusion.cost_model &&
-                    circuit.dims().size() >= kLookaheadMinAmplitudes;
-                fused = exec::CompiledCircuit(program, noisy_fusion, {},
-                                              &cache);
+                fused = exec::CompiledCircuit(program, ideal_partition(source),
+                                              cache, fusion.plan_salt());
                 noisy_ = &fused;
             }
         }
@@ -222,6 +209,10 @@ struct TrajectoryCompilation::Impl {
 
     /** The program the noisy loop runs, one batched pass per op. */
     const exec::CompiledCircuit& noisy() const { return *noisy_; }
+    /** The noisy program's source ops. */
+    const Circuit& noisy_program() const {
+        return noisy_ == &ideal ? entry->circuit() : program;
+    }
     /** Step s compiled alone, as replays run it. */
     const exec::CompiledOp& replay(std::size_t s) const {
         return replay_->ops()[s];
@@ -235,6 +226,62 @@ struct TrajectoryCompilation::Impl {
 
   private:
     static constexpr std::uint32_t kNoSource = ~std::uint32_t{0};
+
+    /**
+     * The damped noisy program's partition (`source` as build_program
+     * filled it): the fused ideal's blocks, so the noisy loop makes as
+     * many passes as the ideal. Ideal block k takes its circuit ops and
+     * the K0 steps emitted just before them, a wire's trailing K0 step
+     * joins the last block on that wire, and a wire that no op touches
+     * gets a one-step block at the end. A K0 step is diagonal on a wire
+     * its block already holds, so every block keeps the ideal's wires;
+     * members are in step order, which keeps each wire's order.
+     */
+    std::vector<exec::FusedGroup> ideal_partition(
+        const std::vector<std::uint32_t>& source) const {
+        const std::vector<exec::CompiledOp>& blocks = ideal.ops();
+        std::vector<exec::FusedGroup> groups(blocks.size());
+        std::vector<std::uint32_t> block_of_op(entry->circuit().num_ops());
+        std::vector<std::ptrdiff_t> last_block(
+            static_cast<std::size_t>(ideal.dims().num_wires()), -1);
+        for (std::size_t k = 0; k < blocks.size(); ++k) {
+            groups[k].wires = blocks[k].wires;
+            for (const std::uint32_t i : blocks[k].source_ops) {
+                block_of_op[i] = static_cast<std::uint32_t>(k);
+            }
+            for (const int w : blocks[k].wires) {
+                last_block[static_cast<std::size_t>(w)] =
+                    static_cast<std::ptrdiff_t>(k);
+            }
+        }
+        std::vector<std::uint32_t> pending;  // K0 steps before the next op
+        for (std::uint32_t s = 0; s < source.size(); ++s) {
+            if (source[s] == kNoSource) {
+                pending.push_back(s);
+                continue;
+            }
+            std::vector<std::uint32_t>& members =
+                groups[block_of_op[source[s]]].members;
+            members.insert(members.end(), pending.begin(), pending.end());
+            members.push_back(s);
+            pending.clear();
+        }
+        std::vector<exec::FusedGroup> idle;
+        for (const std::uint32_t s : pending) {
+            const int w = steps[s].wire;
+            const std::ptrdiff_t k = last_block[static_cast<std::size_t>(w)];
+            if (k >= 0) {
+                groups[static_cast<std::size_t>(k)].members.push_back(s);
+            } else {
+                idle.push_back(exec::FusedGroup{{w}, {s}});
+            }
+        }
+        for (exec::FusedGroup& g : groups) {
+            std::sort(g.members.begin(), g.members.end());
+        }
+        groups.insert(groups.end(), idle.begin(), idle.end());
+        return groups;
+    }
 
     /**
      * The noisy program's source ops (filling `steps`, `source` and, under
@@ -395,6 +442,28 @@ const exec::CompiledCircuit&
 TrajectoryCompilation::ideal() const
 {
     return impl_->ideal;
+}
+
+const exec::CompiledCircuit&
+TrajectoryCompilation::noisy() const
+{
+    return impl_->noisy();
+}
+
+const Circuit&
+TrajectoryCompilation::noisy_program() const
+{
+    return impl_->noisy_program();
+}
+
+std::vector<exec::FusedGroup>
+TrajectoryCompilation::noisy_partition() const
+{
+    std::vector<exec::FusedGroup> groups;
+    for (const exec::CompiledOp& op : impl_->noisy().ops()) {
+        groups.push_back(exec::FusedGroup{op.wires, op.source_ops});
+    }
+    return groups;
 }
 
 namespace {

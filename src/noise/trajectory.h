@@ -39,10 +39,16 @@
  * the entry's own fused circuit, shared with every other noise model and
  * engine of the circuit, and the noisy program: the circuit in
  * ASAP-moment order with the K0 steps inserted as single-wire diagonal
- * ops, fused with the job's FusionOptions (the stage-2 look-ahead only on
- * registers of 2^13 amplitudes or more, where it pays back its compile
- * time; without damping it is the ideal program; under dephasing it stays
- * per op so the kicks land between moments). The gate-error lotteries
+ * ops. Without idle noise it is the ideal program; under dephasing it
+ * stays per op so the kicks land between moments. Under damping alone it
+ * is compiled on the fused ideal's partition, so it makes as many passes
+ * as the ideal: each K0 step joins the ideal block that holds the next op
+ * on its wire (a trailing one the last block on its wire), and a wire
+ * that no op touches gets a one-step block. A K0 step is diagonal on a
+ * wire its block already holds, so a block keeps its ideal wires; a
+ * permutation block becomes monomial and a controlled one
+ * block-monomial, which exec::compile_op routes to their own kernels
+ * (exec/kernels.h). The gate-error lotteries
  * keep their unitaries as Gates: a unitary is compiled, against the same
  * plans, only when a lane fires it, since most never fire. Every shot
  * runs as a lane of an exec::BatchedStateVector: one pass of each noisy op
@@ -110,11 +116,11 @@ struct TrajectoryOptions {
     bool keep_per_trial = false;
     /**
      * Compile-time operator fusion (see exec/fusion.h) for both programs:
-     * the ideal reference and the noisy program, which fuses across gate
-     * errors and damping steps alike (no fences: a lane with an event in a
-     * fused op replays its source ops one by one). On registers under
-     * 2^13 amplitudes the noisy program skips the stage-2 look-ahead;
-     * under dephasing it stays per op. Disabling compiles both per op.
+     * the ideal reference, and the noisy program, which runs on the
+     * ideal's partition with the damping steps folded into its blocks and
+     * fuses across gate errors alike (no fences: a lane with an event in
+     * a fused op replays its source ops one by one). Under dephasing the
+     * noisy program stays per op. Disabling compiles both per op.
      */
     exec::FusionOptions fusion = {};
 };
@@ -161,6 +167,16 @@ class TrajectoryCompilation {
     const WireDims& dims() const;
     /** The fused ideal reference: the entry's fused circuit. */
     const exec::CompiledCircuit& ideal() const;
+    /** The program the noisy loop runs, one batched pass per op. */
+    const exec::CompiledCircuit& noisy() const;
+    /** The noisy program's source ops: the circuit's ops in ASAP-moment
+     *  order with each damping step as a single-wire diagonal op, or the
+     *  circuit itself when there is no idle noise. */
+    const Circuit& noisy_program() const;
+    /** The partition of noisy_program() that noisy() runs, one group per
+     *  noisy op (its wires and source ops), e.g. for
+     *  verify::audit_partition. */
+    std::vector<exec::FusedGroup> noisy_partition() const;
 
     struct Impl;
     const Impl& impl() const { return *impl_; }

@@ -378,24 +378,62 @@ matvec_block_b(Complex* amps, Index base, const Index* off, Index nb,
     }
 }
 
+/** An N x N row-major block split into locals: real and imaginary parts. */
+template <std::size_t N>
+struct SmallBlock {
+    Real re[N * N], im[N * N];
+
+    explicit SmallBlock(const Complex* m) {
+        for (std::size_t i = 0; i < N * N; ++i) {
+            re[i] = m[i].real();
+            im[i] = m[i].imag();
+        }
+    }
+};
+
+/**
+ * dst[r] = sum_c m[r][c] * src[c] over `width` lanes, for N rows of raw
+ * re/im doubles. Each lane loads its N inputs into registers before it
+ * stores, so dst may be src (an in-place update). Per lane the
+ * accumulation is matvec_block_b's, 0 + row[0]*in[0] + row[1]*in[1] +
+ * ..., so a lane equals its one-lane pass bitwise.
+ */
+template <std::size_t N>
+inline void
+small_matvec(Real* const* dst, const Real* const* src,
+             const SmallBlock<N>& m, std::size_t width)
+{
+    QD_SIMD
+    for (std::size_t l = 0; l < width; ++l) {
+        Real sr[N], si[N];
+        for (std::size_t c = 0; c < N; ++c) {
+            sr[c] = src[c][2 * l];
+            si[c] = src[c][2 * l + 1];
+        }
+        for (std::size_t r = 0; r < N; ++r) {
+            Real accr = 0.0, acci = 0.0;
+            for (std::size_t c = 0; c < N; ++c) {
+                accr += m.re[r * N + c] * sr[c] - m.im[r * N + c] * si[c];
+                acci += m.re[r * N + c] * si[c] + m.im[r * N + c] * sr[c];
+            }
+            dst[r][2 * l] = accr;
+            dst[r][2 * l + 1] = acci;
+        }
+    }
+}
+
 /**
  * kControlled with one target of N = 2 or 3 levels: the inner matrix is
  * hoisted into locals once per op, and each lane's N target amplitudes
- * load straight into registers, with no gather buffer. Per lane the
- * accumulation is matvec_block_b's, 0 + row[0]*in[0] + row[1]*in[1] + ...,
- * so a lane equals its one-lane pass bitwise.
+ * load straight into registers, with no gather buffer (small_matvec in
+ * place).
  */
 template <std::size_t N>
 void
 run_controlled_small_b(const CompiledOp& op, Complex* amps,
                        const std::size_t B, BatchedScratch& scratch)
 {
-    Real mr[N * N], mi[N * N];
-    const Complex* m = op.inner.data().data();
-    for (std::size_t i = 0; i < N * N; ++i) {
-        mr[i] = m[i].real();
-        mi[i] = m[i].imag();
-    }
+    const SmallBlock<N> m(op.inner.data().data());
     Index target[N];
     for (std::size_t c = 0; c < N; ++c) {
         target[c] = op.ctrl_offset + op.inner_offset[c];
@@ -406,22 +444,72 @@ run_controlled_small_b(const CompiledOp& op, Complex* amps,
         for (std::size_t c = 0; c < N; ++c) {
             p[c] = as_reals(amps + (base + target[c]) * B);
         }
-        QD_SIMD
-        for (std::size_t l = 0; l < width; ++l) {
-            Real sr[N], si[N];
+        small_matvec<N>(p, p, m, width);
+    });
+}
+
+/**
+ * kBlockMonomial with a target of N = 2 or 3 levels: the values of each
+ * slot (a configuration of the other operands) move, times the slot's
+ * N x N block, to the next slot of its cycle. As in run_monomial_b, a
+ * cycle first stores the last slot's product in `tmp` (N rows of `width`
+ * lanes), walks backwards, and then writes `tmp` to the first slot; a
+ * fixed point runs in place. Every move is one small_matvec.
+ */
+template <std::size_t N>
+void
+run_block_monomial_b(const CompiledOp& op, Complex* amps,
+                     const std::size_t B, BatchedScratch& scratch)
+{
+    const Index* cyc = op.cycle_offsets.data();
+    const Complex* blk = op.cycle_blocks.data();
+    const std::uint32_t* lens = op.cycle_lengths.data();
+    const std::size_t ncycles = op.cycle_lengths.size();
+    Index target[N];
+    for (std::size_t c = 0; c < N; ++c) {
+        target[c] = op.inner_offset[c];
+    }
+    walk_blocks(*op.plan, B, N, scratch,
+                [&](Index base, std::size_t width, Complex* tmp) {
+        Complex* const a = amps + base * B;
+        auto rows = [&](Index slot, Real* (&p)[N]) {
             for (std::size_t c = 0; c < N; ++c) {
-                sr[c] = p[c][2 * l];
-                si[c] = p[c][2 * l + 1];
+                p[c] = as_reals(a + (slot + target[c]) * B);
             }
-            for (std::size_t r = 0; r < N; ++r) {
-                Real accr = 0.0, acci = 0.0;
-                for (std::size_t c = 0; c < N; ++c) {
-                    accr += mr[r * N + c] * sr[c] - mi[r * N + c] * si[c];
-                    acci += mr[r * N + c] * si[c] + mi[r * N + c] * sr[c];
+        };
+        const Index* c = cyc;
+        const Complex* m = blk;
+        Real* dst[N];
+        Real* src[N];
+        for (std::size_t j = 0; j < ncycles; ++j) {
+            const std::uint32_t len = lens[j];
+            auto block = [m](std::uint32_t i) {  // slot i's block
+                return SmallBlock<N>(m + i * N * N);
+            };
+            if (len == 1) {
+                rows(c[0], dst);
+                small_matvec<N>(dst, dst, block(0), width);
+            } else {
+                rows(c[len - 1], src);
+                for (std::size_t r = 0; r < N; ++r) {
+                    dst[r] = as_reals(tmp + r * width);
                 }
-                p[r][2 * l] = accr;
-                p[r][2 * l + 1] = acci;
+                small_matvec<N>(dst, src, block(len - 1), width);
+                for (std::uint32_t i = len - 1; i >= 1; --i) {
+                    rows(c[i], dst);
+                    rows(c[i - 1], src);
+                    small_matvec<N>(dst, src, block(i - 1), width);
+                }
+                rows(c[0], dst);
+                for (std::size_t r = 0; r < N; ++r) {
+                    const Real* t = as_reals(tmp + r * width);
+                    for (std::size_t l = 0; l < 2 * width; ++l) {
+                        dst[r][l] = t[l];
+                    }
+                }
             }
+            c += len;
+            m += len * N * N;
         }
     });
 }
@@ -610,6 +698,13 @@ apply_op_lanes(const CompiledOp& op, Complex* amps, const std::size_t B,
             run_block_matvec_b(op, amps, B, scratch, op.inner_offset.data(),
                                static_cast<Index>(op.inner_offset.size()),
                                op.inner.data().data(), op.ctrl_offset);
+            return;
+        case KernelKind::kBlockMonomial:
+            if (op.inner_offset.size() == 2) {
+                run_block_monomial_b<2>(op, amps, B, scratch);
+            } else {
+                run_block_monomial_b<3>(op, amps, B, scratch);
+            }
             return;
         case KernelKind::kDense:
             run_block_matvec_b(op, amps, B, scratch,

@@ -7,12 +7,14 @@
  * gate payload are read once per amplitude block instead of once per shot,
  * and the per-amplitude work runs over the B contiguous lanes with
  * `QD_SIMD` inner loops. Where the plan's outer blocks come in runs of
- * consecutive bases (ApplyPlan::run), the permutation, diagonal, monomial
- * and small controlled kernels take a run as one block of run x B lanes,
- * so the lane loops stream at one or two lanes too. kControlled with one
- * 2- or 3-level target runs an unrolled kernel that holds the inner matrix
- * in locals; wider targets and kDense keep the gather matvec, block by
- * block. Outer blocks go parallel via OpenMP once outer blocks x lanes
+ * consecutive bases (ApplyPlan::run), the permutation, diagonal,
+ * monomial, block-monomial and small controlled kernels take a run as one
+ * block of run x B lanes, so the lane loops stream at one or two lanes
+ * too. kControlled with one 2- or 3-level target runs an unrolled kernel
+ * that holds the inner matrix in locals, and kBlockMonomial walks its
+ * cycles as kMonomial does with one unrolled 2x2 or 3x3 block per slot;
+ * wider targets and kDense keep the gather matvec, block by block. Outer
+ * blocks go parallel via OpenMP once outer blocks x lanes
  * reach kernel_team's threshold, with at most BatchedScratch::threads
  * threads.
  *

@@ -30,23 +30,12 @@ CompiledCircuit::CompiledCircuit(const Circuit& circuit)
     compile_plain(circuit, cache);
 }
 
-CompiledCircuit::CompiledCircuit(const Circuit& circuit,
-                                 const FusionOptions& options,
-                                 std::span<const std::uint8_t> fence_after,
-                                 PlanCache* cache)
-    : dims_(circuit.dims())
+void
+CompiledCircuit::compile_groups(const Circuit& circuit,
+                                std::span<const FusedGroup> groups,
+                                PlanCache& cache, Index plan_salt)
 {
-    obs::ScopedSpan span("exec", "compile_circuit_fused");
-    span.arg("ops", static_cast<std::int64_t>(circuit.num_ops()));
-    PlanCache local(dims_);
-    PlanCache& use = cache != nullptr ? *cache : local;
-    if (!options.enabled) {
-        compile_plain(circuit, use);
-        return;
-    }
     const std::span<const Operation> ops(circuit.ops());
-    const std::vector<FusedGroup> groups =
-        fuse_sites(dims_, ops, fence_after, options);
     ops_.reserve(groups.size());
     for (const FusedGroup& group : groups) {
         if (group.members.size() == 1) {
@@ -54,7 +43,7 @@ CompiledCircuit::CompiledCircuit(const Circuit& circuit,
             // key, same kernel), so disabled-fusion and unfused-group
             // execution stay bitwise identical.
             const Operation& op = ops[group.members[0]];
-            ops_.push_back(compile_op(dims_, op.gate, op.wires, &use));
+            ops_.push_back(compile_op(dims_, op.gate, op.wires, &cache));
             max_block_ = std::max(max_block_, op.gate.block_size());
         } else {
             std::vector<int> gate_dims;
@@ -70,14 +59,44 @@ CompiledCircuit::CompiledCircuit(const Circuit& circuit,
             // compilations with different fusion settings — cap, cost
             // model, ratio, per-class caps — can never hand back a stale
             // variant.
-            ops_.push_back(compile_op(dims_, fused, group.wires, &use,
-                                      options.plan_salt()));
+            ops_.push_back(
+                compile_op(dims_, fused, group.wires, &cache, plan_salt));
             max_block_ = std::max(max_block_, fused.block_size());
             ++num_fused_groups_;
         }
         ops_.back().source_ops = group.members;
         num_source_ops_ += group.members.size();
     }
+}
+
+CompiledCircuit::CompiledCircuit(const Circuit& circuit,
+                                 const FusionOptions& options,
+                                 std::span<const std::uint8_t> fence_after,
+                                 PlanCache* cache)
+    : dims_(circuit.dims())
+{
+    obs::ScopedSpan span("exec", "compile_circuit_fused");
+    span.arg("ops", static_cast<std::int64_t>(circuit.num_ops()));
+    PlanCache local(dims_);
+    PlanCache& use = cache != nullptr ? *cache : local;
+    if (!options.enabled) {
+        compile_plain(circuit, use);
+        return;
+    }
+    compile_groups(circuit,
+                   fuse_sites(dims_, circuit.ops(), fence_after, options),
+                   use, options.plan_salt());
+    span.arg("blocks", static_cast<std::int64_t>(ops_.size()));
+}
+
+CompiledCircuit::CompiledCircuit(const Circuit& circuit,
+                                 std::span<const FusedGroup> groups,
+                                 PlanCache& cache, Index plan_salt)
+    : dims_(circuit.dims())
+{
+    obs::ScopedSpan span("exec", "compile_circuit_groups");
+    span.arg("ops", static_cast<std::int64_t>(circuit.num_ops()));
+    compile_groups(circuit, groups, cache, plan_salt);
     span.arg("blocks", static_cast<std::int64_t>(ops_.size()));
 }
 
@@ -122,6 +141,7 @@ CompiledCircuit::kernel_counts() const
                 ++counts.single_wire;
                 break;
             case KernelKind::kControlled:
+            case KernelKind::kBlockMonomial:
                 ++counts.controlled;
                 break;
             case KernelKind::kDense:

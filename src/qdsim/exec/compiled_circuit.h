@@ -47,6 +47,20 @@ class CompiledCircuit {
                     std::span<const std::uint8_t> fence_after = {},
                     PlanCache* cache = nullptr);
 
+    /**
+     * Compiles on a given partition of the circuit's ops (fuse_sites'
+     * contract: members ascending, every op in exactly one group): each
+     * group becomes one compiled op over its wires. A one-member group
+     * compiles exactly like the unfused path (same plan key, same kernel);
+     * larger groups compile their product over plans keyed by
+     * `plan_salt` (FusionOptions::plan_salt). The fused constructor is
+     * fuse_sites plus this; the trajectory engine compiles its damped
+     * noisy program on the fused ideal's partition with it.
+     */
+    CompiledCircuit(const Circuit& circuit,
+                    std::span<const FusedGroup> groups, PlanCache& cache,
+                    Index plan_salt);
+
     const WireDims& dims() const { return dims_; }
     const std::vector<CompiledOp>& ops() const { return ops_; }
     std::size_t num_ops() const { return ops_.size(); }
@@ -68,7 +82,8 @@ class CompiledCircuit {
     /** Convenience overload with a call-local scratch. */
     void run(StateVector& psi) const;
 
-    /** How many operations were routed to each kernel (bench/telemetry). */
+    /** How many operations were routed to each kernel (bench/telemetry);
+     *  block-monomial ops count as controlled, as in kernel_counter. */
     struct KernelCounts {
         std::size_t permutation = 0;
         std::size_t diagonal = 0;
@@ -81,6 +96,9 @@ class CompiledCircuit {
 
   private:
     void compile_plain(const Circuit& circuit, PlanCache& cache);
+    void compile_groups(const Circuit& circuit,
+                        std::span<const FusedGroup> groups, PlanCache& cache,
+                        Index plan_salt);
 
     WireDims dims_;
     std::vector<CompiledOp> ops_;

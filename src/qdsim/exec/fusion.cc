@@ -232,7 +232,13 @@ est_class_cost(const WireDims& dims, std::span<const int> wires,
     // with the op_flop_estimate formula of the kernel each branch lands
     // on, plus 2 per amplitude the kernel actually touches (the traffic
     // term is what makes pass-count reduction count for zero-flop
-    // permutation merges).
+    // permutation merges). The one exception: a product compile_op routes
+    // to kBlockMonomial is priced as dense here. Pricing it at its kernel
+    // would admit other stage-2 windows, and so change every ideal
+    // partition, every engine's fused program and the exact fusion
+    // baselines; the class's producer, the damped trajectory program,
+    // runs on the ideal's partition and takes no estimate (the one cost
+    // model of ROADMAP item 6 is where the estimator learns it).
     if (wires.size() == 1 && !gate.is_permutation() &&
         !gate.is_diagonal_gate() &&
         (dims.dim(wires[0]) == 2 || dims.dim(wires[0]) == 3)) {

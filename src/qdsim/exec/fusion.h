@@ -36,7 +36,9 @@
  * over the UNION of their wires (via embed_into_block), classifies the
  * candidate block exactly the way compile_op will (permutation /
  * diagonal / monomial / controlled-subspace — control wires are
- * reordered to the front so controlled structure is recognised), and
+ * reordered to the front so controlled structure is recognised; a
+ * block-monomial product is priced as dense, so the partition does not
+ * depend on that class, see estimate_block_cost), and
  * admits a window when its estimated per-pass cost (op_flop_estimate
  * formulas + a memory-traffic term) is no more than cost_ratio × the
  * summed cost of its parts. A backwards dynamic program then picks the
@@ -185,6 +187,10 @@ Matrix fused_matrix(const WireDims& dims, std::span<const Operation> ops,
  * the gate's cached structure, using the op_flop_estimate formulas:
  * permutation 0, diagonal 6·total, monomial 6 per non-identity slot,
  * controlled 8·nb² per active outer block, dense 8·block per amplitude.
+ * A gate compile_op routes to kBlockMonomial is priced as dense: teaching
+ * the estimator that class would move stage-2 partitions (and every
+ * engine's fused program) for a class that only the damped trajectory
+ * program, compiled on the ideal's partition, produces today.
  * This is the cost model the stage-2 fusion look-ahead compares merge
  * candidates with (exposed for the monotonicity property tests).
  */

@@ -17,6 +17,34 @@ namespace {
  *  is across shots, not inside one gate). */
 constexpr Index kParallelOuter = Index{1} << 13;
 
+/**
+ * Walks the cycles of the permutation `perm`, each from its smallest
+ * member, calling slot(i) for every member in cycle order and recording
+ * each cycle's length; fixed points i with skip(i) are left out.
+ */
+template <class Skip, class Slot>
+void
+walk_cycles(const std::vector<Index>& perm, Skip&& skip, Slot&& slot,
+            std::vector<std::uint32_t>& lengths)
+{
+    std::vector<bool> seen(perm.size(), false);
+    for (std::size_t start = 0; start < perm.size(); ++start) {
+        if (seen[start] ||
+            (perm[start] == static_cast<Index>(start) && skip(start))) {
+            continue;
+        }
+        std::uint32_t len = 0;
+        std::size_t b = start;
+        do {
+            seen[b] = true;
+            slot(b);
+            ++len;
+            b = static_cast<std::size_t>(perm[b]);
+        } while (b != start);
+        lengths.push_back(len);
+    }
+}
+
 /** Builds the non-trivial cycles of the gate's local permutation, composed
  *  with the plan's local offsets so the kernel walks state offsets
  *  directly. */
@@ -24,23 +52,14 @@ void
 build_cycles(const Gate& gate, const ApplyPlan& plan,
              std::vector<Index>& offsets, std::vector<std::uint32_t>& lengths)
 {
-    const Index block = plan.block;
-    std::vector<bool> seen(static_cast<std::size_t>(block), false);
-    for (Index start = 0; start < block; ++start) {
-        if (seen[static_cast<std::size_t>(start)] ||
-            gate.permute(start) == start) {
-            continue;
-        }
-        std::uint32_t len = 0;
-        Index b = start;
-        do {
-            seen[static_cast<std::size_t>(b)] = true;
-            offsets.push_back(plan.local_offset[static_cast<std::size_t>(b)]);
-            ++len;
-            b = gate.permute(b);
-        } while (b != start);
-        lengths.push_back(len);
+    std::vector<Index> perm(static_cast<std::size_t>(plan.block));
+    for (std::size_t b = 0; b < perm.size(); ++b) {
+        perm[b] = gate.permute(static_cast<Index>(b));
     }
+    walk_cycles(
+        perm, [](std::size_t) { return true; },
+        [&](std::size_t b) { offsets.push_back(plan.local_offset[b]); },
+        lengths);
 }
 
 /** Builds the non-trivial cycles of a monomial action (perm[c] = r,
@@ -55,34 +74,139 @@ build_monomial_cycles(const std::vector<Index>& perm,
                       std::vector<Complex>& phases,
                       std::vector<std::uint32_t>& lengths)
 {
-    const Index block = plan.block;
-    std::vector<bool> seen(static_cast<std::size_t>(block), false);
-    for (Index start = 0; start < block; ++start) {
-        const std::size_t us = static_cast<std::size_t>(start);
-        if (seen[us]) {
-            continue;
-        }
-        if (perm[us] == start) {
-            if (std::abs(phase[us] - Complex(1, 0)) <= kTol) {
-                continue;  // identity fixed point
-            }
-            offsets.push_back(plan.local_offset[us]);
-            phases.push_back(phase[us]);
-            lengths.push_back(1);
-            continue;
-        }
-        std::uint32_t len = 0;
-        Index b = start;
-        do {
-            const std::size_t ub = static_cast<std::size_t>(b);
-            seen[ub] = true;
-            offsets.push_back(plan.local_offset[ub]);
-            phases.push_back(phase[ub]);
-            ++len;
-            b = perm[ub];
-        } while (b != start);
-        lengths.push_back(len);
+    walk_cycles(
+        perm,
+        [&](std::size_t i) {
+            return std::abs(phase[i] - Complex(1, 0)) <= kTol;
+        },
+        [&](std::size_t b) {
+            offsets.push_back(plan.local_offset[b]);
+            phases.push_back(phase[b]);
+        },
+        lengths);
+}
+
+/**
+ * Block-monomial scan with operand `p` of `gate` as the target (t levels):
+ * a local index splits into the target digit j and the configuration x of
+ * the other operands. Succeeds when, for every column configuration x,
+ * the entries above kTol of its t columns lie in the rows of one
+ * configuration pi(x), and pi is a permutation. A configuration with no
+ * entry above kTol (damping can drive a level's weight below it) maps
+ * onto one of the rows left unused, itself where it can. Fills `pi`, the
+ * local index of each configuration's digit-0 amplitude (`head`), and per
+ * x the row-major t x t block from x to pi(x), with the matrix's raw
+ * entries.
+ */
+bool
+block_monomial_action(const Gate& gate, std::size_t p, std::vector<Index>& pi,
+                      std::vector<Index>& head, std::vector<Complex>& blocks)
+{
+    const Matrix& m = gate.matrix();
+    const Index block = gate.block_size();
+    const Index t = static_cast<Index>(gate.dims()[p]);
+    Index lo_size = 1;  // local stride of the target digit
+    for (std::size_t q = p + 1; q < gate.dims().size(); ++q) {
+        lo_size *= static_cast<Index>(gate.dims()[q]);
     }
+    const Index nconf = block / t;
+    auto local = [&](Index x, Index j) {
+        return x / lo_size * lo_size * t + j * lo_size + x % lo_size;
+    };
+    auto conf = [&](Index b) {
+        return b / (lo_size * t) * lo_size + b % lo_size;
+    };
+    const std::size_t tt = static_cast<std::size_t>(t * t);
+    pi.assign(static_cast<std::size_t>(nconf), 0);
+    head.resize(static_cast<std::size_t>(nconf));
+    blocks.assign(static_cast<std::size_t>(nconf) * tt, Complex(0, 0));
+    std::vector<bool> row_used(static_cast<std::size_t>(nconf), false);
+    std::vector<Index> empty;  // configurations with no entry above kTol
+    for (Index x = 0; x < nconf; ++x) {
+        Index y = nconf;  // sentinel: no entry above kTol yet
+        for (Index j = 0; j < t; ++j) {
+            const std::size_t col = static_cast<std::size_t>(local(x, j));
+            for (Index r = 0; r < block; ++r) {
+                if (std::abs(m(static_cast<std::size_t>(r), col)) <= kTol) {
+                    continue;
+                }
+                if (y == nconf) {
+                    y = conf(r);
+                } else if (conf(r) != y) {
+                    return false;
+                }
+            }
+        }
+        if (y == nconf) {
+            empty.push_back(x);
+            continue;
+        }
+        if (row_used[static_cast<std::size_t>(y)]) {
+            return false;
+        }
+        row_used[static_cast<std::size_t>(y)] = true;
+        pi[static_cast<std::size_t>(x)] = y;
+    }
+    // As many rows as empty configurations are left unused.
+    Index next_free = 0;
+    for (const Index x : empty) {
+        Index y = x;
+        if (row_used[static_cast<std::size_t>(y)]) {
+            while (row_used[static_cast<std::size_t>(next_free)]) {
+                ++next_free;
+            }
+            y = next_free;
+        }
+        row_used[static_cast<std::size_t>(y)] = true;
+        pi[static_cast<std::size_t>(x)] = y;
+    }
+    for (Index x = 0; x < nconf; ++x) {
+        const Index y = pi[static_cast<std::size_t>(x)];
+        head[static_cast<std::size_t>(x)] = local(x, 0);
+        Complex* out = blocks.data() + static_cast<std::size_t>(x) * tt;
+        for (Index i = 0; i < t; ++i) {
+            for (Index j = 0; j < t; ++j) {
+                out[i * t + j] = m(static_cast<std::size_t>(local(y, i)),
+                                   static_cast<std::size_t>(local(x, j)));
+            }
+        }
+    }
+    return true;
+}
+
+/** Builds the cycles of a block-monomial action over its configurations,
+ *  as build_monomial_cycles does for single amplitudes: one slot per
+ *  configuration (its digit-0 amplitude's state offset) and its t x t
+ *  block; fixed points whose block is the identity within kTol are
+ *  skipped. */
+void
+build_block_cycles(const std::vector<Index>& pi, const std::vector<Index>& head,
+                   const std::vector<Complex>& blocks, std::size_t t,
+                   const ApplyPlan& plan, std::vector<Index>& offsets,
+                   std::vector<Complex>& cycle_blocks,
+                   std::vector<std::uint32_t>& lengths)
+{
+    const std::size_t tt = t * t;
+    walk_cycles(
+        pi,
+        [&](std::size_t x) {
+            for (std::size_t i = 0; i < tt; ++i) {
+                const Complex one(i % (t + 1) == 0 ? 1 : 0, 0);
+                if (std::abs(blocks[x * tt + i] - one) > kTol) {
+                    return false;
+                }
+            }
+            return true;
+        },
+        [&](std::size_t x) {
+            offsets.push_back(
+                plan.local_offset[static_cast<std::size_t>(head[x])]);
+            const auto first =
+                blocks.begin() + static_cast<std::ptrdiff_t>(x * tt);
+            cycle_blocks.insert(cycle_blocks.end(), first,
+                                first + static_cast<std::ptrdiff_t>(tt));
+        },
+        lengths);
 }
 
 }  // namespace
@@ -137,6 +261,7 @@ kernel_counter(KernelKind kind, bool batched) noexcept
             cls = 3;
             break;
         case KernelKind::kControlled:
+        case KernelKind::kBlockMonomial:
             cls = 4;
             break;
         case KernelKind::kDense:
@@ -172,6 +297,15 @@ op_flop_estimate(const CompiledOp& op, Index total) noexcept
                        ? 0
                        : op.plan->outer_count() * nb * nb * 8;
         }
+        case KernelKind::kBlockMonomial: {
+            const auto t = static_cast<std::uint64_t>(op.inner_offset.size());
+            return op.plan == nullptr
+                       ? 0
+                       : op.plan->outer_count() *
+                             static_cast<std::uint64_t>(
+                                 op.cycle_offsets.size()) *
+                             t * t * 8;
+        }
         case KernelKind::kDense: {
             if (op.plan == nullptr) {
                 return 0;
@@ -199,6 +333,8 @@ kernel_name(KernelKind kind)
             return "single_wire_d3";
         case KernelKind::kControlled:
             return "controlled";
+        case KernelKind::kBlockMonomial:
+            return "block_monomial";
         case KernelKind::kDense:
             return "dense";
     }
@@ -294,6 +430,28 @@ compile_op(const WireDims& dims, const Gate& gate,
         op.inner_offset = local_offsets(
             dims, wires.subspan(static_cast<std::size_t>(cs.num_controls)));
         op.inner = cs.inner;
+        return op;
+    }
+    // Block-monomial: one 2- or 3-level target whose blocks the other
+    // operands' configurations permute (a controlled or permutation block
+    // with damping diagonals folded in).
+    for (std::size_t p = 0; p < wires.size(); ++p) {
+        const int t = gate.dims()[p];
+        std::vector<Index> pi, head;
+        std::vector<Complex> blocks;
+        if ((t != 2 && t != 3) ||
+            !block_monomial_action(gate, p, pi, head, blocks)) {
+            continue;
+        }
+        op.kind = KernelKind::kBlockMonomial;
+        op.inner_offset.resize(static_cast<std::size_t>(t));
+        for (int j = 0; j < t; ++j) {
+            op.inner_offset[static_cast<std::size_t>(j)] =
+                static_cast<Index>(j) * dims.stride(wires[p]);
+        }
+        build_block_cycles(pi, head, blocks, static_cast<std::size_t>(t),
+                           *op.plan, op.cycle_offsets, op.cycle_blocks,
+                           op.cycle_lengths);
         return op;
     }
     op.kind = KernelKind::kDense;

@@ -18,6 +18,14 @@
  *  - kControlled: touches only the `d^N / d^c` amplitudes where the `c`
  *    control operands hold their activation values, applying the inner
  *    dense operator there.
+ *  - kBlockMonomial: one target operand of 2 or 3 levels, and with the
+ *    other operands' digits fixed to a configuration x, one t x t block
+ *    maps the target's values at x onto those at pi(x) for a permutation
+ *    pi of the configurations — the shape of a controlled or permutation
+ *    block with the trajectory engine's no-jump damping diagonals folded
+ *    in. Values move along the cycles of pi, one small matvec per slot.
+ *    It generalises kMonomial (t = 1) and kControlled (identity pi, one
+ *    non-identity block), which keep their own kernels.
  *  - kDense: generic gather/multiply/scatter against precomputed offsets —
  *    the fallback.
  *
@@ -56,6 +64,7 @@ enum class KernelKind : std::uint8_t {
     kSingleWireD2,
     kSingleWireD3,
     kControlled,
+    kBlockMonomial,
     kDense,
 };
 
@@ -121,6 +130,15 @@ struct CompiledOp {
     Index ctrl_offset = 0;
     std::vector<Index> inner_offset;
     Matrix inner;
+
+    // kBlockMonomial: cycle_offsets holds one slot per configuration of
+    // the non-target operands (the local offset of its target-digit-0
+    // amplitude) and cycle_lengths the cycles of pi over them, as for
+    // kMonomial; inner_offset holds the target's t digit offsets. The
+    // block moving the values of slot i to slot i+1 is the row-major
+    // t x t cycle_blocks[i * t * t ...]. Configurations that pi fixes
+    // with an identity block are skipped.
+    std::vector<Complex> cycle_blocks;
 };
 
 /**
@@ -157,7 +175,8 @@ void apply_op(const CompiledOp& op, StateVector& psi, BatchedScratch& scratch);
 /** Dispatch counter for one application of `kind`: the one-state
  *  counter (apply_op), or the batched counter when `batched` (advanced by
  *  the lane count there). The d=2/d=3 unrolled kernels share one
- *  "single_wire" class. */
+ *  "single_wire" class, and kBlockMonomial counts as "controlled" (a
+ *  small matvec per active slot). */
 obs::Counter kernel_counter(KernelKind kind, bool batched) noexcept;
 
 /** Rough work estimate for one application of `op` over a register of

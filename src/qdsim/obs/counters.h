@@ -54,19 +54,20 @@ enum class Counter : unsigned {
     kSsDiagonal,
     kSsMonomial,
     kSsSingleWire,  ///< unrolled d=2 / d=3 single-wire kernels
-    kSsControlled,
+    kSsControlled,  ///< controlled and block-monomial kernels
     kSsDense,
     // exec::apply_op_batched over B lanes, LANES per dispatch.
     kBatPermutation,
     kBatDiagonal,
     kBatMonomial,
     kBatSingleWire,
-    kBatControlled,
+    kBatControlled,  ///< controlled and block-monomial kernels
     kBatDense,
     kBatDispatches,  ///< apply_op_batched calls (NOT batch-invariant)
     // Density-matrix conjugations (noise/density_matrix.cc), one per
     // K rho K^dagger, by the CompiledOp's kernel class: permutation and
-    // monomial count as monomial, single-wire and dense as dense.
+    // monomial count as monomial, block-monomial as controlled, and
+    // single-wire and dense as dense.
     kSuperDiagonal,
     kSuperMonomial,
     kSuperControlled,

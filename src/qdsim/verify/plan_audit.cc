@@ -301,6 +301,40 @@ audit_compiled_op(const WireDims& dims, const CompiledOp& op, Report& report,
             }
             break;
         }
+        case KernelKind::kBlockMonomial: {
+            if (op.cycle_offsets != fresh.cycle_offsets ||
+                op.cycle_lengths != fresh.cycle_lengths ||
+                op.inner_offset != fresh.inner_offset) {
+                data_mismatch("slot or target offset table");
+            }
+            // Every amplitude the kernel reaches is base + slot + target
+            // offset, with the base in range (audit_plan).
+            const Index max_target =
+                op.inner_offset.empty()
+                    ? 0
+                    : *std::max_element(op.inner_offset.begin(),
+                                        op.inner_offset.end());
+            for (const Index off : op.cycle_offsets) {
+                if (off >= dims.size() || max_target >= dims.size() - off) {
+                    report.add("plan.offset-bounds", Severity::kError,
+                               op_index,
+                               where + ": slot offset " +
+                                   std::to_string(off) +
+                                   " + target offset " +
+                                   std::to_string(max_target) +
+                                   " outside register size " +
+                                   std::to_string(dims.size()));
+                }
+            }
+            bool ok = op.cycle_blocks.size() == fresh.cycle_blocks.size();
+            for (std::size_t i = 0; ok && i < op.cycle_blocks.size(); ++i) {
+                ok = complex_close(op.cycle_blocks[i], fresh.cycle_blocks[i]);
+            }
+            if (!ok) {
+                data_mismatch("cycle block table");
+            }
+            break;
+        }
         case KernelKind::kDense:
             break;
     }

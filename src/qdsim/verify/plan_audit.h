@@ -37,7 +37,9 @@ void audit_plan(const WireDims& dims, std::span<const int> wires,
  * assignment against a fresh compile_op dispatch (plan.kernel-class), and
  * per-kernel data consistency — controlled masks/offsets re-derived from
  * the gate's ControlledStructure (plan.ctrl-mask), single-wire run
- * geometry, and the diagonal table (plan.kernel-data).
+ * geometry, the diagonal table, and the cycle, phase and block tables of
+ * the monomial and block-monomial kernels (plan.kernel-data), whose slot
+ * offsets must stay inside the register (plan.offset-bounds).
  */
 void audit_compiled_op(const WireDims& dims, const exec::CompiledOp& op,
                        Report& report, std::ptrdiff_t op_index = -1);

@@ -183,6 +183,16 @@ TEST(DensityMatrix, KernelRoutingMatchesOperatorStructure) {
                   mixed, Gate("rand", {2, 3}, haar_random_unitary(6, rng)),
                   {0, 1}, rng),
               KernelKind::kDense);
+    // Block-monomial: a level shift on the control before a controlled
+    // gate moves each target block to another control value.
+    EXPECT_EQ(check_unitary_against_oracle(
+                  q3,
+                  Gate("C[2]H3.X+1", {3, 3},
+                       gates::H3().controlled(3, 2).matrix() *
+                           gates::Xplus1().matrix().kron(
+                               Matrix::identity(3))),
+                  {2, 0}, rng),
+              KernelKind::kBlockMonomial);
 }
 
 TEST(DensityMatrix, MonomialKernelCoversGeneralizedPaulis) {

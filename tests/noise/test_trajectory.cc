@@ -13,6 +13,7 @@
 #include "qdsim/obs/counters.h"
 #include "qdsim/random_state.h"
 #include "qdsim/simulator.h"
+#include "qdsim/verify/fusion_audit.h"
 
 namespace qd::noise {
 namespace {
@@ -703,14 +704,95 @@ TEST(Trajectory, FusedDampingBlocksStayBatchInvariant) {
     expect_batch_invariant(fusable_qutrit_circuit(), hot_damping(), 25);
 }
 
-TEST(Trajectory, LookaheadFusedDampingStaysBatchInvariant) {
-    // From 2^13 amplitudes up the noisy program also runs the stage-2
-    // look-ahead, whose union blocks hold damping steps of several
-    // wires: the 9-qutrit gen-Toffoli (19683 amplitudes).
+/** Noisy-program ops that run the block-monomial kernel. */
+std::size_t
+block_monomial_ops(const TrajectoryCompilation& compiled)
+{
+    std::size_t n = 0;
+    for (const exec::CompiledOp& op : compiled.noisy().ops()) {
+        n += op.kind == exec::KernelKind::kBlockMonomial ? 1 : 0;
+    }
+    return n;
+}
+
+TEST(Trajectory, DampedBlockMonomialBlocksStayBatchInvariant) {
+    // The damped noisy program runs on the ideal's stage-2 union blocks,
+    // which then hold damping steps of several wires; on the 9-qutrit
+    // gen-Toffoli six of them are block-monomial.
     const ctor::GenToffoli g =
         ctor::build_gen_toffoli(ctor::Method::kQutrit, 8);
-    ASSERT_GE(g.circuit.dims().size(), Index{1} << 13);
+    const TrajectoryCompilation compiled(g.circuit, hot_damping());
+    EXPECT_EQ(compiled.noisy().num_ops(), compiled.ideal().num_ops());
+    EXPECT_EQ(block_monomial_ops(compiled), 6u);
     expect_batch_invariant(g.circuit, hot_damping(), 8);
+}
+
+TEST(Trajectory, HotDampedGenToffoliBlocksStayInvariantAndMatchDensity) {
+    // SC with T1 = 2 us: the width-5 QUTRIT and QUBIT gen-Toffolis, whose
+    // noisy programs hold 2 and 5 block-monomial blocks.
+    NoiseModel m = sc();
+    m.t1 = 2e-6;
+    const std::pair<ctor::Method, std::size_t> cases[] = {
+        {ctor::Method::kQutrit, 2}, {ctor::Method::kQubitNoAncilla, 5}};
+    for (const auto& [method, blocks] : cases) {
+        const Circuit c = ctor::build_gen_toffoli(method, 4).circuit;
+        const TrajectoryCompilation compiled(c, m);
+        EXPECT_EQ(compiled.noisy().num_ops(), compiled.ideal().num_ops());
+        EXPECT_EQ(block_monomial_ops(compiled), blocks);
+        expect_batch_invariant(c, m, 11);
+        Rng rng(51);
+        expect_matches_exact(c, m,
+                             haar_random_qubit_subspace_state(c.dims(), rng),
+                             2000, 52);
+    }
+}
+
+TEST(Trajectory, IdleWireDampsInItsOwnBlock) {
+    // No op touches wire 1: its one damping step (over the whole circuit)
+    // runs as a one-step block after the ideal's blocks.
+    Circuit c(WireDims({3, 2, 3}));
+    c.append(gates::H3(), {0});
+    c.append(gates::Xplus1().controlled(3, 1), {0, 2});
+    c.append(gates::H3(), {2});
+    const NoiseModel m = hot_damping();
+    const TrajectoryCompilation compiled(c, m);
+    ASSERT_EQ(compiled.noisy().num_ops(), compiled.ideal().num_ops() + 1);
+    EXPECT_EQ(compiled.noisy().ops().back().wires, std::vector<int>{1});
+    expect_batch_invariant(c, m, 13);
+    Rng rng(53);
+    expect_matches_exact(c, m, haar_random_state(c.dims(), rng), 4000, 54);
+}
+
+TEST(Trajectory, DampedPartitionPassesTheStructuralAudit) {
+    // The damped noisy program's partition is a legal fusion of its
+    // steps: an exact cover, within the ideal's wires and caps, and in
+    // each wire's order. (fusion.cost-regression is not asserted: the
+    // fusion estimator prices block-monomial blocks as dense.)
+    std::vector<Circuit> circuits;
+    for (const int width : {5, 11}) {
+        for (const ctor::Method method :
+             {ctor::Method::kQutrit, ctor::Method::kQubitNoAncilla,
+              ctor::Method::kQubitDirtyAncilla}) {
+            circuits.push_back(
+                ctor::build_gen_toffoli(method, width - 1).circuit);
+        }
+    }
+    circuits.push_back(
+        ctor::build_gen_toffoli(ctor::Method::kQutrit, 8).circuit);
+    for (const Circuit& c : circuits) {
+        const TrajectoryCompilation compiled(c, sc());
+        ASSERT_EQ(compiled.noisy_program().num_ops(),
+                  compiled.noisy().num_source_ops());
+        verify::Report report;
+        verify::audit_partition(c.dims(), compiled.noisy_program().ops(), {},
+                                compiled.noisy_partition(),
+                                exec::FusionOptions{}, report);
+        for (const char* rule : {"fusion.cover", "fusion.wires",
+                                 "fusion.commute", "fusion.cap"}) {
+            EXPECT_FALSE(report.has_rule(rule))
+                << rule << " on " << c.dims().num_wires() << " wires";
+        }
+    }
 }
 
 TEST(Trajectory, FusedDampingMatchesDensityMatrix) {
@@ -803,8 +885,9 @@ TEST(Trajectory, GateErrorDrawsCountEverySiteOnEveryShot) {
 }
 
 TEST(Trajectory, CrossingsAndFiresShareFusedBlocks) {
-    // Light gates on two qutrits: the damping steps fuse with them into
-    // multi-op blocks only, and the controlled op is the only error site.
+    // Light gates on two qutrits: the damping steps join the ideal's
+    // blocks, every one of which merges >= 2 steps, and the controlled op
+    // is the only error site.
     Circuit c(WireDims::uniform(2, 3));
     c.append(gates::Xplus1(), {0});
     c.append(gates::Z3(), {1});
@@ -814,25 +897,22 @@ TEST(Trajectory, CrossingsAndFiresShareFusedBlocks) {
     NoiseModel m = hot_damping();
     m.p1 = 0;
 
-    const bool was_enabled = obs::enabled();
-    obs::set_enabled(true);
-    obs::reset_counters();
-    const exec::CompiledCircuit ideal(c, exec::FusionOptions{});
-    const obs::CounterSnapshot ideal_fusion = obs::counters_snapshot();
-    obs::reset_counters();
     const TrajectoryCompilation compiled(c, m);
-    const obs::CounterSnapshot both = obs::counters_snapshot();
-    obs::set_enabled(was_enabled);
-    // The noisy program's own fusion pass: every block merges >= 2 ops.
-    const std::uint64_t blocks = both[obs::Counter::kFusionBlocksOut] -
-                                 ideal_fusion[obs::Counter::kFusionBlocksOut];
-    EXPECT_GE(blocks, 1u);
-    EXPECT_EQ(both[obs::Counter::kFusionFusedGroups] -
-                  ideal_fusion[obs::Counter::kFusionFusedGroups],
-              blocks);
-    EXPECT_GT(both[obs::Counter::kFusionOpsIn] -
-                  ideal_fusion[obs::Counter::kFusionOpsIn],
-              c.num_ops());
+    const std::size_t blocks = compiled.ideal().num_ops();
+    ASSERT_EQ(compiled.noisy().num_ops(), blocks);
+    for (const exec::CompiledOp& op : compiled.noisy().ops()) {
+        EXPECT_GE(op.source_ops.size(), 2u);
+    }
+    EXPECT_GT(compiled.noisy().num_source_ops(), c.num_ops());
+    // One shot group: one batched pass per ideal block for the
+    // reference, and one per noisy block.
+    TrajectoryOptions group;
+    group.trials = 6;
+    group.batch = 6;
+    group.threads = 1;
+    const auto g = trial_counters(compiled, group);
+    EXPECT_EQ(g[obs::Counter::kTrajBatches], 1u);
+    EXPECT_EQ(g[obs::Counter::kBatDispatches], 2 * blocks);
 
     TrajectoryOptions opts;
     opts.trials = 200;

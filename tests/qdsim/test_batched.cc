@@ -144,6 +144,28 @@ for_each_kernel_layout(Rng& rng, Check&& check)
     const Gate u2("u2", {2}, random_matrix(2, rng));
     const Gate zx("Z3xX+1", {3, 3},
                   gates::Z3().matrix().kron(gates::Xplus1().matrix()));
+    const Matrix k0_2 = Matrix::diagonal({Complex(1, 0), Complex(0.8, 0)});
+    const Matrix k0_3 = Matrix::diagonal(
+        {Complex(1, 0), Complex(0.9, 0), Complex(0.7, 0)});
+    const Matrix ch3 = gates::H3().controlled(3, 2).matrix();
+    const Gate damped_h3("C[2]H3.k0", {3, 3},
+                         ch3 * Matrix::identity(3).kron(k0_3));
+    const Gate shifted_h3(
+        "C[2]H3.X+1", {3, 3},
+        ch3 * gates::Xplus1().matrix().kron(Matrix::identity(3)));
+    const Gate damped_u2("C[1]u2.k0", {3, 2},
+                         u2.controlled(3, 1).matrix() *
+                             Matrix::identity(3).kron(k0_2));
+    // Controls on wires 0 and 3 around a qubit target on wire 1: the
+    // target is the middle operand.
+    const std::vector<int> middle = {0, 1, 3};
+    const std::vector<int> ctrl_first = {0, 3, 1};
+    const Gate damped_middle(
+        "C[2]C[1]u2.k0", {3, 2, 3},
+        exec::embed_into_block(
+            mixed, middle, ctrl_first,
+            u2.controlled(3, 1).controlled(3, 2).matrix()) *
+            Matrix::identity(3).kron(k0_2).kron(Matrix::identity(3)));
     struct Case {
         WireDims dims;
         Gate gate;
@@ -169,6 +191,16 @@ for_each_kernel_layout(Rng& rng, Check&& check)
         {mixed, zx, {2, 0}, KernelKind::kMonomial},
         {mixed, gates::Xplus1().controlled(3, 2), {0, 3},
          KernelKind::kPermutation},
+        // Block-monomial: controlled blocks with a damping-like diagonal
+        // (identity pi) or a level shift (pi != id) folded in, a 2- or
+        // 3-level target, and the target first, last or in the middle.
+        {mixed, damped_h3, {0, 2}, KernelKind::kBlockMonomial},
+        {mixed, damped_h3, {3, 5}, KernelKind::kBlockMonomial},
+        {mixed, shifted_h3, {3, 0}, KernelKind::kBlockMonomial},
+        {mixed, shifted_h3, {2, 5}, KernelKind::kBlockMonomial},
+        {mixed, damped_u2, {2, 4}, KernelKind::kBlockMonomial},
+        {mixed, damped_u2, {5, 1}, KernelKind::kBlockMonomial},
+        {mixed, damped_middle, {0, 1, 3}, KernelKind::kBlockMonomial},
     };
     for (const Case& c : cases) {
         for (const int lanes : {1, 2, 3, 8}) {
@@ -185,6 +217,7 @@ for_each_kernel_layout(Rng& rng, Check&& check)
           KernelKind::kControlled);
     check(big, gates::Xplus1().controlled(3, 1), {2, 7}, 8,
           KernelKind::kPermutation);
+    check(big, shifted_h3, {7, 2}, 8, KernelKind::kBlockMonomial);
 }
 
 TEST(Batched, EveryKernelLayoutIsLaneInvariantBitwise) {

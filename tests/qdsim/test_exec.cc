@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "qdsim/eigen.h"
 #include "qdsim/exec/apply_plan.h"
 #include "qdsim/exec/kernels.h"
 #include "qdsim/gate_library.h"
@@ -50,6 +51,43 @@ random_wires(const WireDims& dims, int k, Rng& rng)
     std::shuffle(all.begin(), all.end(), rng.engine());
     all.resize(static_cast<std::size_t>(k));
     return all;
+}
+
+/** `second` after `first` over the same operands, as one gate. */
+Gate
+product(const char* name, const Gate& second, const Gate& first)
+{
+    return Gate(name, first.dims(), second.matrix() * first.matrix());
+}
+
+/** C[2](X+1)^(1/3) over a qutrit control and a qutrit target. */
+Gate
+controlled_root()
+{
+    return Gate("X+1^1/3", {3},
+                unitary_power(gates::Xplus1().matrix(), 1.0 / 3))
+        .controlled(3, 2);
+}
+
+/** Block-monomial products: controlled_root with a no-jump-damping-like
+ *  diagonal on its target folded in (identity pi), and with a level
+ *  shift on its control (pi != id). */
+Gate
+damped_controlled_root()
+{
+    return product("C[2]X+1^1/3.k0", controlled_root(),
+                   Gate("1xk0", {3, 3},
+                        Matrix::identity(3).kron(Matrix::diagonal(
+                            {Complex(1, 0), Complex(0.9, 0),
+                             Complex(0.8, 0)}))));
+}
+
+Gate
+shifted_controlled_root()
+{
+    return product("C[2]X+1^1/3.X+1", controlled_root(),
+                   Gate("X+1x1", {3, 3},
+                        gates::Xplus1().matrix().kron(Matrix::identity(3))));
 }
 
 /** Applies `gate` to copies of a random state via the compiled kernel and
@@ -175,6 +213,52 @@ TEST(Exec, ControlledKernelMatchesReference) {
     const Gate mh = gates::H().controlled(3, 1);
     EXPECT_EQ(check_against_reference(mixed, mh, {1, 2}, rng),
               KernelKind::kControlled);
+
+    // Block-monomial: a controlled block whose inactive blocks a diagonal
+    // or a level shift on the operands has made non-identity.
+    const WireDims wide({2, 3, 3, 2});
+    EXPECT_EQ(check_against_reference(wide, damped_controlled_root(), {2, 1},
+                                      rng),
+              KernelKind::kBlockMonomial);
+    EXPECT_EQ(check_against_reference(wide, shifted_controlled_root(),
+                                      {1, 2}, rng),
+              KernelKind::kBlockMonomial);
+    // CNOT then H on its target: a 2-level target, identity pi.
+    EXPECT_EQ(check_against_reference(
+                  wide,
+                  product("CNOT.H", Gate("1xH", {2, 2},
+                                         Matrix::identity(2).kron(
+                                             gates::H().matrix())),
+                          gates::CNOT()),
+                  {3, 0}, rng),
+              KernelKind::kBlockMonomial);
+    // A diagonal that empties the control's level 2: that configuration
+    // has no entry above kTol, and maps onto the row left unused (itself,
+    // or another one once a level shift has taken it).
+    const Gate drop2("drop2x1", {3, 3},
+                     Matrix::diagonal({Complex(1, 0), Complex(1, 0),
+                                       Complex(0, 0)})
+                         .kron(Matrix::identity(3)));
+    EXPECT_EQ(check_against_reference(
+                  wide, product("C[1]H3.drop2", gates::H3().controlled(3, 1),
+                                drop2),
+                  {1, 2}, rng),
+              KernelKind::kBlockMonomial);
+    EXPECT_EQ(check_against_reference(
+                  wide, product("C[2]X+1^1/3.X+1.drop2",
+                                shifted_controlled_root(), drop2),
+                  {2, 1}, rng),
+              KernelKind::kBlockMonomial);
+    // A qubit target under a qutrit control, with a damping-like diagonal
+    // on the target.
+    EXPECT_EQ(check_against_reference(
+                  wide,
+                  product("C[1]H.k0", mh,
+                          Gate("1xk0", {3, 2},
+                               Matrix::identity(3).kron(Matrix::diagonal(
+                                   {Complex(1, 0), Complex(0.7, 0)})))),
+                  {2, 3}, rng),
+              KernelKind::kBlockMonomial);
 }
 
 TEST(Exec, AmplitudeDampingKrausOperatorsMatchReference) {
@@ -404,6 +488,8 @@ TEST(Exec, OneStatePassesAreTeamInvariantPastTheParallelThreshold) {
         {q3, Gate("rand", {3, 3}, random_matrix(9, rng)), {6, 1},
          KernelKind::kDense},
         {q2, gates::H(), {13}, KernelKind::kSingleWireD2},
+        {q3, shifted_controlled_root(), {8, 4},
+         KernelKind::kBlockMonomial},
     };
     for (const Case& c : cases) {
         const CompiledOp op = exec::compile_op(c.dims, c.gate, c.wires);

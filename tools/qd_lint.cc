@@ -328,6 +328,21 @@ build_seeds()
         qd::verify::audit_compiled_op(dims, op, report);
         return report;
     }});
+    seeds.push_back({"perturbed block entry", "plan.kernel-data", [=] {
+        // A level shift on the control before a controlled H3: the target
+        // blocks move between control values (kBlockMonomial).
+        const WireDims dims = WireDims::uniform(2, 3);
+        const std::vector<int> wires = {0, 1};
+        const Gate g("C[2]H3.X+1", {3, 3},
+                     qd::gates::H3().controlled(3, 2).matrix() *
+                         qd::gates::Xplus1().matrix().kron(
+                             Matrix::identity(3)));
+        qd::exec::CompiledOp op = qd::exec::compile_op(dims, g, wires);
+        op.cycle_blocks.front() += qd::Complex(0.5, 0);  // one entry off
+        Report report;
+        qd::verify::audit_compiled_op(dims, op, report);
+        return report;
+    }});
     seeds.push_back({"fence-spanning fused block", "fusion.fence-span", [=] {
         const WireDims dims = WireDims::uniform(1, 2);
         const std::vector<Operation> ops = {{qd::gates::X(), {0}},
