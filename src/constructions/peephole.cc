@@ -2,63 +2,20 @@
 
 #include <vector>
 
-#include "qdsim/matrix.h"
-
 namespace qd::ctor {
-
-namespace {
-
-bool
-share_a_wire(const std::vector<int>& a, const std::vector<int>& b)
-{
-    for (const int w : a) {
-        for (const int v : b) {
-            if (w == v) {
-                return true;
-            }
-        }
-    }
-    return false;
-}
-
-}  // namespace
 
 std::size_t
 cancel_inverse_pairs(Circuit& circuit, std::size_t first_op)
 {
-    const auto& ops = circuit.ops();
-    std::vector<std::size_t> live;    // surviving op indices, in order
-    std::vector<std::size_t> killed;  // indices to erase
-    for (std::size_t i = first_op; i < ops.size(); ++i) {
-        const Operation& op = ops[i];
-        // The nearest earlier live op touching any of op's wires is the
-        // only legal cancellation partner: anything on a shared wire in
-        // between would not commute away.
-        std::size_t partner = live.size();
-        for (std::size_t k = live.size(); k-- > 0;) {
-            if (share_a_wire(ops[live[k]].wires, op.wires)) {
-                partner = k;
-                break;
-            }
-        }
-        if (partner != live.size()) {
-            const Operation& prev = ops[live[partner]];
-            if (prev.wires == op.wires &&
-                (op.gate.matrix() * prev.gate.matrix())
-                    .approx_equal_up_to_phase(
-                        Matrix::identity(op.gate.matrix().rows()),
-                        kLooseTol)) {
-                killed.push_back(live[partner]);
-                killed.push_back(i);
-                live.erase(live.begin() +
-                           static_cast<std::ptrdiff_t>(partner));
-                continue;
-            }
-        }
-        live.push_back(i);
+    std::vector<std::size_t> erased;
+    for (const auto& [i, j] : inverse_pairs(circuit.ops(),
+                                            circuit.num_wires(), kLooseTol,
+                                            first_op)) {
+        erased.push_back(i);
+        erased.push_back(j);
     }
-    circuit.erase_ops(killed);
-    return killed.size() / 2;
+    circuit.erase_ops(erased);
+    return erased.size() / 2;
 }
 
 }  // namespace qd::ctor

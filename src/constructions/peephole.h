@@ -8,7 +8,9 @@
  * qubit Toffoli meeting the leading H of its successor on the same target.
  * verify's dead.inverse-pair rule flags exactly these, so the builders
  * remove them at emission time with this helper instead of shipping work
- * for the transpiler's CancelInversePairs pass to redo.
+ * for the transpiler's CancelInversePairs pass to redo. All three find
+ * their pairs through qd::inverse_pairs (circuit.h); each keeps its own
+ * tolerance.
  *
  * Restricted to the suffix a builder just appended so callers' prefixes
  * are never rewritten.
@@ -23,11 +25,8 @@
 namespace qd::ctor {
 
 /**
- * Cancels inverse-adjacent pairs in circuit ops [first_op, num_ops()):
- * op j is dropped together with the nearest earlier live op i when i is
- * the latest op sharing any wire with j, acts on the same wires in the
- * same operand order, and gate_j * gate_i == identity up to global phase.
- * Cancellation cascades (removing a pair can expose an outer pair).
+ * Erases the inverse pairs of circuit ops [first_op, num_ops()) that
+ * qd::inverse_pairs (circuit.h) finds at kLooseTol, cascades included.
  * Preserves the circuit unitary up to global phase; returns the number of
  * pairs removed.
  */

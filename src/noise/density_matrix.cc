@@ -17,7 +17,6 @@
 #include "qdsim/obs/counters.h"
 #include "qdsim/obs/trace.h"
 #include "qdsim/simulator.h"
-#include "qdsim/verify/noise_audit.h"
 
 namespace qd::noise {
 
@@ -657,8 +656,7 @@ density_matrix_fidelity(const Circuit& circuit, const NoiseModel& model,
                         const exec::FusionOptions& fusion)
 {
     // The compile service verifies at admission under QD_VERIFY=strict
-    // (same analysis verify::enforce_noisy ran here before the service
-    // existed) and caches the compilation across calls.
+    // and caches the compilation across calls.
     const std::shared_ptr<const exec::CompiledArtifact> artifact =
         exec::CompileService::global().compile(circuit, model,
                                                exec::EngineKind::kDensity,

@@ -222,8 +222,7 @@ class DensityMatrix {
  * Immutable after construction and safe to share across threads — the
  * CompileService caches these across requests so repeated submissions of
  * the same (circuit, model, fusion) skip compilation entirely.
- * Construction does NOT verify; admission is the CompileService's job
- * (or verify::enforce_noisy for direct callers).
+ * Construction does NOT verify; admission is the CompileService's job.
  *
  * @throws std::invalid_argument when a gate-error site's Pauli
  *         probabilities sum past 1 or a damping probability leaves

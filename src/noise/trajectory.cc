@@ -18,7 +18,6 @@
 #include "qdsim/obs/counters.h"
 #include "qdsim/obs/trace.h"
 #include "qdsim/random_state.h"
-#include "qdsim/verify/noise_audit.h"
 
 namespace qd::noise {
 
@@ -775,9 +774,13 @@ run_single_trajectory(const Circuit& circuit, const NoiseModel& model,
                       const StateVector& initial,
                       const StateVector& ideal_out, Rng& rng)
 {
-    verify::enforce_noisy(circuit, model);
-    const TrajectoryCompilation compiled(circuit, model, {});
-    return run_single_trajectory(compiled, initial, ideal_out, rng);
+    // Admitted and cached by the compile service, as run_noisy_trials
+    // (circuit, ...) is.
+    return run_single_trajectory(
+        *exec::CompileService::global()
+             .compile(circuit, model, exec::EngineKind::kTrajectory, {})
+             ->trajectory,
+        initial, ideal_out, rng);
 }
 
 Real
@@ -814,9 +817,8 @@ run_noisy_trials(const Circuit& circuit, const NoiseModel& model,
             "run_noisy_trials: options.batch must be >= 0");
     }
     // The compile service verifies at admission under QD_VERIFY=strict
-    // (same analysis verify::enforce_noisy ran here before the service
-    // existed) and caches the compilation across calls. After the cheap
-    // argument checks so the documented invalid_argument contract wins.
+    // and caches the compilation across calls. After the cheap argument
+    // checks so the documented invalid_argument contract wins.
     const std::shared_ptr<const exec::CompiledArtifact> artifact =
         exec::CompileService::global().compile(circuit, model,
                                                exec::EngineKind::kTrajectory,

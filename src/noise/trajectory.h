@@ -146,8 +146,7 @@ struct TrajectoryResult {
  * construction and safe to share across threads — the CompileService
  * caches these across requests so repeated submissions of the same
  * (circuit, model, fusion) skip compilation entirely. Construction does
- * NOT verify; admission is the CompileService's job (or
- * verify::enforce_noisy for direct callers).
+ * NOT verify; admission is the CompileService's job.
  */
 class TrajectoryCompilation {
  public:
@@ -192,7 +191,8 @@ class TrajectoryCompilation {
  * and damping threshold from `rng`, which then advances by every further
  * draw of the shot (jump levels, new thresholds, dephasing kicks). Trial
  * t of run_noisy_trials equals it on stream root.child(t), bitwise, at
- * every batch width.
+ * every batch width. The compilation comes from the global CompileService,
+ * admitted there under QD_VERIFY=strict as run_noisy_trials' is.
  * Exposed for tests; most callers use run_noisy_trials.
  *
  * @throws std::invalid_argument if `initial` or `ideal_out` is on another
@@ -223,10 +223,10 @@ Real run_single_trajectory(const TrajectoryCompilation& compiled,
  * @throws std::runtime_error if a damping jump leaves a zero-norm state.
  *
  * @deprecated For job-stream traffic prefer serve::execute() (serve/run.h),
- *         which routes through the shared CompileService and returns a
- *         uniform RunResult, or the precompiled overload below — this
- *         convenience overload verifies and compiles from scratch on
- *         every call. It remains supported for one-shot callers.
+ *         which returns a uniform RunResult, or the precompiled overload
+ *         below. This convenience overload is served from the global
+ *         CompileService's artifact cache, as serve::execute() is, and
+ *         remains supported for one-shot callers.
  */
 TrajectoryResult run_noisy_trials(const Circuit& circuit,
                                   const NoiseModel& model,

@@ -246,4 +246,53 @@ Circuit::summary(const std::string& label) const
     return out;
 }
 
+std::vector<std::pair<std::size_t, std::size_t>>
+inverse_pairs(std::span<const Operation> ops, int num_wires, Real tol,
+              std::size_t first)
+{
+    // Per wire, the live ops on it in order. Erasing a pair pops it, so
+    // the op below becomes the one a later op on that wire meets.
+    std::vector<std::vector<std::size_t>> live(
+        static_cast<std::size_t>(std::max(num_wires, 0)));
+    std::vector<std::pair<std::size_t, std::size_t>> pairs;
+    for (std::size_t j = first; j < ops.size(); ++j) {
+        const Operation& op = ops[j];
+        const auto in_register = [num_wires](int w) {
+            return w >= 0 && w < num_wires;
+        };
+        if (op.gate.empty() || op.wires.empty() ||
+            !std::all_of(op.wires.begin(), op.wires.end(), in_register)) {
+            continue;
+        }
+        // The partner is the op on top of every one of op's wires.
+        const std::size_t none = ops.size();
+        std::size_t i = none;
+        for (const int w : op.wires) {
+            const auto& stack = live[static_cast<std::size_t>(w)];
+            if (stack.empty() || (i != none && stack.back() != i)) {
+                i = none;
+                break;
+            }
+            i = stack.back();
+        }
+        if (i != none && ops[i].wires == op.wires) {
+            const Matrix& a = ops[i].gate.matrix();
+            const Matrix& b = op.gate.matrix();
+            if (a.rows() == b.rows() &&
+                (b * a).approx_equal_up_to_phase(Matrix::identity(a.rows()),
+                                                 tol)) {
+                for (const int w : op.wires) {
+                    live[static_cast<std::size_t>(w)].pop_back();
+                }
+                pairs.emplace_back(i, j);
+                continue;
+            }
+        }
+        for (const int w : op.wires) {
+            live[static_cast<std::size_t>(w)].push_back(j);
+        }
+    }
+    return pairs;
+}
+
 }  // namespace qd

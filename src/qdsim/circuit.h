@@ -8,7 +8,9 @@
 
 #include <cstddef>
 #include <functional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "qdsim/gate.h"
@@ -114,6 +116,22 @@ class Circuit {
     WireDims dims_;
     std::vector<Operation> ops_;
 };
+
+/**
+ * The inverse pairs of ops[first, ops.size()) over a `num_wires`-wire
+ * register: the one rule CancelInversePairs and ctor::cancel_inverse_pairs
+ * erase by and verify's dead.inverse-pair reports by. Op j pairs with op
+ * i < j when i is the latest live op on every wire of j, acts on the same
+ * wires in the same operand order, and gate_j * gate_i is the identity up
+ * to global phase within `tol`; both then stop being live. A pair can
+ * expose an outer one (A B B^dagger A^dagger yields two pairs), and an op
+ * pairs at most once (H H H yields one). Ops with an empty gate, no wires
+ * or a wire outside the register neither pair nor block. Returns (i, j)
+ * in the order found, by ascending j.
+ */
+std::vector<std::pair<std::size_t, std::size_t>> inverse_pairs(
+    std::span<const Operation> ops, int num_wires, Real tol,
+    std::size_t first = 0);
 
 }  // namespace qd
 

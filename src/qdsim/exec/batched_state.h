@@ -31,13 +31,41 @@
 #ifndef QDSIM_EXEC_BATCHED_STATE_H
 #define QDSIM_EXEC_BATCHED_STATE_H
 
+#include <cstddef>
 #include <cstdint>
+#include <new>
 #include <vector>
 
 #include "qdsim/basis.h"
 #include "qdsim/state_vector.h"
 
 namespace qd::exec {
+
+/** Allocates on 64-byte (cache-line) boundaries, so a lane pass meets
+ *  the same alignment whatever heap traffic ran before it. */
+template <class T>
+struct CacheAlignedAllocator {
+    using value_type = T;
+    static constexpr std::align_val_t kAlign{64};
+
+    CacheAlignedAllocator() = default;
+    template <class U>
+    CacheAlignedAllocator(const CacheAlignedAllocator<U>&) noexcept {}
+
+    T* allocate(std::size_t n)
+    {
+        return static_cast<T*>(::operator new(n * sizeof(T), kAlign));
+    }
+    void deallocate(T* p, std::size_t) noexcept
+    {
+        ::operator delete(p, kAlign);
+    }
+    template <class U>
+    bool operator==(const CacheAlignedAllocator<U>&) const noexcept
+    {
+        return true;
+    }
+};
 
 /** B trajectory states over one register, lane-interleaved. */
 class BatchedStateVector {
@@ -94,7 +122,7 @@ class BatchedStateVector {
   private:
     WireDims dims_;
     int lanes_ = 1;
-    std::vector<Complex> amps_;
+    std::vector<Complex, CacheAlignedAllocator<Complex>> amps_;
 };
 
 }  // namespace qd::exec

@@ -162,9 +162,9 @@ CompileService::admission_options(Admission admission,
         options.dead_code = true;
         options.allow_nonunitary = false;
     } else {
-        // Mirror verify::enforce: the in-process entry points execute
-        // non-unitary matrices by design (Kraus operators, linearity
-        // tests) and dead code is the transpiler's business.
+        // The in-process entry points execute non-unitary matrices by
+        // design (Kraus operators, linearity tests), and dead code is the
+        // transpiler's business.
         options.dead_code = false;
         options.allow_nonunitary = true;
     }

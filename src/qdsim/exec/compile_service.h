@@ -55,9 +55,9 @@
  *
  * Admission levels:
  *   kDefault  trusted in-process circuits: verify only under strict mode
- *             (QD_VERIFY=strict), with the same options `verify::enforce`
- *             uses — behavior-compatible with the pre-service entry
- *             points.
+ *             (QD_VERIFY=strict), with dead-code lint off and non-unitary
+ *             gates downgraded to a warning. This is the one strict-mode
+ *             gate of the circuit-taking entry points.
  *   kAlways   untrusted IR (qd_run / service front-ends): always verify,
  *             with dead-code lint on and non-unitary gates rejected.
  *   kNever    never verify (precompiled-trust escape hatch).
@@ -199,8 +199,8 @@ class CompileService {
      * The verify options the admission gate analyzes under, exposed so
      * tools (qd_lint) lint untrusted IR through the exact same path the
      * service admits it. kAlways lints dead code and rejects non-unitary
-     * gates; kDefault/kNever mirror verify::enforce (dead-code off,
-     * non-unitary downgraded to a warning).
+     * gates; kDefault/kNever turn dead-code lint off and downgrade
+     * non-unitary gates to a warning.
      */
     static verify::Options admission_options(
         Admission admission, const FusionOptions& fusion = {},

@@ -107,9 +107,9 @@ enum class Counter : unsigned {
      *  checkpoint whose measured norm stayed above its threshold is not
      *  replayed and not counted.) */
     kTrajLaneExtracts,
-    // Serving front-end (src/serve/): the qd_served daemon and the
-    // stdin single-client loop share these through the RunRequest →
-    // RunResult facade.
+    // Serving front-end (src/serve/): the qd_served daemon's request path,
+    // which the stdin loop runs as one connection. Each moves only
+    // together with its daemon-local ServeStats count.
     kServeConnections,   ///< client connections accepted (stdin loop = 1)
     kServeJobsAccepted,  ///< submit frames admitted to the run queue
     kServeJobsRejected,  ///< protocol/quota/decode/admission rejections

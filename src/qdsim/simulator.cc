@@ -5,7 +5,6 @@
 
 #include "qdsim/exec/compile_service.h"
 #include "qdsim/obs/trace.h"
-#include "qdsim/verify/verify.h"
 
 namespace qd {
 
@@ -13,10 +12,8 @@ namespace qd {
 // circuit-taking entry points compile with the fusion stage enabled
 // (exec::FusionOptions defaults). Compilation routes through the
 // CompileService's global artifact cache, which also runs the verify
-// admission gate under QD_VERIFY=strict (the same analysis
-// verify::enforce ran here before the service existed); callers needing
-// the unfused reference compile an exec::CompiledCircuit(circuit)
-// themselves.
+// admission gate under QD_VERIFY=strict; callers needing the unfused
+// reference compile an exec::CompiledCircuit(circuit) themselves.
 
 namespace {
 

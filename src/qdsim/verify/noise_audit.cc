@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "noise/channels.h"
-#include "noise/error_placement.h"
 
 namespace qd::verify {
 
@@ -191,27 +190,6 @@ analyze_noise(const noise::NoiseModel& model, const WireDims& dims,
         }
     }
     return report;
-}
-
-void
-enforce_noisy(const Circuit& circuit, const noise::NoiseModel& model,
-              const exec::FusionOptions& fusion)
-{
-    if (!strict()) {
-        return;
-    }
-    const std::vector<std::uint8_t> fences =
-        noise::error_fences(noise::enumerate_error_sites(circuit, model));
-    Options options;
-    options.dead_code = false;
-    options.allow_nonunitary = true;
-    options.fusion = fusion;
-    options.fences = fences;
-    Report report = analyze(circuit, options);
-    report.merge(analyze_noise(model, circuit.dims()));
-    if (report.has_errors()) {
-        throw VerificationError(std::move(report));
-    }
 }
 
 }  // namespace qd::verify

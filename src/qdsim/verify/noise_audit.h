@@ -7,8 +7,9 @@
  * amplitude damping per moment duration).
  *
  * Lives apart from verify.h so the qdsim-level API stays free of the
- * noise layer; enforce_noisy is the strict-mode hook the noisy entry
- * points (run_noisy_trials, density_matrix_fidelity) call.
+ * noise layer. The CompileService's admission gate merges analyze_noise
+ * into every noisy admission (QD_VERIFY=strict for the in-process noisy
+ * entry points, always for untrusted IR).
  */
 #ifndef QDSIM_VERIFY_NOISE_AUDIT_H
 #define QDSIM_VERIFY_NOISE_AUDIT_H
@@ -49,15 +50,6 @@ void audit_mixed_unitary(const noise::MixedUnitaryChannel& channel,
 [[nodiscard]] Report analyze_noise(const noise::NoiseModel& model,
                                    const WireDims& dims,
                                    Real tol = kLooseTol);
-
-/**
- * Strict-mode gate for the noisy entry points: no-op unless strict();
- * otherwise runs enforce's circuit analysis with the model's error
- * fences plus analyze_noise on the model, and throws VerificationError
- * on any error finding.
- */
-void enforce_noisy(const Circuit& circuit, const noise::NoiseModel& model,
-                   const exec::FusionOptions& fusion = {});
 
 }  // namespace qd::verify
 

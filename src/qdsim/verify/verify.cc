@@ -142,54 +142,30 @@ check_legality(const WireDims& dims, std::span<const Operation> ops,
     return structural_ok;
 }
 
-/** Dead-code pass: identity-up-to-phase gates and adjacent inverse pairs
- *  (adjacency is dependency adjacency: the next op sharing a wire). */
+/** Dead-code pass: identity-up-to-phase gates, and the inverse pairs the
+ *  rewriters erase (qd::inverse_pairs at options.tol). */
 void
-check_dead_code(std::span<const Operation> ops, const Options& options,
-                Report& report)
+check_dead_code(const WireDims& dims, std::span<const Operation> ops,
+                const Options& options, Report& report)
 {
     for (std::size_t i = 0; i < ops.size(); ++i) {
         const Operation& op = ops[i];
-        if (op.gate.empty()) {
-            continue;
-        }
-        const Matrix& m = op.gate.matrix();
-        const Matrix eye = Matrix::identity(m.rows());
-        if (m.approx_equal_up_to_phase(eye, options.tol)) {
+        if (!op.gate.empty() &&
+            op.gate.matrix().approx_equal_up_to_phase(
+                Matrix::identity(op.gate.matrix().rows()), options.tol)) {
             report.add("dead.identity", Severity::kWarning,
                        static_cast<std::ptrdiff_t>(i),
                        op_label(op) + ": identity up to global phase");
-            continue;
         }
-        // Next op touching any of this op's wires: an exact inverse there
-        // cancels this op (nothing between them acts on these wires).
-        for (std::size_t j = i + 1; j < ops.size(); ++j) {
-            const Operation& later = ops[j];
-            if (later.gate.empty()) {
-                continue;
-            }
-            bool shares = false;
-            for (const int w : later.wires) {
-                for (const int v : op.wires) {
-                    shares = shares || w == v;
-                }
-            }
-            if (!shares) {
-                continue;
-            }
-            if (later.wires == op.wires &&
-                later.gate.matrix().rows() == m.rows() &&
-                (later.gate.matrix() * m)
-                    .approx_equal_up_to_phase(eye, options.tol)) {
-                report.add("dead.inverse-pair", Severity::kWarning,
-                           static_cast<std::ptrdiff_t>(j),
-                           op_label(later) + ": cancels op " +
-                               std::to_string(i) + " (" + op_label(op) +
-                               ") with nothing between them on these "
-                               "wires");
-            }
-            break;
-        }
+    }
+    for (const auto& [i, j] :
+         inverse_pairs(ops, dims.num_wires(), options.tol)) {
+        report.add("dead.inverse-pair", Severity::kWarning,
+                   static_cast<std::ptrdiff_t>(j),
+                   op_label(ops[j]) + ": cancels op " + std::to_string(i) +
+                       " (" + op_label(ops[i]) +
+                       "), with only cancelling pairs between them on "
+                       "these wires");
     }
 }
 
@@ -312,7 +288,7 @@ analyze_core(const WireDims& dims, std::span<const Operation> ops,
         structural_ok = check_legality(dims, ops, options, report);
     }
     if (options.dead_code) {
-        check_dead_code(ops, options, report);
+        check_dead_code(dims, ops, options, report);
     }
     check_domain(dims, ops, options, report);
     if (!options.fences.empty() && options.fences.size() != ops.size()) {
@@ -416,24 +392,6 @@ VerificationError::VerificationError(Report report)
                          report.to_string()),
       report_(std::move(report))
 {
-}
-
-void
-enforce(const Circuit& circuit, const exec::FusionOptions& fusion,
-        std::span<const std::uint8_t> fences)
-{
-    if (!strict()) {
-        return;
-    }
-    Options options;
-    options.dead_code = false;
-    options.allow_nonunitary = true;
-    options.fusion = fusion;
-    options.fences.assign(fences.begin(), fences.end());
-    Report report = analyze(circuit, options);
-    if (report.has_errors()) {
-        throw VerificationError(std::move(report));
-    }
 }
 
 }  // namespace qd::verify

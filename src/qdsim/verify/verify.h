@@ -7,8 +7,10 @@
  *  - circuit legality: wire bounds, duplicate wires, gate/wire dimension
  *    agreement, unitarity (with a hermitian/diagonal/permutation/monomial
  *    classification pass behind Options::classify);
- *  - dead code: identity-up-to-phase gates and adjacent inverse pairs the
- *    transpiler should have removed;
+ *  - dead code: identity-up-to-phase gates, and the inverse pairs the
+ *    transpiler's CancelInversePairs and the builders'
+ *    ctor::cancel_inverse_pairs erase — all three find them through
+ *    qd::inverse_pairs (circuit.h), so a reported pair is an erased one;
  *  - domain lint (paper discipline): circuits built purely from
  *    permutation gates are propagated classically over qubit-subspace
  *    basis inputs (the paper's Section 6 fast-verification path) to prove
@@ -20,12 +22,14 @@
  *    and class algebra.
  *
  * Strict mode: `strict()` reads QD_VERIFY=strict (overridable with
- * set_strict), and the simulation entry points (`simulate`,
+ * set_strict). The circuit-taking simulation entry points (`simulate`,
  * `apply_circuit`, `circuit_unitary`, `run_noisy_trials`,
- * `density_matrix_fidelity`) call `enforce` before executing, so a Debug
- * CI leg exporting QD_VERIFY=strict turns the whole test suite into a
- * verifier fuzz corpus. Off by default; precompiled-circuit overloads
- * (the per-shot hot paths) are never re-verified.
+ * `run_single_trajectory`, `density_matrix_fidelity`) compile through the
+ * CompileService, whose kDefault admission analyzes under strict mode
+ * (exec/compile_service.h), so a Debug CI leg exporting QD_VERIFY=strict
+ * turns the whole test suite into a verifier fuzz corpus. Off by default;
+ * precompiled-circuit overloads (the per-shot hot paths) are never
+ * re-verified.
  */
 #ifndef QDSIM_VERIFY_VERIFY_H
 #define QDSIM_VERIFY_VERIFY_H
@@ -80,7 +84,7 @@ struct Options {
     Real tol = kLooseTol;
 };
 
-/** Analyzes a circuit; never throws on findings (see enforce). */
+/** Analyzes a circuit; never throws on findings. */
 [[nodiscard]] Report analyze(const Circuit& circuit,
                              const Options& options = {});
 
@@ -105,7 +109,8 @@ struct Options {
 void set_strict(bool on);
 void clear_strict();
 
-/** Thrown by enforce when strict analysis finds errors. */
+/** Thrown by the CompileService when its admission analysis finds
+ *  errors. */
 class VerificationError : public std::runtime_error {
   public:
     explicit VerificationError(Report report);
@@ -114,16 +119,6 @@ class VerificationError : public std::runtime_error {
   private:
     Report report_;
 };
-
-/**
- * No-op unless strict(); otherwise analyzes `circuit` (legality + plan +
- * fusion audits under `fusion`/`fences`; dead-code/domain heuristics and
- * the unitarity error are excluded — the simulator applies non-unitary
- * matrices by design) and throws VerificationError if any error finding
- * survives. Called by the circuit-taking simulation entry points.
- */
-void enforce(const Circuit& circuit, const exec::FusionOptions& fusion = {},
-             std::span<const std::uint8_t> fences = {});
 
 }  // namespace qd::verify
 

@@ -11,6 +11,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <deque>
+#include <functional>
 #include <istream>
 #include <limits>
 #include <mutex>
@@ -103,15 +104,58 @@ read_line(std::istream& in, std::string& buf, std::string& line,
 
 namespace {
 
-/** One client connection. `fd`, `queued` and `shots` are guarded by the
- *  daemon mutex; `wmu` serializes frame writes (workers stream results
- *  directly, racing the reader's inline stats/error frames). */
+/** A ServeStats count and the obs counter that mirrors it. */
+struct Tally {
+    std::uint64_t ServeStats::*field;
+    obs::Counter counter;
+};
+
+constexpr Tally kConnections{&ServeStats::connections,
+                             obs::Counter::kServeConnections};
+constexpr Tally kAccepted{&ServeStats::jobs_accepted,
+                          obs::Counter::kServeJobsAccepted};
+constexpr Tally kOk{&ServeStats::jobs_ok, obs::Counter::kServeJobsOk};
+constexpr Tally kRejected{&ServeStats::jobs_rejected,
+                          obs::Counter::kServeJobsRejected};
+constexpr Tally kFailed{&ServeStats::jobs_failed,
+                        obs::Counter::kServeJobsFailed};
+constexpr Tally kWarmHits{&ServeStats::warm_hits,
+                          obs::Counter::kServeWarmHits};
+
+/** Sends one frame and its '\n' on a socket. Write failures (client
+ *  gone) are deliberately ignored: the job already ran, nothing to undo. */
+void
+send_frame(int fd, const std::string& frame)
+{
+    std::string line = frame;
+    line += '\n';
+    const char* p = line.data();
+    std::size_t left = line.size();
+    while (left > 0) {
+        const ssize_t n = ::send(fd, p, left, MSG_NOSIGNAL);
+        if (n < 0) {
+            if (errno == EINTR) {
+                continue;
+            }
+            return;
+        }
+        p += n;
+        left -= static_cast<std::size_t>(n);
+    }
+}
+
+/** One client connection: a socket, or the stdin loop's streams.
+ *  `queued` and `shots` are guarded by the daemon mutex; `wmu`
+ *  serializes frame writes (workers stream results directly, racing the
+ *  reader's inline stats/error frames). */
 struct Conn {
-    int fd = -1;
+    /** The transport: writes one frame and its '\n'. */
+    std::function<void(const std::string&)> write;
     std::mutex wmu;
     long long queued = 0;  ///< outstanding jobs (queued + executing)
     long long shots = 0;   ///< in-flight shot cost
-    std::thread reader;
+    int fd = -1;           ///< socket connections only
+    std::thread reader;    ///< socket connections only
 };
 
 /** One admitted job waiting for (or on) a worker. */
@@ -125,7 +169,19 @@ struct Task {
 }  // namespace
 
 struct Daemon::Impl {
+    /** `run_inline`: no worker pool; the thread that admits a job runs
+     *  it at once (the stdin loop). */
+    Impl(const DaemonOptions& options, bool run_inline)
+        : opts(options), inline_jobs(run_inline),
+          paused(options.start_paused)
+    {
+        opts.workers = std::max(1, options.workers);
+        opts.queue_capacity =
+            std::max<std::size_t>(1, options.queue_capacity);
+    }
+
     DaemonOptions opts;
+    const bool inline_jobs;
     std::string path;
     int listen_fd = -1;
     Clock::time_point start = Clock::now();
@@ -144,34 +200,32 @@ struct Daemon::Impl {
     std::thread acceptor;
     std::vector<std::thread> workers;
 
-    /** Writes one frame + newline; write failures (client gone) are
-     *  deliberately ignored — the job already ran, nothing to undo. */
     void write_frame(Conn& conn, const std::string& frame)
     {
         const std::lock_guard<std::mutex> lock(conn.wmu);
-        std::string line = frame;
-        line += '\n';
-        const char* p = line.data();
-        std::size_t left = line.size();
-        while (left > 0) {
-            const ssize_t n =
-                ::send(conn.fd, p, left, MSG_NOSIGNAL);
-            if (n < 0) {
-                if (errno == EINTR) {
-                    continue;
-                }
-                return;
-            }
-            p += n;
-            left -= static_cast<std::size_t>(n);
-        }
+        conn.write(frame);
+    }
+
+    /** Moves one ServeStats count together with its obs counter: the
+     *  only way either moves. shots_executed and queue_peak have no obs
+     *  counter; run_task and admit move them. Call with `mu` held. */
+    void tally(const Tally& t)
+    {
+        ++(st.*t.field);
+        obs::count(t.counter);
+    }
+
+    void add_conn(std::shared_ptr<Conn> conn)
+    {
+        const std::lock_guard<std::mutex> lock(mu);
+        conns.push_back(std::move(conn));
+        tally(kConnections);
     }
 
     void count_rejected()
     {
-        obs::count(obs::Counter::kServeJobsRejected);
         const std::lock_guard<std::mutex> lock(mu);
-        ++st.jobs_rejected;
+        tally(kRejected);
     }
 
     /** Admission gate (see daemon.h for the check order). */
@@ -203,12 +257,47 @@ struct Daemon::Impl {
         conn->shots += cost;
         queue.push_back(
             Task{conn, std::move(id), std::move(request), cost});
-        ++st.jobs_accepted;
+        tally(kAccepted);
         st.queue_peak = std::max<std::uint64_t>(st.queue_peak,
                                                 queue.size());
-        obs::count(obs::Counter::kServeJobsAccepted);
         cv_work.notify_one();
         return std::nullopt;
+    }
+
+    /** Pops the queue's front job; call with `mu` held. */
+    Task take_locked()
+    {
+        Task task = std::move(queue.front());
+        queue.pop_front();
+        ++in_flight;
+        return task;
+    }
+
+    /** Runs one taken job, writes its result frame and accounts for it:
+     *  the one execute path of workers and the stdin loop alike. */
+    void run_task(const Task& task)
+    {
+        const RunResult result = execute(task.request);
+        write_frame(*task.conn, result_frame(task.id, result));
+
+        const std::lock_guard<std::mutex> lock(mu);
+        --in_flight;
+        --task.conn->queued;
+        task.conn->shots -= task.cost;
+        if (result.warm) {
+            tally(kWarmHits);
+        }
+        if (result.ok()) {
+            tally(kOk);
+            if (task.request.job.engine == "trajectory") {
+                st.shots_executed += static_cast<std::uint64_t>(task.cost);
+            }
+        } else if (result.status == "rejected") {
+            tally(kRejected);
+        } else {
+            tally(kFailed);
+        }
+        cv_done.notify_all();
     }
 
     /** Handles one NDJSON line. Returns false on a shutdown frame. */
@@ -246,6 +335,13 @@ struct Daemon::Impl {
                 admit(conn, frame.id, std::move(request))) {
             count_rejected();
             write_frame(*conn, error_frame(frame.id, *err));
+        } else if (inline_jobs) {
+            Task task;
+            {
+                const std::lock_guard<std::mutex> lock(mu);
+                task = take_locked();
+            }
+            run_task(task);
         }
         return true;
     }
@@ -331,45 +427,9 @@ struct Daemon::Impl {
                 if (queue.empty()) {
                     return;  // draining and nothing left
                 }
-                task = std::move(queue.front());
-                queue.pop_front();
-                ++in_flight;
+                task = take_locked();
             }
-
-            const RunResult result = execute(task.request);
-            write_frame(*task.conn, result_frame(task.id, result));
-
-            if (result.warm) {
-                obs::count(obs::Counter::kServeWarmHits);
-            }
-            if (result.ok()) {
-                obs::count(obs::Counter::kServeJobsOk);
-            } else if (result.status == "rejected") {
-                obs::count(obs::Counter::kServeJobsRejected);
-            } else {
-                obs::count(obs::Counter::kServeJobsFailed);
-            }
-            {
-                const std::lock_guard<std::mutex> lock(mu);
-                --in_flight;
-                --task.conn->queued;
-                task.conn->shots -= task.cost;
-                if (result.warm) {
-                    ++st.warm_hits;
-                }
-                if (result.ok()) {
-                    ++st.jobs_ok;
-                    if (task.request.job.engine == "trajectory") {
-                        st.shots_executed +=
-                            static_cast<std::uint64_t>(task.cost);
-                    }
-                } else if (result.status == "rejected") {
-                    ++st.jobs_rejected;
-                } else {
-                    ++st.jobs_failed;
-                }
-                cv_done.notify_all();
-            }
+            run_task(task);
         }
     }
 
@@ -398,12 +458,10 @@ struct Daemon::Impl {
             // serve.draining rejections instead of a silent close.
             auto conn = std::make_shared<Conn>();
             conn->fd = fd;
-            {
-                const std::lock_guard<std::mutex> lock(mu);
-                conns.push_back(conn);
-                ++st.connections;
-            }
-            obs::count(obs::Counter::kServeConnections);
+            conn->write = [fd](const std::string& frame) {
+                send_frame(fd, frame);
+            };
+            add_conn(conn);
             conn->reader =
                 std::thread([this, conn] { reader_loop(conn); });
         }
@@ -420,13 +478,9 @@ struct Daemon::Impl {
     }
 };
 
-Daemon::Daemon(DaemonOptions options) : impl_(std::make_unique<Impl>())
+Daemon::Daemon(DaemonOptions options)
+    : impl_(std::make_unique<Impl>(options, false))
 {
-    impl_->opts = options;
-    impl_->opts.workers = std::max(1, options.workers);
-    impl_->opts.queue_capacity =
-        std::max<std::size_t>(1, options.queue_capacity);
-    impl_->paused = options.start_paused;
 }
 
 Daemon::~Daemon()
@@ -549,97 +603,26 @@ ServeStats
 run_stdin_loop(std::istream& in, std::ostream& out,
                const DaemonOptions& options)
 {
-    const auto start = Clock::now();
-    ServeStats st;
-    st.connections = 1;
-    obs::count(obs::Counter::kServeConnections);
-
-    const auto emit = [&out](const std::string& frame) {
+    Daemon::Impl daemon(options, true);
+    auto conn = std::make_shared<Conn>();
+    conn->write = [&out](const std::string& frame) {
         out << frame << '\n';
         out.flush();
     };
+    daemon.add_conn(conn);
 
     std::string buf(kMaxFrameBytes + 1, '\0');
     std::string line;
     bool oversized = false;
-    bool shutdown_frame = false;
-    while (!shutdown_frame && read_line(in, buf, line, oversized)) {
+    while (read_line(in, buf, line, oversized)) {
         if (oversized) {
-            ++st.jobs_rejected;
-            obs::count(obs::Counter::kServeJobsRejected);
-            emit(error_frame("", oversized_frame_error()));
-            continue;
-        }
-        if (blank_line(line)) {
-            continue;
-        }
-        auto parsed = parse_frame(line);
-        if (const ir::Error* err = std::get_if<ir::Error>(&parsed)) {
-            ++st.jobs_rejected;
-            obs::count(obs::Counter::kServeJobsRejected);
-            emit(error_frame("", *err));
-            continue;
-        }
-        Frame& frame = std::get<Frame>(parsed);
-        if (frame.type == Frame::Type::kStats) {
-            st.uptime_seconds = since(start);
-            emit(stats_frame(st));
-            continue;
-        }
-        if (frame.type == Frame::Type::kShutdown) {
-            shutdown_frame = true;
+            daemon.reject_oversized(conn);
+        } else if (!daemon.handle_line(conn, line)) {
             break;
         }
-
-        RunRequest request;
-        try {
-            request = RunRequest::from_qdj(frame.qdj);
-        } catch (const ir::ParseError& e) {
-            ++st.jobs_rejected;
-            obs::count(obs::Counter::kServeJobsRejected);
-            emit(error_frame(frame.id, e.error()));
-            continue;
-        }
-        request.threads = options.engine_threads;
-        request.admission = options.admission;
-        const long long cost = job_cost(request.job);
-        if (cost > options.max_client_shots) {
-            ++st.jobs_rejected;
-            obs::count(obs::Counter::kServeJobsRejected);
-            emit(error_frame(
-                frame.id,
-                serve_error("serve.quota",
-                            "client in-flight shot quota exceeded (" +
-                                std::to_string(options.max_client_shots) +
-                                ")")));
-            continue;
-        }
-
-        ++st.jobs_accepted;
-        obs::count(obs::Counter::kServeJobsAccepted);
-        const RunResult result = execute(request);
-        if (result.warm) {
-            ++st.warm_hits;
-            obs::count(obs::Counter::kServeWarmHits);
-        }
-        if (result.ok()) {
-            ++st.jobs_ok;
-            obs::count(obs::Counter::kServeJobsOk);
-            if (request.job.engine == "trajectory") {
-                st.shots_executed += static_cast<std::uint64_t>(cost);
-            }
-        } else if (result.status == "rejected") {
-            ++st.jobs_rejected;
-            obs::count(obs::Counter::kServeJobsRejected);
-        } else {
-            ++st.jobs_failed;
-            obs::count(obs::Counter::kServeJobsFailed);
-        }
-        emit(result_frame(frame.id, result));
     }
-    emit(bye_frame());
-    st.uptime_seconds = since(start);
-    return st;
+    daemon.write_frame(*conn, bye_frame());
+    return daemon.stats_locked();
 }
 
 }  // namespace qd::serve

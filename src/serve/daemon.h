@@ -2,8 +2,8 @@
  * @file daemon.h
  * The qd_served serving core: a long-lived daemon that accepts NDJSON
  * job streams (see protocol.h) from many concurrent clients over a
- * Unix-domain stream socket, plus the single-client stdin loop variant
- * used by tests, benches, and CI pipes.
+ * Unix-domain stream socket, and the stdin loop, which serves one client
+ * over text streams (tests, benches and CI pipes).
  *
  * Architecture: one acceptor thread polls the listening socket; each
  * connection gets a reader thread that decodes frames and admits jobs
@@ -15,7 +15,14 @@
  * (workers write the result frame directly; a slow job never blocks
  * another client's results).
  *
- * Admission control, checked in order per submit frame:
+ * The stdin loop is one connection on this request path, with no worker
+ * pool: each line goes through the same frame decode and admission as a
+ * socket line, and the reading thread runs each admitted job at once
+ * through the function the workers run, which also accounts for it.
+ * Every ServeStats count moves together with its obs::kServe* counter.
+ *
+ * Admission control, checked in order per submit frame (socket and
+ * stdin alike):
  *   draining                  → serve.draining (shutdown has begun)
  *   global queue full         → serve.queue
  *   client outstanding jobs   → serve.quota  (max_client_queued)
@@ -46,7 +53,7 @@ namespace qd::serve {
 
 /** Tuning for one Daemon (or one stdin loop). */
 struct DaemonOptions {
-    /** Worker threads executing admitted jobs. */
+    /** Worker threads executing admitted jobs (socket only). */
     int workers = 2;
     /** Bounded admission-queue capacity (serve.queue past this). */
     std::size_t queue_capacity = 64;
@@ -60,7 +67,7 @@ struct DaemonOptions {
      *  so jobs default to single-threaded engines). */
     int engine_threads = 1;
     /** Start with the worker pool paused (tests stage scenarios, then
-     *  resume()). The stdin loop ignores this. */
+     *  resume()). Socket only: the stdin loop has no pool. */
     bool start_paused = false;
 };
 
@@ -104,17 +111,21 @@ class Daemon {
  private:
     struct Impl;
     std::unique_ptr<Impl> impl_;
+
+    friend ServeStats run_stdin_loop(std::istream& in, std::ostream& out,
+                                     const DaemonOptions& options);
 };
 
 /**
- * Single-client loop over text streams: reads one frame per line from
- * `in`, writes response frames to `out` (flushed per frame), returns on
- * EOF or a shutdown frame. Jobs execute inline and sequentially in
- * submission order, so output is deterministic — this is the protocol
- * surface tests and CI pipes exercise without sockets. Only the
- * max_client_shots quota applies (there is no queue and no concurrency).
- * Returns the loop's final stats (also mirrored to the obs counters,
- * like the daemon's).
+ * Serves one connection over text streams on the daemon's request path:
+ * reads one frame per line from `in`, writes response frames to `out`
+ * (flushed per frame), and ends with a bye frame at EOF or on a shutdown
+ * frame. Each line gets the socket path's frame decode and every
+ * admission check in the order above; each admitted job runs right away
+ * on the reading thread, so results come back inline, in submission
+ * order, and output is deterministic. `workers` and `start_paused` apply
+ * to the socket only. Returns the loop's final stats (also mirrored to
+ * the obs counters, like the daemon's).
  */
 ServeStats run_stdin_loop(std::istream& in, std::ostream& out,
                           const DaemonOptions& options = {});

@@ -24,60 +24,65 @@ frame_error(std::string id, std::string message, int line = 0)
 std::variant<Frame, ir::Error>
 parse_frame(std::string_view line)
 {
-    ir::json::Value doc;
+    using Kind = ir::json::Value::Kind;
+    ir::json::Tape tape;
     try {
-        doc = ir::json::parse(line);
+        tape = ir::json::scan(line);
     } catch (const ir::ParseError& e) {
         return frame_error("serve.frame", e.error().message,
                            e.error().line);
     }
-    if (!doc.is(ir::json::Value::Kind::kObject)) {
+    const ir::json::Tape::Ix root = 0;
+    if (!tape.is(root, Kind::kObject)) {
         return frame_error("serve.frame", "frame must be a JSON object",
-                           doc.line);
+                           tape.line(root));
     }
-    const ir::json::Value* type = doc.find("type");
-    if (type == nullptr || !type->is(ir::json::Value::Kind::kString)) {
+    const ir::json::Tape::Ix type = tape.find(root, "type");
+    if (type == ir::json::Tape::kNone || !tape.is(type, Kind::kString)) {
         return frame_error("serve.frame",
                            "frame is missing the \"type\" string",
-                           doc.line);
+                           tape.line(root));
     }
 
     Frame frame;
-    if (type->string == "stats") {
+    const std::string type_name = tape.string(type);
+    if (type_name == "stats") {
         frame.type = Frame::Type::kStats;
         return frame;
     }
-    if (type->string == "shutdown") {
+    if (type_name == "shutdown") {
         frame.type = Frame::Type::kShutdown;
         return frame;
     }
-    if (type->string != "submit") {
-        return frame_error("serve.type",
-                           "unknown frame type: " + type->string,
-                           type->line);
+    if (type_name != "submit") {
+        return frame_error("serve.type", "unknown frame type: " + type_name,
+                           tape.line(type));
     }
 
     frame.type = Frame::Type::kSubmit;
-    const ir::json::Value* id = doc.find("id");
-    if (id == nullptr) {
+    const ir::json::Tape::Ix id = tape.find(root, "id");
+    if (id == ir::json::Tape::kNone) {
         return frame_error("serve.submit",
-                           "submit frame is missing \"id\"", doc.line);
+                           "submit frame is missing \"id\"",
+                           tape.line(root));
     }
-    if (id->is(ir::json::Value::Kind::kString)) {
-        frame.id = id->string;
-    } else if (id->is(ir::json::Value::Kind::kNumber) && id->integral) {
-        frame.id = std::to_string(id->integer);
+    if (tape.is(id, Kind::kString)) {
+        frame.id = tape.string(id);
+    } else if (const ir::json::Integer k = tape.integer(id);
+               tape.is(id, Kind::kNumber) && k.ok) {
+        frame.id = std::to_string(k.value);
     } else {
         return frame_error("serve.submit",
-                           "\"id\" must be a string or integer", id->line);
+                           "\"id\" must be a string or integer",
+                           tape.line(id));
     }
-    const ir::json::Value* qdj = doc.find("qdj");
-    if (qdj == nullptr || !qdj->is(ir::json::Value::Kind::kString)) {
+    const ir::json::Tape::Ix qdj = tape.find(root, "qdj");
+    if (qdj == ir::json::Tape::kNone || !tape.is(qdj, Kind::kString)) {
         return frame_error("serve.submit",
                            "submit frame is missing the \"qdj\" string",
-                           doc.line);
+                           tape.line(root));
     }
-    frame.qdj = qdj->string;
+    frame.qdj = tape.string(qdj);
     return frame;
 }
 

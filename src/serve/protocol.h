@@ -75,14 +75,18 @@ struct Frame {
 
 /**
  * Decodes one NDJSON line into a Frame, or an ir::Error carrying a
- * stable serve.* id when the line is not a well-formed frame. Never
- * throws on untrusted input.
+ * stable serve.* id when the line is not a well-formed frame. Reads the
+ * members off the json::scan tape and unescapes "qdj" once, into
+ * Frame::qdj. Never throws on untrusted input.
  */
 std::variant<Frame, ir::Error> parse_frame(std::string_view line);
 
 /** Counters one daemon (or stdin loop) accumulates over its lifetime.
- *  Mirrors the obs serve_* counters, kept daemon-local as well so stats
- *  frames work in QD_PROFILE=OFF builds and under concurrent daemons. */
+ *  Kept daemon-local so stats frames work in QD_PROFILE=OFF builds and
+ *  under concurrent daemons. Each count with an obs serve_* counter moves
+ *  only together with it, through one daemon helper; shots_executed and
+ *  queue_peak have none. The stdin loop admits each job to its queue and
+ *  runs it at once, so its queue_peak is 1 once it has admitted one. */
 struct ServeStats {
     std::uint64_t connections = 0;
     std::uint64_t jobs_accepted = 0;

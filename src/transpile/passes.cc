@@ -23,118 +23,66 @@ is_identity_up_to_phase(const Matrix& m, Real tol)
     return m.approx_equal_up_to_phase(Matrix::identity(m.rows()), tol);
 }
 
-/**
- * Peephole state shared by the fuse/cancel passes: the output op list,
- * a tombstone flag per output op, and per-wire stacks of live output ops
- * so "the previous gate touching these wires" is O(1) to find and to
- * un-wind when a cancellation exposes an earlier pair.
- */
-struct Peephole {
-    explicit Peephole(const Circuit& c)
-        : hist(static_cast<std::size_t>(c.num_wires())) {}
-
-    std::vector<Operation> out;
-    std::vector<bool> dead;
-    std::vector<std::vector<std::size_t>> hist;
-
-    /** Index of the latest live op covering ALL of `wires` as its exact
-     *  operand list, or npos. */
-    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-    std::size_t previous_on(const std::vector<int>& wires) const {
-        std::size_t j = npos;
-        for (const int w : wires) {
-            const auto& h = hist[static_cast<std::size_t>(w)];
-            if (h.empty()) {
-                return npos;
-            }
-            if (j == npos) {
-                j = h.back();
-            } else if (h.back() != j) {
-                return npos;
-            }
-        }
-        if (j == npos || out[j].wires != wires) {
-            return npos;
-        }
-        return j;
-    }
-
-    void push(Operation op) {
-        const std::size_t idx = out.size();
-        for (const int w : op.wires) {
-            hist[static_cast<std::size_t>(w)].push_back(idx);
-        }
-        out.push_back(std::move(op));
-        dead.push_back(false);
-    }
-
-    void kill(std::size_t idx) {
-        dead[idx] = true;
-        for (const int w : out[idx].wires) {
-            hist[static_cast<std::size_t>(w)].pop_back();
-        }
-    }
-
-    Circuit rebuild(const WireDims& dims) const {
-        Circuit c(dims);
-        for (std::size_t i = 0; i < out.size(); ++i) {
-            if (!dead[i]) {
-                c.append(out[i].gate, out[i].wires);
-            }
-        }
-        return c;
-    }
-};
-
 }  // namespace
 
 Circuit
 FuseSingleQuditGates::run(const Circuit& circuit) const
 {
-    Peephole ph(circuit);
+    // Per wire, the index in `out` of the live single-qudit gate that is
+    // the latest op on it, or none once an op on more wires follows it.
+    constexpr std::size_t none = static_cast<std::size_t>(-1);
+    std::vector<std::size_t> last(
+        static_cast<std::size_t>(circuit.num_wires()), none);
+    std::vector<Operation> out;
+    std::vector<bool> dead;
     for (const Operation& op : circuit.ops()) {
-        if (op.gate.arity() != 1) {
-            ph.push(op);
-            continue;
-        }
-        const std::size_t j = ph.previous_on(op.wires);
-        if (j == Peephole::npos || ph.out[j].gate.arity() != 1) {
-            ph.push(op);
+        const bool single = op.gate.arity() == 1;
+        const std::size_t j =
+            single ? last[static_cast<std::size_t>(op.wires[0])] : none;
+        if (j == none) {
+            for (const int w : op.wires) {
+                last[static_cast<std::size_t>(w)] = single ? out.size() : none;
+            }
+            out.push_back(op);
+            dead.push_back(false);
             continue;
         }
         // op comes after out[j], so the fused unitary is M_op * M_prev.
-        Matrix fused = op.gate.matrix() * ph.out[j].gate.matrix();
+        Matrix fused = op.gate.matrix() * out[j].gate.matrix();
         if (is_identity_up_to_phase(fused, kPassTol)) {
-            ph.kill(j);
+            dead[j] = true;
+            last[static_cast<std::size_t>(op.wires[0])] = none;
             continue;
         }
         std::string name = "(";
         name += op.gate.name();
         name += "·";
-        name += ph.out[j].gate.name();
+        name += out[j].gate.name();
         name += ")";
-        ph.out[j].gate = gates::from_matrix(
-            std::move(name), op.gate.dims(), std::move(fused));
+        out[j].gate = gates::from_matrix(std::move(name), op.gate.dims(),
+                                         std::move(fused));
     }
-    return ph.rebuild(circuit.dims());
+    Circuit fused_circuit(circuit.dims());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        if (!dead[i]) {
+            fused_circuit.append(out[i].gate, out[i].wires);
+        }
+    }
+    return fused_circuit;
 }
 
 Circuit
 CancelInversePairs::run(const Circuit& circuit) const
 {
-    Peephole ph(circuit);
-    for (const Operation& op : circuit.ops()) {
-        const std::size_t j = ph.previous_on(op.wires);
-        if (j != Peephole::npos) {
-            const Matrix prod = op.gate.matrix() * ph.out[j].gate.matrix();
-            if (is_identity_up_to_phase(prod, kPassTol)) {
-                ph.kill(j);
-                continue;
-            }
-        }
-        ph.push(op);
+    std::vector<std::size_t> erased;
+    for (const auto& [i, j] :
+         inverse_pairs(circuit.ops(), circuit.num_wires(), kPassTol)) {
+        erased.push_back(i);
+        erased.push_back(j);
     }
-    return ph.rebuild(circuit.dims());
+    Circuit out = circuit;
+    out.erase_ops(std::move(erased));
+    return out;
 }
 
 Circuit

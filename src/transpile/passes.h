@@ -38,6 +38,8 @@ class FuseSingleQuditGates : public Pass {
  * G' = G^dagger, or X followed by X. Works for any arity, including the
  * two-qudit gates the paper counts. Cancellation cascades: removing an
  * inner pair can expose an outer pair (A B B^dagger A^dagger -> empty).
+ * The pairs are qd::inverse_pairs (circuit.h) at the passes' 1e-9
+ * tolerance, the rule verify's dead.inverse-pair reports by.
  * Preserves the circuit unitary up to global phase.
  */
 class CancelInversePairs : public Pass {

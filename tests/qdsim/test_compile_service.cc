@@ -336,8 +336,9 @@ TEST(CompileService, StrictModeGatesDefaultAdmission)
     exec::CompileService service;
     const Circuit good = qutrit_workload();
     verify::set_strict(true);
-    // Strict default admission runs the analyze gate with enforce's
-    // options: clean circuits pass, and the artifact is marked verified.
+    // Strict default admission runs the analyze gate (dead-code off,
+    // non-unitary a warning): clean circuits pass, and the artifact is
+    // marked verified.
     EXPECT_NO_THROW((void)service.compile(good));
     verify::clear_strict();
 }

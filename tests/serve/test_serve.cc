@@ -354,6 +354,7 @@ TEST(ServeStdinLoop, StatsFrameReportsCounters)
     EXPECT_EQ(member(stats, "obs_serve_jobs_accepted").integer, 1);
     EXPECT_EQ(member(stats, "obs_serve_jobs_ok").integer, 1);
     EXPECT_EQ(member(stats, "obs_serve_connections").integer, 1);
+    EXPECT_EQ(member(stats, "serve_queue_peak").integer, 1);
 }
 
 // --------------------------------------------------------------- daemon ---

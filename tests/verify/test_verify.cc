@@ -9,6 +9,8 @@
  */
 #include "qdsim/verify/verify.h"
 
+#include <set>
+
 #include <gtest/gtest.h>
 
 #include "apps/arithmetic.h"
@@ -27,6 +29,7 @@
 #include "qdsim/verify/fusion_audit.h"
 #include "qdsim/verify/noise_audit.h"
 #include "qdsim/verify/plan_audit.h"
+#include "transpile/passes.h"
 
 namespace qd {
 namespace {
@@ -108,6 +111,140 @@ TEST(VerifyDeadCode, FlagsIdentityAndInversePairs) {
     EXPECT_EQ(r.count_rule("dead.identity"), 1u);
     EXPECT_EQ(r.count_rule("dead.inverse-pair"), 1u);
     EXPECT_FALSE(r.has_errors());  // warnings only
+}
+
+TEST(VerifyDeadCode, OutOfRangeWireReadsNoPerWireState) {
+    // analyze_ops takes ops from outside the program; the pair rule keeps
+    // per-wire stacks, so a wire past the register must not index them.
+    const Gate h = gates::H();
+    const std::vector<Operation> ops = {{h, {0}}, {h, {9}}, {h, {9}},
+                                        {Gate{}, {1}}, {h, {0}}};
+    Options options;
+    options.dead_code = true;
+    const Report r =
+        verify::analyze_ops(WireDims::uniform(2, 2), ops, options);
+    EXPECT_EQ(r.count_rule("circuit.wire-bounds"), 2u);
+    EXPECT_EQ(r.count_rule("circuit.empty-gate"), 1u);
+    EXPECT_EQ(r.count_rule("dead.inverse-pair"), 1u);  // ops 0 and 4
+}
+
+/** A gate with its own name, so the ops a rewriter keeps can be told
+ *  apart; every product of two of these is within 1e-15 of the identity
+ *  or farther than 1e-2 from it, so the rewriters' tolerances agree. */
+Gate
+tagged(const Gate& g, std::size_t tag) {
+    return gates::from_matrix(g.name() + "#" + std::to_string(tag), g.dims(),
+                              g.matrix());
+}
+
+std::set<std::size_t>
+kept_tags(const Circuit& c) {
+    std::set<std::size_t> tags;
+    for (const Operation& op : c.ops()) {
+        tags.insert(std::stoul(op.gate.name().substr(
+            op.gate.name().rfind('#') + 1)));
+    }
+    return tags;
+}
+
+TEST(VerifyDeadCode, RewritersAndVerifyAgreePairForPair) {
+    Rng rng(25);
+    for (int trial = 0; trial < 400; ++trial) {
+        const int d = trial % 2 == 0 ? 2 : 3;
+        const int n = 2 + static_cast<int>(rng.uniform_int(3));
+        const std::vector<Gate> singles =
+            d == 2 ? std::vector<Gate>{gates::H(), gates::X(), gates::S(),
+                                       gates::T(), gates::S().inverse()}
+                   : std::vector<Gate>{gates::H3(), gates::X01(),
+                                       gates::Xplus1(), gates::Xminus1()};
+        const Gate two = d == 2 ? gates::CNOT()
+                                : gates::Xplus1().controlled(3, 1);
+        Circuit c(WireDims::uniform(n, d));
+        std::size_t tag = 0;
+        const auto add = [&](const Gate& g, std::vector<int> wires) {
+            c.append(tagged(g, tag++), wires);
+        };
+        const int len = 4 + static_cast<int>(rng.uniform_int(12));
+        for (int k = 0; k < len; ++k) {
+            const int w = static_cast<int>(rng.uniform_int(n));
+            const int v = (w + 1 + static_cast<int>(rng.uniform_int(n - 1))) % n;
+            const Gate& g = singles[rng.uniform_int(singles.size())];
+            switch (rng.uniform_int(5)) {
+            case 0:  // planted pair
+                add(g, {w});
+                add(g.inverse(), {w});
+                break;
+            case 1:  // nested: H X X H
+                add(g, {w});
+                add(gates::embed(gates::X(), d).inverse(), {w});
+                add(gates::embed(gates::X(), d), {w});
+                add(g.inverse(), {w});
+                break;
+            case 2:  // overlapping: H H H
+                add(gates::embed(gates::X(), d), {w});
+                add(gates::embed(gates::X(), d), {w});
+                add(gates::embed(gates::X(), d), {w});
+                break;
+            case 3:
+                add(two, {w, v});
+                break;
+            default:
+                add(g, {w});
+                break;
+            }
+        }
+        const std::size_t first = trial % 3 == 0 ? c.num_ops() / 2 : 0;
+        const std::vector<Operation> suffix(
+            c.ops().begin() + static_cast<std::ptrdiff_t>(first),
+            c.ops().end());
+
+        // verify: the pairs it reports, as tags (suffix op k is tag
+        // first + k).
+        Options options;
+        options.plan_audit = false;
+        options.fusion_audit = false;
+        const Report r = verify::analyze_ops(c.dims(), suffix, options);
+        std::set<std::size_t> reported;
+        std::size_t pair_findings = 0;
+        for (const auto& f : r.findings()) {
+            if (f.rule != "dead.inverse-pair") {
+                continue;
+            }
+            ++pair_findings;
+            const std::size_t at = f.message.find("cancels op ") + 11;
+            reported.insert(first + static_cast<std::size_t>(f.op_index));
+            reported.insert(first + std::stoul(f.message.substr(at)));
+        }
+        EXPECT_EQ(reported.size(), 2 * pair_findings) << "trial " << trial;
+
+        std::set<std::size_t> all;
+        for (std::size_t t = first; t < c.num_ops(); ++t) {
+            all.insert(t);
+        }
+        const auto erased = [&](const std::set<std::size_t>& kept) {
+            std::set<std::size_t> out;
+            for (const std::size_t t : all) {
+                if (!kept.contains(t)) {
+                    out.insert(t);
+                }
+            }
+            return out;
+        };
+
+        Circuit built = c;
+        const std::size_t pairs = ctor::cancel_inverse_pairs(built, first);
+        EXPECT_EQ(pairs, pair_findings) << "trial " << trial;
+        std::set<std::size_t> ctor_kept = kept_tags(built);
+        EXPECT_EQ(erased(ctor_kept), reported) << "trial " << trial;
+
+        Circuit tail(c.dims());
+        for (const Operation& op : suffix) {
+            tail.append(op.gate, op.wires);
+        }
+        EXPECT_EQ(erased(kept_tags(transpile::CancelInversePairs().run(tail))),
+                  reported)
+            << "trial " << trial;
+    }
 }
 
 TEST(VerifyDeadCode, PairSeparatedByBlockerIsKept) {
@@ -413,13 +550,11 @@ TEST(VerifyStrict, RoundTripsAllEngines) {
 TEST(VerifyStrict, EnforceThrowsWithReportOnBadArtifacts) {
     StrictGuard strict(true);
     const Circuit c = small_mixed_circuit();
-    const std::vector<std::uint8_t> short_fences = {1};  // wrong length
-    try {
-        verify::enforce(c, exec::FusionOptions{}, short_fences);
-        FAIL() << "expected VerificationError";
-    } catch (const verify::VerificationError& e) {
-        EXPECT_TRUE(e.report().has_rule("verify.options"));
-    }
+    Options short_fences;
+    short_fences.fences = {1};  // wrong length
+    const Report r = verify::analyze(c, short_fences);
+    EXPECT_TRUE(r.has_errors());
+    EXPECT_TRUE(r.has_rule("verify.options"));
 
     noise::NoiseModel negative = noise::sc();
     negative.p2 = -1.0;
