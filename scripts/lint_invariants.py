@@ -34,6 +34,11 @@ compare_bench.py --self-test):
                  in src/serve/ must appear verbatim in a test under
                  tests/serve/ (raw text, as above), so no engine's
                  failure id can be added or renamed untested.
+  idle-placement under src/noise/, only error_placement.cc calls
+                 schedule_asap( or moment_duration(: idle noise is
+                 scheduled in one place (idle_stretches), which both
+                 noise engines read, so they cannot drift apart. The
+                 inline definition in noise_model.h is not a call.
 
 --self-test runs every check against generated good/bad fixtures so a
 broken linter fails CI in seconds.
@@ -271,12 +276,44 @@ def check_exec_error_ids(root):
     ]
 
 
+IDLE_CALL = re.compile(r"\b(schedule_asap|moment_duration)\s*\(")
+IDLE_OWNER = "error_placement.cc"
+# `Real moment_duration(bool has_multi_qudit) const {`: a definition.
+IDLE_DEFINITION = re.compile(r"\bReal\s+moment_duration\s*\(")
+
+
+def check_idle_placement(root):
+    """Flags schedule_asap / moment_duration calls under src/noise/
+    outside error_placement.cc."""
+    findings = []
+    noise_dir = os.path.join(root, "src", "noise")
+    for dirpath, _, files in os.walk(noise_dir):
+        for name in sorted(files):
+            if not name.endswith((".cc", ".h")) or name == IDLE_OWNER:
+                continue
+            path = os.path.join(dirpath, name)
+            with open(path, encoding="utf-8") as f:
+                text = strip_comments(f.read())
+            definitions = {m.start() + m.group(0).index("moment_duration")
+                           for m in IDLE_DEFINITION.finditer(text)}
+            for m in IDLE_CALL.finditer(text):
+                if m.start() in definitions:
+                    continue
+                line = text.count("\n", 0, m.start()) + 1
+                findings.append(
+                    f"{os.path.relpath(path, root)}:{line}: "
+                    f"{m.group(1)}() called outside {IDLE_OWNER} (idle "
+                    f"noise is placed once, by idle_stretches)")
+    return findings
+
+
 CHECKS = {
     "obs-in-omp": check_obs_in_omp,
     "raw-assert": check_raw_assert,
     "bench-metrics": check_bench_metrics,
     "ir-error-ids": check_ir_error_ids,
     "exec-error-ids": check_exec_error_ids,
+    "idle-placement": check_idle_placement,
 }
 
 
@@ -374,6 +411,38 @@ SERVE_TEST_BAD = """
 EXPECT_EQ(execute(huge_state_job()).error_id, "exec.state");
 """
 
+NOISE_MODEL_H = """
+struct NoiseModel {
+    /** Duration of a moment; call moment_duration(true) for two-qudit. */
+    Real moment_duration(bool has_multi_qudit) const {
+        return has_multi_qudit ? dt_2q : dt_1q;
+    }
+};
+"""
+
+PLACEMENT_CC = """
+IdleStretches idle_stretches(const Circuit& c, const NoiseModel& m) {
+    for (const Moment& moment : schedule_asap(c)) {
+        add(m.moment_duration(moment.has_multi_qudit));
+    }
+}
+"""
+
+ENGINE_GOOD_CC = """
+// Reads the placement; never calls schedule_asap(c) itself.
+void build(const Circuit& c, const NoiseModel& m) {
+    const IdleStretches idle = idle_stretches(c, m);
+}
+"""
+
+ENGINE_BAD_CC = """
+void build(const Circuit& c, const NoiseModel& m) {
+    for (const Moment& moment : schedule_asap(c)) {
+        charge(m.moment_duration(moment.has_multi_qudit));
+    }
+}
+"""
+
 
 def write(root, rel, content):
     path = os.path.join(root, rel)
@@ -423,6 +492,10 @@ def normalize_spec(spec):
     write(root, "src/serve/run.cc", SERVE_CC)
     write(root, "tests/serve/test_serve.cc",
           SERVE_TEST_BAD if bad else SERVE_TEST_GOOD)
+    write(root, "src/noise/noise_model.h", NOISE_MODEL_H)
+    write(root, "src/noise/error_placement.cc", PLACEMENT_CC)
+    write(root, "src/noise/density_matrix.cc",
+          ENGINE_BAD_CC if bad else ENGINE_GOOD_CC)
 
 
 def self_test():
@@ -440,6 +513,9 @@ def self_test():
                "fully tested ir error ids pass", problems)
         expect(check_exec_error_ids(good) == [],
                "fully tested exec error ids pass", problems)
+        expect(check_idle_placement(good) == [],
+               "idle noise scheduled only by error_placement.cc passes",
+               problems)
 
         bad = os.path.join(tmp, "bad")
         make_fixture_repo(bad, bad=True)
@@ -462,6 +538,12 @@ def self_test():
         ex = check_exec_error_ids(bad)
         expect(len(ex) == 1 and "exec.density" in ex[0],
                "untested exec error id flagged", problems)
+        idle = check_idle_placement(bad)
+        expect(len(idle) == 2
+               and all("density_matrix.cc" in f for f in idle)
+               and any("schedule_asap" in f for f in idle)
+               and any("moment_duration" in f for f in idle),
+               "idle noise scheduled by an engine flagged", problems)
     if problems:
         print(f"lint_invariants --self-test: FAILED ({len(problems)})")
         return 1

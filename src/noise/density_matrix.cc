@@ -13,7 +13,6 @@
 
 #include "noise/error_placement.h"
 #include "qdsim/exec/compile_service.h"
-#include "qdsim/moments.h"
 #include "qdsim/obs/counters.h"
 #include "qdsim/obs/trace.h"
 #include "qdsim/simulator.h"
@@ -511,9 +510,8 @@ DensityMatrix::trace_real() const
  * The payload behind DensityCompilation (cached across requests by the
  * CompileService): the compiled gates and every closed-form noise channel
  * the evolution touches — compiled once against one shared plan cache —
- * and the flattened step program that replays the exact moment-by-moment
- * (or fused-group) application order of the original inline engine. The
- * noiseless reference is one state-vector pass through the same gates.
+ * and the flattened step program that replays them. The noiseless
+ * reference is one state-vector pass through the same gates.
  */
 struct DensityCompilation::Impl {
     /** One replayed application: a gate (index into gates.ops()) or a
@@ -525,104 +523,87 @@ struct DensityCompilation::Impl {
     };
 
     NoiseModel model;              ///< the model the program was built from
-    /** The gates, compiled as the trajectory engine compiles its noisy
-     *  loop: fused between error fences, or per op under idle noise. Also
+    /** The gates, fused between noise fences: after every op that draws a
+     *  gate error, and before every op that ends an idle stretch. Also
      *  the program of the noiseless reference pass. */
     exec::CompiledCircuit gates;
     std::vector<CompiledNoise> noise;
     std::vector<Step> steps;
 
+    /** Each fused gate runs after the idle stretches its source ops end
+     *  and before their gate errors; the trailing stretches run last. A
+     *  fence closes every group before an op that ends a stretch, so only
+     *  a group's first source op can end one. */
     Impl(const exec::CircuitEntry& entry, const NoiseModel& noise_model)
         : model(noise_model)
     {
         const Circuit& circuit = entry.circuit();
-        const exec::FusionOptions& fusion = entry.fusion();
         exec::PlanCache& cache = entry.plans();
         const WireDims& dims = circuit.dims();
-        auto push_noise = [&](CompiledNoise compiled) {
+        const auto sites = enumerate_error_sites(circuit, model);
+        const IdleStretches idle = idle_stretches(circuit, model);
+        std::vector<std::uint8_t> fences = error_fences(sites);
+        for (std::size_t i = 1; i < circuit.num_ops(); ++i) {
+            for (const Real tau : idle.before[i]) {
+                if (tau > 0) {
+                    fences[i - 1] = 1;
+                }
+            }
+        }
+        gates = exec::CompiledCircuit(circuit, entry.fusion(), fences,
+                                      &cache);
+
+        obs::ScopedSpan compile_span("density", "compile_channels");
+        auto add = [&](CompiledNoise compiled) {
             noise.push_back(std::move(compiled));
             return noise.size() - 1;
         };
-
-        // Gate-error channels: same placement as the trajectory engine.
-        const auto sites = enumerate_error_sites(circuit, model);
-        std::vector<std::vector<std::size_t>> op_channels(
-            circuit.num_ops());
-        {
-            obs::ScopedSpan compile_span("density", "compile_channels");
-            for (std::size_t i = 0; i < sites.size(); ++i) {
-                for (const ErrorSite& site : sites[i]) {
-                    op_channels[i].push_back(push_noise(compile_depolarizing(
-                        dims, site.wires, site.per_channel, &cache)));
-                }
+        // A stretch's damping, then its dephasing. Stretches repeat, so
+        // each (wire, tau) compiles once.
+        std::map<std::pair<int, Real>, std::vector<std::size_t>> idle_memo;
+        auto push_idle = [&](int wire, Real tau) {
+            if (!(tau > 0)) {
+                return;
             }
-        }
-        auto push_op_channels = [&](std::size_t op) {
-            for (const std::size_t ch : op_channels[op]) {
+            auto [it, fresh] = idle_memo.try_emplace({wire, tau});
+            if (fresh && model.has_damping()) {
+                std::vector<Real> lambdas;
+                for (int m = 1; m < dims.dim(wire); ++m) {
+                    lambdas.push_back(model.lambda(m, tau));
+                }
+                it->second.push_back(
+                    add(compile_damping(dims, wire, lambdas, &cache)));
+            }
+            if (fresh && model.has_dephasing()) {
+                it->second.push_back(add(compile_dephasing(
+                    dims, wire, model.dephasing_sigma * std::sqrt(tau),
+                    &cache)));
+            }
+            for (const std::size_t ch : it->second) {
                 steps.push_back({Step::Kind::kNoise, ch});
             }
         };
-
-        // No idle noise: nothing separates gates but their error
-        // channels, so the moment scaffolding is irrelevant — fuse gate
-        // runs between error fences into single conjugations (channels
-        // attach to their pre-fusion op boundaries, exactly like the
-        // trajectory engine).
-        const bool idle_noise =
-            model.has_damping() || model.has_dephasing();
-        if (fusion.enabled && !idle_noise) {
-            gates = exec::CompiledCircuit(circuit, fusion,
-                                          error_fences(sites), &cache);
-            for (std::size_t k = 0; k < gates.num_ops(); ++k) {
-                steps.push_back({Step::Kind::kGate, k});
-                for (const std::uint32_t src : gates.ops()[k].source_ops) {
-                    push_op_channels(static_cast<std::size_t>(src));
+        for (std::size_t k = 0; k < gates.num_ops(); ++k) {
+            const std::vector<std::uint32_t>& source =
+                gates.ops()[k].source_ops;
+            for (const std::uint32_t i : source) {
+                const std::vector<int>& wires = circuit.ops()[i].wires;
+                for (std::size_t j = 0; j < wires.size(); ++j) {
+                    push_idle(wires[j], idle.before[i][j]);
                 }
             }
-            return;
+            steps.push_back({Step::Kind::kGate, k});
+            for (const std::uint32_t i : source) {
+                for (const ErrorSite& site : sites[i]) {
+                    steps.push_back(
+                        {Step::Kind::kNoise,
+                         add(compile_depolarizing(dims, site.wires,
+                                                  site.per_channel, &cache))});
+                }
+            }
         }
-
-        // Compile every gate once, sharing plans across same-wire ops.
-        exec::FusionOptions off = fusion;
-        off.enabled = false;
-        gates = exec::CompiledCircuit(circuit, off, {}, &cache);
-
-        // Idle noise per wire (damping, then dephasing): dt depends only
-        // on the moment type, so at most two variants exist per wire.
-        std::map<std::pair<int, Real>, std::vector<std::size_t>> idle_memo;
-        auto idle_for = [&](int wire,
-                            Real dt) -> const std::vector<std::size_t>& {
-            auto [it, fresh] = idle_memo.try_emplace({wire, dt});
-            if (fresh) {
-                if (model.has_damping()) {
-                    std::vector<Real> lambdas;
-                    for (int m = 1; m < dims.dim(wire); ++m) {
-                        lambdas.push_back(model.lambda(m, dt));
-                    }
-                    it->second.push_back(push_noise(
-                        compile_damping(dims, wire, lambdas, &cache)));
-                }
-                if (model.has_dephasing()) {
-                    it->second.push_back(push_noise(compile_dephasing(
-                        dims, wire, model.dephasing_sigma * std::sqrt(dt),
-                        &cache)));
-                }
-            }
-            return it->second;
-        };
-
-        const auto moments = schedule_asap(circuit);
-        for (const Moment& moment : moments) {
-            for (const std::size_t idx : moment.op_indices) {
-                steps.push_back({Step::Kind::kGate, idx});
-                push_op_channels(idx);
-            }
-            const Real dt = model.moment_duration(moment.has_multi_qudit);
-            for (int w = 0; w < circuit.num_wires(); ++w) {
-                for (const std::size_t ch : idle_for(w, dt)) {
-                    steps.push_back({Step::Kind::kNoise, ch});
-                }
-            }
+        for (int w = 0; w < dims.num_wires(); ++w) {
+            push_idle(w, idle.trailing[static_cast<std::size_t>(w)]);
         }
     }
 };
@@ -648,6 +629,12 @@ const WireDims&
 DensityCompilation::dims() const
 {
     return impl_->gates.dims();
+}
+
+const exec::CompiledCircuit&
+DensityCompilation::gates() const
+{
+    return impl_->gates;
 }
 
 Real

@@ -212,21 +212,24 @@ class DensityMatrix {
 
 /**
  * Everything the exact engine derives from (circuit, model, fusion)
- * before rho moves: the gates as one exec::CompiledCircuit (built exactly
- * as the trajectory engine builds its noisy loop; the noiseless reference
- * is one state-vector pass through it), every gate-error, damping and
- * dephasing channel lowered to its closed form (CompiledNoise), all
- * against the circuit entry's shared plan cache (exec::CircuitEntry, so
- * the other models and engines of the circuit reuse the plans), and the
- * flattened moment-by-moment step program the evolution replays.
+ * before rho moves: the gates as one exec::CompiledCircuit fused between
+ * noise fences (the noiseless reference is one state-vector pass through
+ * it), every gate-error, damping and dephasing channel lowered to its
+ * closed form (CompiledNoise), all against the circuit entry's shared
+ * plan cache (exec::CircuitEntry, so the other models and engines of the
+ * circuit reuse the plans), and the flattened step program the evolution
+ * replays: each fused gate after the idle stretches its source ops end
+ * and before their gate errors, then every wire's trailing stretch
+ * (error_placement.h places both, for both engines).
  * Immutable after construction and safe to share across threads — the
  * CompileService caches these across requests so repeated submissions of
  * the same (circuit, model, fusion) skip compilation entirely.
  * Construction does NOT verify; admission is the CompileService's job.
  *
  * @throws std::invalid_argument when a gate-error site's Pauli
- *         probabilities sum past 1 or a damping probability leaves
- *         [0, 1] (e.g. a negative gate time with T1 > 0).
+ *         probabilities sum past 1, a damping probability leaves [0, 1],
+ *         or a moment duration is negative under idle noise
+ *         (idle_stretches).
  */
 class DensityCompilation {
  public:
@@ -243,6 +246,9 @@ class DensityCompilation {
 
     const NoiseModel& model() const;
     const WireDims& dims() const;
+    /** The gates the step program conjugates by, fused between its noise
+     *  fences. */
+    const exec::CompiledCircuit& gates() const;
 
     struct Impl;
     const Impl& impl() const { return *impl_; }
@@ -253,20 +259,18 @@ class DensityCompilation {
 
 /**
  * Evolves `initial` through the circuit under the model's noise exactly
- * (moment by moment, same channel placement as the trajectory engine —
- * see error_placement.h) and returns the fidelity against the noiseless
- * output. Gates are compiled ONCE against a shared plan cache and
- * conjugate rho at O(D^2 * b) per application. Gate-error depolarizing,
- * per-wire damping and dephasing run in closed form (CompiledNoise), one
+ * (the trajectory engine's channel placement — see error_placement.h)
+ * and returns the fidelity against the noiseless output. Gates are
+ * compiled ONCE against a shared plan cache and conjugate rho at
+ * O(D^2 * b) per application. Gate-error depolarizing and each idle
+ * stretch's damping and dephasing run in closed form (CompiledNoise), one
  * O(D^2) pass over rho each. Coherent dephasing is modelled as the
  * equivalent Gaussian dephasing channel.
  *
  * `fusion` drives the compile-time fusion stage (exec/fusion.h): gate
- * runs between noise boundaries merge into one conjugation. Error
- * channels fence the partition, so they attach to pre-fusion op
- * boundaries exactly like the trajectory engine; under idle noise
- * (damping/dephasing every moment, where in-moment ops are wire-disjoint)
- * the per-op moment loop is kept unchanged.
+ * runs between noise boundaries merge into one conjugation. Channels
+ * fence the partition, so each keeps its pre-fusion op boundary: a gate
+ * error after its op, an idle stretch before the op that ends it.
  *
  * Compilation routes through exec::CompileService::global(), so repeated
  * calls with the same (circuit, model, fusion) reuse one

@@ -1,5 +1,8 @@
 #include "noise/error_placement.h"
 
+#include <stdexcept>
+#include <utility>
+
 namespace qd::noise {
 
 std::vector<std::vector<ErrorSite>>
@@ -51,6 +54,39 @@ error_fences(const std::vector<std::vector<ErrorSite>>& sites)
         fences[i] = sites[i].empty() ? 0 : 1;
     }
     return fences;
+}
+
+IdleStretches
+idle_stretches(const Circuit& circuit, const NoiseModel& model)
+{
+    const bool idle = model.has_damping() || model.has_dephasing();
+    if (idle && (model.dt_1q < 0 || model.dt_2q < 0)) {
+        throw std::invalid_argument(
+            "idle_stretches: negative moment duration under idle noise");
+    }
+    IdleStretches out;
+    out.moments = schedule_asap(circuit);
+    out.before.resize(circuit.num_ops());
+    // Each wire's idle time since its last op's moment began.
+    std::vector<Real> tau(static_cast<std::size_t>(circuit.num_wires()),
+                          0.0);
+    for (const Moment& moment : out.moments) {
+        for (const std::size_t i : moment.op_indices) {
+            for (const int w : circuit.ops()[i].wires) {
+                Real& t = tau[static_cast<std::size_t>(w)];
+                out.before[i].push_back(t);
+                t = 0;
+            }
+        }
+        const Real dt =
+            idle ? model.moment_duration(moment.has_multi_qudit) : 0.0;
+        out.durations.push_back(dt);
+        for (Real& t : tau) {
+            t += dt;
+        }
+    }
+    out.trailing = std::move(tau);
+    return out;
 }
 
 }  // namespace qd::noise

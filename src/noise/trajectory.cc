@@ -14,7 +14,6 @@
 #include "qdsim/exec/batched_state.h"
 #include "qdsim/exec/compile_service.h"
 #include "qdsim/exec/compiled_circuit.h"
-#include "qdsim/moments.h"
 #include "qdsim/obs/counters.h"
 #include "qdsim/obs/trace.h"
 #include "qdsim/random_state.h"
@@ -286,16 +285,15 @@ struct TrajectoryCompilation::Impl {
      * The noisy program's source ops (filling `steps`, `source` and, under
      * dephasing, where the program stays per op, `kick`): the circuit's
      * ops in ASAP-moment order, each preceded by the K0 steps of its
-     * wires' idle time. A wire's idle time runs from its previous gate's
-     * moment (that moment included) to its next gate, or to the end of
-     * the circuit.
+     * wires' idle stretches (idle_stretches), and each wire's trailing
+     * stretch at the end. Under dephasing a kick over the moment's
+     * duration follows each moment's last op.
      */
     Circuit build_program(const Circuit& circuit,
                           std::vector<std::uint32_t>& source) {
         const WireDims& dims = circuit.dims();
+        const IdleStretches idle = idle_stretches(circuit, model);
         Circuit program(dims);
-        std::vector<Real> idle(static_cast<std::size_t>(dims.num_wires()),
-                               0.0);
         auto push = [&](const Gate& gate, const std::vector<int>& wires,
                         Step step, std::uint32_t src) {
             program.append(gate, wires);
@@ -305,35 +303,29 @@ struct TrajectoryCompilation::Impl {
                 kick.push_back(0.0);
             }
         };
-        auto flush = [&](int w) {
-            Real& tau = idle[static_cast<std::size_t>(w)];
+        auto damp = [&](int w, Real tau) {
             if (tau > 0 && model.has_damping()) {
                 if (const Damping* d = damping_for(dims.dim(w), tau)) {
                     push(d->k0, {w}, Step{d, w}, kNoSource);
                     damping = true;
                 }
             }
-            tau = 0;
         };
-        for (const Moment& moment : schedule_asap(circuit)) {
-            for (const std::size_t idx : moment.op_indices) {
+        for (std::size_t m = 0; m < idle.moments.size(); ++m) {
+            for (const std::size_t idx : idle.moments[m].op_indices) {
                 const Operation& op = circuit.ops()[idx];
-                for (const int w : op.wires) {
-                    flush(w);
+                for (std::size_t j = 0; j < op.wires.size(); ++j) {
+                    damp(op.wires[j], idle.before[idx][j]);
                 }
                 push(op.gate, op.wires, Step{},
                      static_cast<std::uint32_t>(idx));
             }
-            const Real dt = model.moment_duration(moment.has_multi_qudit);
-            for (Real& tau : idle) {
-                tau += dt;
-            }
             if (model.has_dephasing()) {
-                kick.back() = dt;  // after the moment's last op
+                kick.back() = idle.durations[m];  // after the moment's last op
             }
         }
         for (int w = 0; w < dims.num_wires(); ++w) {
-            flush(w);
+            damp(w, idle.trailing[static_cast<std::size_t>(w)]);
         }
         return program;
     }

@@ -26,8 +26,9 @@
  *    threshold r ~ U(0, 1), evolves without renormalising, and jumps on
  *    the step where ||psi||^2 falls below r, picking level m of the wire
  *    with weight lambda_m(tau) * population(wire, m); after a jump it
- *    renormalises and draws a new r. This is the same channel the density
- *    engine applies moment by moment, on every register.
+ *    renormalises and draws a new r. The stretches are error_placement.h's
+ *    idle_stretches, which the density engine reads too: it applies the
+ *    same channel in closed form once per stretch, on every register.
  *  - Dephasing kicks stay per moment. A kick draws one phase per wire and
  *    lane, and one pass scales each lane's amplitudes by the product of
  *    its phases, read from two small per-lane tables (see

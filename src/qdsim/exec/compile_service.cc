@@ -34,8 +34,10 @@ report_of(const CircuitEntry& entry, const noise::NoiseModel* model,
     if (model == nullptr) {
         return entry.report({}, admission);
     }
-    // Fence exactly as the density engine fences, so the fusion audit
-    // sees the partition it will actually produce.
+    // Fence at the error sites. That is the density engine's partition
+    // whenever every op draws a gate error (every preset) or the model
+    // has no idle noise; otherwise the engine also fences before each op
+    // that ends an idle stretch.
     verify::Report report = entry.report(
         noise::error_fences(
             noise::enumerate_error_sites(entry.circuit(), *model)),

@@ -3,10 +3,12 @@
  * ASAP moment scheduling (paper Section 6.1, Figure 8).
  *
  * A Moment is a set of operations on disjoint wires executed simultaneously.
- * The noise engine applies gate errors to every operand of every gate in a
- * moment, then an idle error to every wire; the idle duration depends on
- * whether the moment contains a multi-qudit gate (two-qudit gates are slower
- * than single-qudit gates).
+ * Algorithm 1 charges every wire idle noise for each moment's duration,
+ * which depends on whether the moment contains a multi-qudit gate
+ * (two-qudit gates are slower than single-qudit gates). The noise engines
+ * read that charge from one placement, noise/error_placement.h's
+ * idle_stretches, which sums each wire's moments between two of its ops
+ * into one idle stretch.
  */
 #ifndef QDSIM_MOMENTS_H
 #define QDSIM_MOMENTS_H

@@ -21,6 +21,7 @@
 #include "noise/models.h"
 #include "noise/trajectory.h"
 #include "qdsim/gate_library.h"
+#include "qdsim/moments.h"
 #include "qdsim/random_state.h"
 #include "qdsim/simulator.h"
 
@@ -507,6 +508,224 @@ TEST(DensityMatrix, ErrorPlacementSplitsWideGatesIntoPairs) {
     ASSERT_EQ(sites[0].size(), 1u);
     EXPECT_EQ(sites[0][0].wires, (std::vector<int>{0, 1}));
     EXPECT_NEAR(sites[0][0].per_channel, m.per_channel_2q(2, 2), 1e-15);
+}
+
+TEST(DensityMatrix, IdleStretchesSumEachWiresMomentsBetweenItsOps) {
+    // Moments: H3(0) | CX(0,1) | H3(1) | CX(1,2)... wire 3 is never
+    // touched. A stretch runs from the moment of the wire's previous op
+    // (included) to the op, a trailing one from the last op's moment.
+    Circuit c(WireDims({3, 3, 2, 2}));
+    c.append(gates::H3(), {0});
+    c.append(gates::Xplus1().controlled(3, 1), {0, 1});
+    c.append(gates::H3(), {1});
+    c.append(gates::X().controlled(3, 2), {1, 2});
+    NoiseModel m;
+    m.t1 = 1e-3;
+    m.dt_1q = 100e-9;
+    m.dt_2q = 300e-9;
+    const IdleStretches idle = idle_stretches(c, m);
+    ASSERT_EQ(idle.moments.size(), 4u);
+    EXPECT_EQ(idle.durations,
+              (std::vector<Real>{100e-9, 300e-9, 100e-9, 300e-9}));
+    const Real t01 = 0.0 + 100e-9 + 300e-9;
+    EXPECT_EQ(idle.before[0], (std::vector<Real>{0.0}));
+    EXPECT_EQ(idle.before[1], (std::vector<Real>{100e-9, 100e-9}));
+    EXPECT_EQ(idle.before[2], (std::vector<Real>{300e-9}));
+    EXPECT_EQ(idle.before[3], (std::vector<Real>{100e-9, t01 + 100e-9}));
+    const Real all = t01 + 100e-9 + 300e-9;
+    EXPECT_EQ(idle.trailing,
+              (std::vector<Real>{300e-9 + 100e-9 + 300e-9, 300e-9, 300e-9,
+                                 all}));
+    // Without idle noise nothing is charged.
+    m.t1 = 0;
+    const IdleStretches none = idle_stretches(c, m);
+    EXPECT_EQ(none.durations, std::vector<Real>(4, 0.0));
+    EXPECT_EQ(none.before[3], (std::vector<Real>{0.0, 0.0}));
+    EXPECT_EQ(none.trailing, std::vector<Real>(4, 0.0));
+}
+
+TEST(DensityMatrix, BothEnginesRejectNegativeMomentDurations) {
+    // One rule: under damping or dephasing a negative duration is an
+    // error in both engines, whichever idle channel would use it.
+    Circuit c(WireDims::uniform(2, 3));
+    c.append(gates::H3(), {0});
+    c.append(gates::Xplus1().controlled(3, 1), {0, 1});
+    NoiseModel damping;
+    damping.t1 = 1e-3;
+    damping.dt_1q = -100e-9;
+    damping.dt_2q = 300e-9;
+    NoiseModel dephasing = damping;
+    dephasing.t1 = 0;
+    dephasing.dephasing_sigma = 1e3;
+    for (const NoiseModel& m : {damping, dephasing}) {
+        EXPECT_THROW(DensityCompilation(c, m), std::invalid_argument);
+        EXPECT_THROW(TrajectoryCompilation(c, m), std::invalid_argument);
+    }
+    // Without idle noise the durations charge nothing.
+    NoiseModel gates_only = damping;
+    gates_only.t1 = 0;
+    gates_only.p1 = 1e-3;
+    EXPECT_NO_THROW(DensityCompilation(c, gates_only));
+    EXPECT_NO_THROW(TrajectoryCompilation(c, gates_only));
+}
+
+/** A random circuit on four mixed-radix {2, 3} wires, one of which no op
+ *  touches: one-, two- and three-qudit gates (the last draw one error
+ *  site per adjacent operand pair). */
+Circuit
+random_idle_circuit(Rng& rng)
+{
+    std::vector<int> dims;
+    for (int w = 0; w < 4; ++w) {
+        dims.push_back(2 + static_cast<int>(rng.uniform_int(2)));
+    }
+    const int idle = static_cast<int>(rng.uniform_int(4));
+    std::vector<int> used;
+    for (int w = 0; w < 4; ++w) {
+        if (w != idle) {
+            used.push_back(w);
+        }
+    }
+    Circuit c{WireDims(dims)};
+    for (int g = 0; g < 12; ++g) {
+        // Three distinct busy wires in random order.
+        std::vector<int> w = used;
+        for (int i = 2; i > 0; --i) {
+            std::swap(w[static_cast<std::size_t>(i)],
+                      w[static_cast<std::size_t>(rng.uniform_int(
+                          static_cast<std::uint64_t>(i + 1)))]);
+        }
+        const int da = dims[static_cast<std::size_t>(w[0])];
+        const int db = dims[static_cast<std::size_t>(w[1])];
+        const int dc = dims[static_cast<std::size_t>(w[2])];
+        switch (rng.uniform_int(5)) {
+            case 0:
+                c.append(gates::fourier(da), {w[0]});
+                break;
+            case 1:
+                c.append(gates::Zd(da), {w[0]});
+                break;
+            case 2:
+                c.append(gates::shift(db).controlled(da, da - 1),
+                         {w[0], w[1]});
+                break;
+            case 3:
+                c.append(gates::fourier(db).controlled(da, 1), {w[0], w[1]});
+                break;
+            default:
+                c.append(gates::shift(dc).controlled({da, db}, {1, 1}),
+                         {w[0], w[1], w[2]});
+                break;
+        }
+    }
+    return c;
+}
+
+/** The exact fidelity with Algorithm 1's idle noise charged moment by
+ *  moment: each moment's gates, each followed by its gate errors, then
+ *  every wire's damping and dephasing over the moment's duration. */
+Real
+per_moment_fidelity(const Circuit& c, const NoiseModel& m,
+                    const StateVector& init)
+{
+    const WireDims& dims = c.dims();
+    const auto sites = enumerate_error_sites(c, m);
+    DensityMatrix dm(init);
+    for (const Moment& moment : schedule_asap(c)) {
+        for (const std::size_t i : moment.op_indices) {
+            const Operation& op = c.ops()[i];
+            dm.apply_unitary(op.gate.matrix(), op.wires);
+            for (const ErrorSite& site : sites[i]) {
+                dm.apply(compile_depolarizing(dims, site.wires,
+                                              site.per_channel));
+            }
+        }
+        const Real dt = m.moment_duration(moment.has_multi_qudit);
+        for (int w = 0; w < dims.num_wires(); ++w) {
+            if (m.has_damping()) {
+                std::vector<Real> lambdas;
+                for (int level = 1; level < dims.dim(w); ++level) {
+                    lambdas.push_back(m.lambda(level, dt));
+                }
+                dm.apply(compile_damping(dims, w, lambdas));
+            }
+            if (m.has_dephasing()) {
+                dm.apply(compile_dephasing(
+                    dims, w, m.dephasing_sigma * std::sqrt(dt)));
+            }
+        }
+    }
+    return dm.fidelity(simulate(c, init));
+}
+
+TEST(DensityMatrix, StretchPlacementMatchesPerMomentReference) {
+    // Damping and dephasing compose exactly over time and commute with
+    // everything on other wires, so one channel per idle stretch equals
+    // one per moment, fused or not, with and without gate errors.
+    NoiseModel base;
+    base.dt_1q = 100e-9;
+    base.dt_2q = 300e-9;
+    NoiseModel damping = base;
+    damping.t1 = 2e-6;
+    NoiseModel dephasing = base;
+    dephasing.dephasing_sigma = 1e3;
+    NoiseModel both = damping;
+    both.dephasing_sigma = 1e3;
+    exec::FusionOptions off;
+    off.enabled = false;
+    Rng rng(2026);
+    for (int rep = 0; rep < 6; ++rep) {
+        const Circuit c = random_idle_circuit(rng);
+        const StateVector init = haar_random_state(c.dims(), rng);
+        for (NoiseModel m : {damping, dephasing, both}) {
+            for (const Real p : {0.0, 2e-3}) {
+                m.p1 = p;
+                m.p2 = p;
+                const Real want = per_moment_fidelity(c, m, init);
+                EXPECT_LT(want, 0.999);
+                for (const exec::FusionOptions& fusion :
+                     {exec::FusionOptions{}, off}) {
+                    const DensityCompilation compiled(c, m, fusion);
+                    EXPECT_NEAR(density_matrix_fidelity(compiled, init),
+                                want, 1e-12)
+                        << "rep " << rep << " p " << p << " fusion "
+                        << fusion.enabled;
+                }
+            }
+        }
+    }
+}
+
+TEST(DensityMatrix, ZeroLengthMomentsFuseUnderIdleNoise) {
+    // T1 with single-qudit moments of zero length: a run of single-qudit
+    // gates ends no idle stretch, so it fuses between the stretch fences.
+    // Moments: {H3(0), CX(1,2)} of 300 ns, then zero-length ones until
+    // the CX(0,1) moment.
+    Circuit c(WireDims({3, 3, 2}));
+    c.append(gates::H3(), {0});
+    c.append(gates::X().controlled(3, 1), {1, 2});
+    c.append(gates::Z3(), {0});      // ends wire 0's 300-ns stretch
+    c.append(gates::Xplus1(), {0});  // fuses with Z3
+    c.append(gates::H3(), {1});      // ends wire 1's 300-ns stretch
+    c.append(gates::X12(), {1});     // fuses with H3
+    c.append(gates::Xplus1().controlled(3, 1), {0, 1});
+    c.append(gates::H3(), {0});  // ends wire 0's 300-ns stretch
+    c.append(gates::Z3(), {0});  // fuses with H3
+    NoiseModel m;
+    m.t1 = 2e-6;
+    m.dt_1q = 0;
+    m.dt_2q = 300e-9;
+    exec::FusionOptions off;
+    off.enabled = false;
+    const DensityCompilation fused(c, m);
+    const DensityCompilation unfused(c, m, off);
+    EXPECT_LT(fused.gates().num_ops(), c.num_ops());
+    EXPECT_EQ(unfused.gates().num_ops(), c.num_ops());
+    Rng rng(311);
+    const StateVector init = haar_random_state(c.dims(), rng);
+    const Real want = density_matrix_fidelity(unfused, init);
+    EXPECT_LT(want, 0.999);
+    EXPECT_NEAR(density_matrix_fidelity(fused, init), want, 1e-10);
 }
 
 TEST(DensityMatrix, TrajectoryConvergesToCompiledExactDepolarizing) {

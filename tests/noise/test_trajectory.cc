@@ -10,6 +10,7 @@
 #include "noise/models.h"
 #include "qdsim/exec/compiled_circuit.h"
 #include "qdsim/gate_library.h"
+#include "qdsim/moments.h"
 #include "qdsim/obs/counters.h"
 #include "qdsim/random_state.h"
 #include "qdsim/simulator.h"
@@ -761,6 +762,114 @@ TEST(Trajectory, IdleWireDampsInItsOwnBlock) {
     expect_batch_invariant(c, m, 13);
     Rng rng(53);
     expect_matches_exact(c, m, haar_random_state(c.dims(), rng), 4000, 54);
+}
+
+/** The noisy program by the per-moment walk: the circuit's ops in ASAP
+ *  order; before each, a K0 step per operand wire over the wire's idle
+ *  time, accumulated moment by moment since its previous op's moment
+ *  began (dropped when no level decays); each wire's trailing K0 last. */
+Circuit
+per_moment_program(const Circuit& c, const NoiseModel& m)
+{
+    const WireDims& dims = c.dims();
+    Circuit program(dims);
+    std::vector<Real> idle(static_cast<std::size_t>(dims.num_wires()), 0.0);
+    auto flush = [&](int w) {
+        Real& tau = idle[static_cast<std::size_t>(w)];
+        if (tau > 0 && m.has_damping()) {
+            const int d = dims.dim(w);
+            std::vector<Complex> diag(static_cast<std::size_t>(d),
+                                      Complex(1, 0));
+            bool decays = false;
+            for (int level = 1; level < d; ++level) {
+                const Real lam = m.lambda(level, tau);
+                diag[static_cast<std::size_t>(level)] =
+                    Complex(std::sqrt(1.0 - lam), 0);
+                decays = decays || lam > 0;
+            }
+            if (decays) {
+                program.append(Gate("k0", {d}, Matrix::diagonal(diag)), {w});
+            }
+        }
+        tau = 0;
+    };
+    for (const Moment& moment : schedule_asap(c)) {
+        for (const std::size_t i : moment.op_indices) {
+            const Operation& op = c.ops()[i];
+            for (const int w : op.wires) {
+                flush(w);
+            }
+            program.append(op.gate, op.wires);
+        }
+        const Real dt = m.moment_duration(moment.has_multi_qudit);
+        for (Real& tau : idle) {
+            tau += dt;
+        }
+    }
+    for (int w = 0; w < dims.num_wires(); ++w) {
+        flush(w);
+    }
+    return program;
+}
+
+TEST(Trajectory, NoisyProgramMatchesPerMomentWalk) {
+    // The noisy program's op order, wires and every K0 diagonal, bitwise,
+    // on random mixed-radix circuits with a wire no op touches, under
+    // damping (level 1 never decays: no K0 on qubit wires), dephasing
+    // and both.
+    NoiseModel damping = noiseless();
+    damping.t1 = 5e-6;
+    damping.decay_rates = {0, 2};
+    NoiseModel dephasing = noiseless();
+    dephasing.dephasing_sigma = 50.0;
+    NoiseModel both = dephasing;
+    both.t1 = 5e-6;
+    Rng gen(2027);
+    std::size_t damping_steps = 0;
+    for (int rep = 0; rep < 8; ++rep) {
+        std::vector<int> dims;
+        for (int w = 0; w < 4; ++w) {
+            dims.push_back(2 + static_cast<int>(gen.uniform_int(2)));
+        }
+        const int idle = static_cast<int>(gen.uniform_int(4));
+        Circuit c{WireDims(dims)};
+        for (int g = 0; g < 14; ++g) {
+            const int a = static_cast<int>(rng_wire(gen, 4));
+            const int b = static_cast<int>(rng_wire(gen, 4));
+            if (a == idle || b == idle || a == b) {
+                continue;
+            }
+            const int da = dims[static_cast<std::size_t>(a)];
+            const int db = dims[static_cast<std::size_t>(b)];
+            switch (gen.uniform_int(3)) {
+                case 0:
+                    c.append(gates::fourier(da), {a});
+                    break;
+                case 1:
+                    c.append(gates::Zd(db), {b});
+                    break;
+                default:
+                    c.append(gates::shift(db).controlled(da, 1), {a, b});
+                    break;
+            }
+        }
+        for (const NoiseModel& m : {damping, dephasing, both}) {
+            const Circuit want = per_moment_program(c, m);
+            const TrajectoryCompilation compiled(c, m);
+            const Circuit& got = compiled.noisy_program();
+            ASSERT_EQ(got.num_ops(), want.num_ops()) << "rep " << rep;
+            damping_steps += got.num_ops() - c.num_ops();
+            for (std::size_t s = 0; s < want.num_ops(); ++s) {
+                const Operation& g = got.ops()[s];
+                const Operation& w = want.ops()[s];
+                EXPECT_EQ(g.wires, w.wires) << "rep " << rep << " op " << s;
+                EXPECT_EQ(g.gate.dims(), w.gate.dims());
+                EXPECT_TRUE(g.gate.matrix().data() == w.gate.matrix().data())
+                    << "rep " << rep << " op " << s;
+            }
+        }
+    }
+    EXPECT_GT(damping_steps, 0u);
 }
 
 TEST(Trajectory, DampedPartitionPassesTheStructuralAudit) {

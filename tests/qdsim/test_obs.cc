@@ -322,9 +322,9 @@ TEST_F(ObsTest, FusionCountersMatchCompiledCircuit)
     EXPECT_EQ(s[Counter::kFusionFusedGroups],
               static_cast<std::uint64_t>(fused.num_fused_groups()));
 
-    // A density compile runs at most one fusion pass: its gates, fused
-    // between error fences when gate errors are the only noise, and per
-    // op (no pass) under idle noise. The reference state reuses them.
+    // A density compile runs one fusion pass: its gates, fused between
+    // noise fences, with or without idle noise. The reference state
+    // reuses them.
     const Circuit noisy = noisy_workload();
     noise::NoiseModel gate_errors;
     gate_errors.p1 = 1e-3;
@@ -334,8 +334,9 @@ TEST_F(ObsTest, FusionCountersMatchCompiledCircuit)
     EXPECT_EQ(obs::counters_snapshot()[Counter::kFusionOpsIn],
               static_cast<std::uint64_t>(noisy.num_ops()));
     obs::reset_counters();
-    const noise::DensityCompilation per_op(noisy, noise::sc());
-    EXPECT_EQ(obs::counters_snapshot()[Counter::kFusionOpsIn], 0u);
+    const noise::DensityCompilation idle(noisy, noise::sc());
+    EXPECT_EQ(obs::counters_snapshot()[Counter::kFusionOpsIn],
+              static_cast<std::uint64_t>(noisy.num_ops()));
 }
 
 obs::CounterSnapshot
